@@ -22,12 +22,11 @@ from .fusion import (
     ModelConfig,
     export_embeddings,
     load_model,
-    predict_latency,
     save_model,
     write_embeddings_csv,
 )
 from .simulator import load_scenario, run_scenario
-from .statgraph import Topology, chronological_split, load_dataset, save_dataset
+from .statgraph import Topology, chronological_split, load_dataset, normalize_dataset, save_dataset
 from .telemetry import (
     WindowSpec,
     build_snapshots,
@@ -35,7 +34,7 @@ from .telemetry import (
     read_latency_csv,
     write_latency_csv,
 )
-from .training import LossParams, TrainConfig, linear_regression, mlp_baseline, train
+from .training import LossParams, TrainConfig, linear_regression, metrics, mlp_baseline, train
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -249,9 +248,6 @@ def _select_split(dataset, split: str):
 
 
 def cmd_eval(args) -> int:
-    from .statgraph import normalize_dataset
-    from .training import metrics
-
     dataset = load_dataset(args.dataset)
     model, stats = load_model(args.checkpoint)
     if dataset.topology != model.topology:
@@ -270,7 +266,7 @@ def cmd_eval(args) -> int:
         fh.write("window_start,y,y_hat\n")
         for snap, pred in zip(part.snapshots, preds):
             y = "" if snap.label is None else repr(snap.label)
-            fh.write(f"{snap.window_start!r},{y},{pred!r}\n")
+            fh.write(f"{snap.window_start!r},{y},{float(pred)!r}\n")
     labeled = [i for i, s in enumerate(snaps) if s.label is not None]
     if labeled:
         m = metrics(preds[labeled], np.asarray([snaps[i].label for i in labeled]))
@@ -285,22 +281,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    from .statgraph import apply_normalizer
-
     dataset = load_dataset(args.snapshots)
     model, stats = load_model(args.checkpoint)
     if dataset.topology != model.topology:
         raise CheckpointError("snapshot topology differs from the checkpoint's topology")
     if not dataset.snapshots:
         raise EmptyResult("no snapshots to predict")
-    for snap in dataset.snapshots:
-        print(repr(predict_latency(apply_normalizer(snap, stats), model)))
+    for pred in model.predict(list(normalize_dataset(dataset, stats).snapshots)):
+        print(repr(float(pred)))
     return EXIT_OK
 
 
 def cmd_export_embedding(args) -> int:
-    from .statgraph import normalize_dataset
-
     dataset = load_dataset(args.dataset)
     model, stats = load_model(args.checkpoint)
     if dataset.topology != model.topology:

@@ -5,12 +5,13 @@ attention keys/values are augmented with projected edge features, followed
 by attention pooling into a single embedding. Resource side: a stack of
 gated-MLP blocks whose spatial gate mixes information across service
 positions, followed by mean pooling. Both emit a ``d_emb`` vector per
-snapshot and operate on batches of disjoint graph copies.
+snapshot and work batch-major: node tensors are ``(B, |V|, d)`` and edge
+tensors ``(B, |E|, d_e)``, and since every snapshot shares one static
+topology, the message routing is built once per model.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ShapeError
 from .nn import LayerNorm, Linear, Module, parameter
-from .statgraph import Snapshot, Topology
+from .statgraph import Snapshot
 from .tensor import Tensor
 
 
@@ -54,88 +55,67 @@ class ResourceEncoderConfig:
             raise ValueError("num_positions must be >= 1")
 
 
+class MessageRouting:
+    """Where messages flow over one static topology; built once per model.
+
+    Message ``m`` goes from node ``src[m]`` to node ``dst[m]``. The one-hot
+    ``(|V|, M)`` incidence matrices turn a sum of message rows into their
+    source or destination node into one matmul. ``in_messages`` lists each
+    node's in-messages, padded with ``M``.
+    """
+
+    def __init__(self, num_nodes: int, src, dst, num_self_loops: int = 0):
+        self.src = np.asarray(src, dtype=np.intp)
+        self.dst = np.asarray(dst, dtype=np.intp)
+        self.num_self_loops = num_self_loops
+        nodes = np.arange(num_nodes)[:, None]
+        self.src_incidence = (nodes == self.src).astype(np.float64)
+        self.dst_incidence = (nodes == self.dst).astype(np.float64)
+        in_degree = np.bincount(self.dst, minlength=num_nodes)
+        self.in_messages = np.full((num_nodes, in_degree.max(initial=0)), len(self.dst))
+        for node in range(num_nodes):
+            self.in_messages[node, :in_degree[node]] = np.flatnonzero(self.dst == node)
+
+    @classmethod
+    def from_edges(cls, num_nodes: int, edges, reverse: bool = False) -> "MessageRouting":
+        """The edges, in edge order, then one self loop for each node without
+        in-edges, so every node receives an update. Messages follow call
+        direction (caller -> callee) unless ``reverse``, which lets callee
+        state propagate upstream."""
+        pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+        src, dst = (pairs[:, 1], pairs[:, 0]) if reverse else (pairs[:, 0], pairs[:, 1])
+        loops = np.setdiff1d(np.arange(num_nodes), dst)
+        return cls(num_nodes, np.concatenate([src, loops]), np.concatenate([dst, loops]),
+                   len(loops))
+
+
 @dataclass
 class SnapshotBatch:
-    """A batch of snapshots collated as one disjoint union of graphs."""
+    """A batch of snapshots over one topology, stacked batch-major."""
 
-    node_features: Tensor        # (B*|V|, d_n)
-    edge_features: Tensor        # (B*|E|, d_e)
-    edge_src: np.ndarray         # message source node ids (offset per graph)
-    edge_dst: np.ndarray         # message destination node ids
-    self_loop_nodes: np.ndarray  # nodes with no incoming messages
-    node_graph: np.ndarray       # graph id per node
-    num_graphs: int
-    num_nodes: int
+    node_features: Tensor        # (B, |V|, d_n)
+    edge_features: Tensor        # (B, |E|, d_e)
+    routing: MessageRouting
     resources: Tensor            # (B, |V|, d_r)
     window_starts: np.ndarray
     labels: np.ndarray | None    # (B,) seconds, or None for pure inference
 
 
-def collate_snapshots(
-    snapshots: list[Snapshot],
-    topology: Topology,
-    reverse_messages: bool = False,
-) -> SnapshotBatch:
-    """Stack snapshots into one batch over disjoint topology copies.
-
-    Message direction follows call direction by default (caller -> callee);
-    ``reverse_messages`` flips it so that callee state propagates upstream.
-    Results are identical to per-snapshot evaluation because graphs stay
-    disconnected.
-    """
+def collate_snapshots(snapshots: list[Snapshot], routing: MessageRouting) -> SnapshotBatch:
+    """Stack snapshots along a new leading batch axis."""
     if not snapshots:
         raise ValueError("cannot collate an empty snapshot list")
-    b = len(snapshots)
-    v = topology.num_services
-    if topology.edges:
-        src = np.asarray([e[0] for e in topology.edges], dtype=np.intp)
-        dst = np.asarray([e[1] for e in topology.edges], dtype=np.intp)
-    else:
-        src = np.zeros(0, dtype=np.intp)
-        dst = np.zeros(0, dtype=np.intp)
-    if reverse_messages:
-        src, dst = dst, src
-    in_degree = np.zeros(v, dtype=np.intp)
-    np.add.at(in_degree, dst, 1)
-    iso = np.flatnonzero(in_degree == 0)
-
-    offsets = np.repeat(np.arange(b, dtype=np.intp) * v, len(src))
-    edge_src = np.tile(src, b) + offsets
-    edge_dst = np.tile(dst, b) + offsets
-    iso_offsets = np.repeat(np.arange(b, dtype=np.intp) * v, len(iso))
-    self_loop_nodes = np.tile(iso, b) + iso_offsets
-
     labels = None
     if all(s.label is not None for s in snapshots):
         labels = np.asarray([s.label for s in snapshots], dtype=np.float64)
-
     return SnapshotBatch(
-        node_features=Tensor(np.concatenate([s.node_features for s in snapshots], axis=0)),
-        edge_features=Tensor(np.concatenate([s.edge_features for s in snapshots], axis=0)),
-        edge_src=edge_src,
-        edge_dst=edge_dst,
-        self_loop_nodes=self_loop_nodes,
-        node_graph=np.repeat(np.arange(b, dtype=np.intp), v),
-        num_graphs=b,
-        num_nodes=b * v,
-        resources=Tensor(np.stack([s.resource_features for s in snapshots], axis=0)),
+        node_features=Tensor(np.stack([s.node_features for s in snapshots])),
+        edge_features=Tensor(np.stack([s.edge_features for s in snapshots])),
+        routing=routing,
+        resources=Tensor(np.stack([s.resource_features for s in snapshots])),
         window_starts=np.asarray([s.window_start for s in snapshots]),
         labels=labels,
     )
-
-
-def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Softmax over rows sharing a segment id (per trailing column).
-
-    Max-subtraction uses the detached per-segment maximum; softmax is
-    shift-invariant, so the gradient is unaffected.
-    """
-    m = np.full((num_segments,) + scores.shape[1:], -np.inf)
-    np.maximum.at(m, segment_ids, scores.data)
-    m[np.isneginf(m)] = 0.0  # empty segments are never gathered
-    z = T.texp(T.sub(scores, Tensor(m[segment_ids])))
-    denom = T.scatter_add(z, segment_ids, num_segments)
-    return T.div(z, T.gather_rows(denom, segment_ids))
 
 
 class GraphTransformerLayer(Module):
@@ -151,7 +131,6 @@ class GraphTransformerLayer(Module):
     def __init__(self, d_emb: int, d_edge: int, num_heads: int, drop_p: float, rng: np.random.Generator):
         super().__init__()
         self.num_heads = num_heads
-        self.d_head = d_emb // num_heads
         self.d_emb = d_emb
         self.drop_p = drop_p
         self.wq = Linear(d_emb, d_emb, rng)
@@ -162,63 +141,38 @@ class GraphTransformerLayer(Module):
         self.self_edge = parameter(rng.normal(0.0, 0.1, size=(1, d_edge)))
         self.norm = LayerNorm(d_emb)
 
-    def __call__(
-        self,
-        h: Tensor,
-        edge_features: Tensor,
-        edge_src: np.ndarray,
-        edge_dst: np.ndarray,
-        self_loop_nodes: np.ndarray,
-        num_nodes: int,
-        rng: np.random.Generator | None = None,
-    ) -> Tensor:
-        if h.shape[1] != self.d_emb:
-            raise ShapeError(f"node embedding width {h.shape[1]} != layer width {self.d_emb}")
-        keys_e = self.we_key(edge_features)
-        vals_e = self.we_val(edge_features)
-        src, dst = edge_src, edge_dst
-        if len(self_loop_nodes):
-            rep = np.zeros(len(self_loop_nodes), dtype=np.intp)
-            keys_e = T.concat([keys_e, T.gather_rows(self.we_key(self.self_edge), rep)], axis=0)
-            vals_e = T.concat([vals_e, T.gather_rows(self.we_val(self.self_edge), rep)], axis=0)
-            src = np.concatenate([src, self_loop_nodes])
-            dst = np.concatenate([dst, self_loop_nodes])
-
-        q = self.wq(h)
-        k = self.wk(h)
-        v = self.wv(h)
-        m = len(src)
-        key = T.add(T.gather_rows(k, src), keys_e)
-        val = T.add(T.gather_rows(v, src), vals_e)
-        q_dst = T.gather_rows(q, dst)
-
-        shape3 = (m, self.num_heads, self.d_head)
-        scores = T.tsum(T.mul(T.reshape(q_dst, shape3), T.reshape(key, shape3)), axis=2)
-        scores = T.scale(scores, 1.0 / math.sqrt(self.d_head))
-        alpha = segment_softmax(scores, dst, num_nodes)  # (m, heads)
-
-        weighted = T.mul(T.reshape(alpha, (m, self.num_heads, 1)), T.reshape(val, shape3))
-        attn = T.scatter_add(T.reshape(weighted, (m, self.d_emb)), dst, num_nodes)
+    def __call__(self, h: Tensor, edge_features: Tensor, routing: MessageRouting,
+                 rng: np.random.Generator | None = None) -> Tensor:
+        """``h`` is ``(B, |V|, d_emb)``, ``edge_features`` ``(B, |E|, d_edge)``."""
+        if h.shape[-1] != self.d_emb:
+            raise ShapeError(f"node embedding width {h.shape[-1]} != layer width {self.d_emb}")
+        if routing.num_self_loops:
+            loops = T.broadcast_to(self.self_edge, (h.shape[0], routing.num_self_loops,
+                                                    self.self_edge.shape[1]))
+            edge_features = T.concat([edge_features, loops], axis=1)
+        key = T.add(T.gather(self.wk(h), routing.src, routing.src_incidence),
+                    self.we_key(edge_features))
+        val = T.add(T.gather(self.wv(h), routing.src, routing.src_incidence),
+                    self.we_val(edge_features))
+        attn = T.edge_attention(self.wq(h), key, val, routing, self.num_heads)
         attn = T.dropout(attn, self.drop_p, self.training, rng)
         return self.norm(T.add(h, attn))
 
 
 class AttentionPool(Module):
-    """Score-weighted graph readout: a = softmax(w2 . tanh(W1 h_i))."""
+    """Score-weighted graph readout: a = softmax over nodes of w2 . tanh(W1 h_i)."""
 
     def __init__(self, d_emb: int, rng: np.random.Generator):
         super().__init__()
         self.w1 = Linear(d_emb, d_emb, rng)
         self.w2 = Linear(d_emb, 1, rng, bias=False)
 
-    def __call__(self, h: Tensor, node_graph: np.ndarray, num_graphs: int) -> Tensor:
-        scores = self.w2(T.tanh(self.w1(h)))           # (N, 1)
-        alpha = segment_softmax(scores, node_graph, num_graphs)
-        return T.scatter_add(T.mul(h, alpha), node_graph, num_graphs)
+    def __call__(self, h: Tensor) -> Tensor:
+        """``(B, |V|, d)`` node embeddings to ``(B, d)``."""
+        return T.tsum(T.mul(h, self.weights(h)), axis=1)
 
-    def weights(self, h: Tensor, node_graph: np.ndarray, num_graphs: int) -> Tensor:
-        scores = self.w2(T.tanh(self.w1(h)))
-        return segment_softmax(scores, node_graph, num_graphs)
+    def weights(self, h: Tensor) -> Tensor:
+        return T.softmax(self.w2(T.tanh(self.w1(h))), axis=1)     # (B, |V|, 1)
 
 
 class TrafficEncoder(Module):
@@ -240,9 +194,8 @@ class TrafficEncoder(Module):
         h = self.input_proj(batch.node_features if node_features is None else node_features)
         edges = batch.edge_features if edge_features is None else edge_features
         for layer in self.layers:
-            h = layer(h, edges, batch.edge_src, batch.edge_dst,
-                      batch.self_loop_nodes, batch.num_nodes, rng)
-        return self.pool(h, batch.node_graph, batch.num_graphs)
+            h = layer(h, edges, batch.routing, rng)
+        return self.pool(h)
 
 
 class GmlpBlock(Module):
@@ -274,7 +227,7 @@ class GmlpBlock(Module):
         u2 = T.slice_axis(u, 2, self.half, self.d_ffn)
         gate = self.gate_norm(u2)
         gate = T.transpose(gate, (0, 2, 1))            # (B, half, V)
-        gate = T.add(T.matmul(gate, self.w_spatial), self.b_spatial)
+        gate = T.linear(gate, self.w_spatial, self.b_spatial)
         gate = T.transpose(gate, (0, 2, 1))            # back to (B, V, half)
         out = self.proj_out(T.mul(u1, gate))
         out = T.dropout(out, self.drop_p, self.training, rng)

@@ -17,12 +17,14 @@ and a graph-encoded resource stream.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import tensor as T
 from .encoders import (
+    MessageRouting,
     ResourceEncoder,
     ResourceEncoderConfig,
     SnapshotBatch,
@@ -176,6 +178,8 @@ class LatencyModel(Module):
         super().__init__()
         self.config = config
         self.topology = topology
+        self.routing = MessageRouting.from_edges(
+            topology.num_services, topology.edges, config.reverse_messages)
         entropy = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         streams = entropy.spawn(2)
         rng = np.random.default_rng(streams[0])
@@ -233,19 +237,16 @@ class LatencyModel(Module):
         z_t = None
         z_r = None
         if variant == "single_stream":
-            b, v, d_r = batch.resources.shape
-            flat_r = T.reshape(batch.resources, (b * v, d_r))
-            merged = T.concat([batch.node_features, flat_r], axis=1)
+            merged = T.concat([batch.node_features, batch.resources], axis=2)
             z_t = self.traffic(batch, rng, node_features=merged)
         elif self.traffic is not None:
             z_t = self.traffic(batch, rng)
         if self.resource is not None:
             z_r = self.resource(batch.resources, rng)
         if self.resource_graph is not None:
-            b, v, d_r = batch.resources.shape
-            flat_r = T.reshape(batch.resources, (b * v, d_r))
             zero_edges = Tensor(np.zeros_like(batch.edge_features.data))
-            z_r = self.resource_graph(batch, rng, node_features=flat_r, edge_features=zero_edges)
+            z_r = self.resource_graph(batch, rng, node_features=batch.resources,
+                                      edge_features=zero_edges)
         return {"demand": z_t, "capacity": z_r}
 
     def embed(self, batch: SnapshotBatch) -> dict[str, Tensor | None]:
@@ -275,20 +276,30 @@ class LatencyModel(Module):
         return self.forward(self.collate(snapshots))
 
     def collate(self, snapshots: list[Snapshot]) -> SnapshotBatch:
-        return collate_snapshots(snapshots, self.topology, self.config.reverse_messages)
+        return collate_snapshots(snapshots, self.routing)
 
     def predict(self, snapshots: list[Snapshot], batch_size: int = 256) -> np.ndarray:
         """Inference over many snapshots; dropout off, parameters untouched."""
-        was_training = self.training
-        self.eval()
-        try:
+        with _eval_mode(self):
             preds = []
             for i in range(0, len(snapshots), batch_size):
                 out = self.forward_snapshots(snapshots[i:i + batch_size])
                 preds.append(out.data.reshape(-1))
             return np.concatenate(preds) if preds else np.zeros(0)
-        finally:
-            self.train(was_training)
+
+
+@contextmanager
+def _eval_mode(model: Module):
+    """Run the body in eval mode, then restore the mode; the two module-tree
+    walks are skipped when the model is in eval mode already."""
+    if not model.training:
+        yield
+        return
+    model.eval()
+    try:
+        yield
+    finally:
+        model.train()
 
 
 def build_variant(kind: str, config: ModelConfig, topology: Topology, seed=0) -> LatencyModel:
@@ -340,9 +351,7 @@ def load_model(path) -> tuple[LatencyModel, NormStats]:
 
 def export_embeddings(snapshots: list[Snapshot], model: LatencyModel,
                       batch_size: int = 256) -> list[SystemEmbedding]:
-    was_training = model.training
-    model.eval()
-    try:
+    with _eval_mode(model):
         out: list[SystemEmbedding] = []
         for i in range(0, len(snapshots), batch_size):
             chunk = snapshots[i:i + batch_size]
@@ -362,8 +371,6 @@ def export_embeddings(snapshots: list[Snapshot], model: LatencyModel,
                     capacity_enhanced=row("capacity_enhanced", j),
                 ))
         return out
-    finally:
-        model.train(was_training)
 
 
 def write_embeddings_csv(path, embeddings: list[SystemEmbedding]) -> None:

@@ -82,10 +82,7 @@ class Linear(Module):
         self.b = parameter(np.zeros(d_out)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = T.matmul(x, self.w)
-        if self.b is not None:
-            out = T.add(out, self.b)
-        return out
+        return T.linear(x, self.w, self.b)
 
 
 class MLP(Module):

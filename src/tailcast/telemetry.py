@@ -150,6 +150,8 @@ def _parse_line(line: str, line_no: int) -> MetricSample:
             timestamp = float(rest[1])
         except ValueError:
             raise ParseError(f"bad timestamp {rest[1]!r}", line_number=line_no, line=line) from None
+        if not math.isfinite(timestamp):
+            raise ParseError("non-finite timestamp", line_number=line_no, line=line)
     if math.isnan(value):
         raise ParseError("NaN sample value", line_number=line_no, line=line)
     return MetricSample(name=name, labels=labels, value=value, timestamp=timestamp)
@@ -290,8 +292,10 @@ def read_latency_csv(path) -> list[tuple[float, float]]:
                 t, v = float(row[0]), float(row[1])
             except (IndexError, ValueError) as exc:
                 raise ParseError(f"bad latency row: {exc}", line_number=line_no) from exc
-            if v <= 0:
-                raise ParseError(f"latency must be > 0, got {v}", line_number=line_no)
+            if not math.isfinite(t):
+                raise ParseError(f"timestamp must be finite, got {t}", line_number=line_no)
+            if not (math.isfinite(v) and v > 0):
+                raise ParseError(f"latency must be finite and > 0, got {v}", line_number=line_no)
             rows.append((t, v))
     return rows
 

@@ -433,32 +433,82 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# row indexing (the workhorse of sparse graph attention)
+# fused affine map and batch-major message passing
 # ---------------------------------------------------------------------------
 
 
-def gather_rows(a: Tensor, index: Array) -> Tensor:
-    """Select rows along axis 0: ``out[i] = a[index[i]]``."""
-    index = np.asarray(index, dtype=np.intp)
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w + b`` as one 2-D GEMM over the flattened leading dims of ``x``."""
+    d_in, d_out = w.shape
+    if x.shape[-1] != d_in:
+        raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape}")
+    x2 = x.data.reshape(-1, d_in)
+    out = x2 @ w.data
+    if b is not None:
+        out += b.data
 
     def backward(g):
-        out = np.zeros_like(a.data)
-        np.add.at(out, index, g)
-        return (out,)
+        g2 = g.reshape(-1, d_out)
+        gx = (g2 @ w.data.T).reshape(x.shape)
+        return gx, x2.T @ g2, None if b is None else g2.sum(axis=0)
 
-    return _from_op(a.data[index], (a,), backward)
+    parents = (x, w) if b is None else (x, w, b)
+    return _from_op(out.reshape(x.shape[:-1] + (d_out,)), parents, backward)
 
 
-def scatter_add(a: Tensor, index: Array, num_rows: int) -> Tensor:
-    """Sum rows of ``a`` into ``num_rows`` output rows: ``out[index[i]] += a[i]``."""
-    index = np.asarray(index, dtype=np.intp)
-    out_data = np.zeros((num_rows,) + a.shape[1:], dtype=np.float64)
-    np.add.at(out_data, index, a.data)
+def broadcast_to(a: Tensor, shape) -> Tensor:
+    """Repeat ``a`` along broadcast axes; the backward pass sums them back."""
+    shape = tuple(shape)
+    return _from_op(np.broadcast_to(a.data, shape), (a,), lambda g: (_unbroadcast(g, a.shape),))
+
+
+def gather(a: Tensor, index: Array, incidence: Array) -> Tensor:
+    """Select along axis 1: ``out[:, m] = a[:, index[m]]``.
+
+    ``incidence`` is the one-hot ``(a.shape[1], len(index))`` matrix of
+    ``index``, so the backward pass, a sum of each output row into its
+    source row, is the single matmul ``incidence @ g``.
+    """
+    return _from_op(np.take(a.data, index, axis=1), (a,), lambda g: (incidence @ g,))
+
+
+def edge_attention(q: Tensor, key: Tensor, val: Tensor, routing, num_heads: int) -> Tensor:
+    """Multi-head attention of each node over its incoming messages.
+
+    ``q`` is ``(B, |V|, d)``; ``key`` and ``val`` are ``(B, M, d)``, one row
+    per message. ``routing`` (an :class:`~tailcast.encoders.MessageRouting`)
+    names each message's destination (``dst``), their one-hot
+    ``(|V|, M)`` ``dst_incidence``, and each node's in-messages padded with
+    ``M`` (``in_messages``). Per head, a message's score is
+    ``<q_dst, key> / sqrt(d_head)``; scores are softmaxed over each node's
+    in-messages, shifted by the detached per-destination maximum (softmax
+    is shift-invariant), and the weighted values are summed into their
+    destination. A node without in-messages gets zeros.
+    """
+    b, m, d = key.shape
+    d_head = d // num_heads
+    inv_scale = 1.0 / math.sqrt(d_head)
+    dst, incidence = routing.dst, routing.dst_incidence
+    q4 = np.take(q.data, dst, axis=1).reshape(b, m, num_heads, d_head)
+    k4 = key.data.reshape(b, m, num_heads, d_head)
+    v4 = val.data.reshape(b, m, num_heads, d_head)
+    scores = (q4 * k4).sum(axis=3) * inv_scale                      # (B, M, H)
+    padded = np.concatenate([scores, np.full((b, 1, num_heads), -np.inf)], axis=1)
+    shift = np.take(padded, routing.in_messages, axis=1).max(axis=2, initial=-np.inf)
+    z = np.exp(scores - np.take(shift, dst, axis=1))
+    alpha = z / np.take(incidence @ z, dst, axis=1)                 # (B, M, H)
+    out = incidence @ (alpha[..., None] * v4).reshape(b, m, d)
 
     def backward(g):
-        return (g[index],)
+        g4 = np.take(g, dst, axis=1).reshape(b, m, num_heads, d_head)
+        g_val = (alpha[..., None] * g4).reshape(b, m, d)
+        g_alpha = (g4 * v4).sum(axis=3)
+        g_scores = alpha * (g_alpha - np.take(incidence @ (alpha * g_alpha), dst, axis=1))
+        g_scores = (g_scores * inv_scale)[..., None]
+        g_q = incidence @ (g_scores * k4).reshape(b, m, d)
+        return g_q, (g_scores * q4).reshape(b, m, d), g_val
 
-    return _from_op(out_data, (a,), backward)
+    return _from_op(out, (q, key, val), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,22 @@ class TestIngest:
         assert main(args) == 2
         assert main(args + ["--no-strict"]) == 0
 
+    @pytest.mark.parametrize("file_name,bad_line", [
+        ("latency.csv", "12.5,nan"),
+        ("telemetry.prom", "istio_requests_total 1.0 inf"),
+    ])
+    def test_non_finite_input_exit_2_with_line_number(self, tmp_path, capsys, pipeline,
+                                                      file_name, bad_line):
+        import shutil
+        tel = tmp_path / "tel"
+        shutil.copytree(pipeline["sim"], tel)
+        path = tel / file_name
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:1] + [bad_line] + lines[1:]) + "\n")
+        assert main(["ingest", "--telemetry", str(tel), "--topology", str(tel / "topology.json"),
+                     "--dataset", str(tmp_path / "d.jsonl")]) == 2
+        assert "line 2:" in capsys.readouterr().err
+
     def test_no_windows_exit_3(self, tmp_path, scenario_file):
         short = json.loads(scenario_file.read_text())
         short["duration_s"] = 20.0
@@ -163,6 +179,17 @@ class TestEvalPredictExport:
         out = capsys.readouterr().out.strip().splitlines()
         values = [float(line) for line in out]
         assert values and all(v > 0 for v in values)
+
+    def test_predict_equals_eval_all_exactly(self, tmp_path, capsys, pipeline):
+        checkpoint = str(pipeline["train"] / "checkpoint.json")
+        assert main(["eval", "--dataset", str(pipeline["dataset"]), "--checkpoint", checkpoint,
+                     "--out-dir", str(tmp_path / "eval"), "--split", "all"]) == 0
+        capsys.readouterr()
+        assert main(["predict", "--snapshots", str(pipeline["dataset"]),
+                     "--checkpoint", checkpoint]) == 0
+        printed = capsys.readouterr().out.split()
+        rows = (tmp_path / "eval" / "predictions.csv").read_text().splitlines()[1:]
+        assert printed == [row.split(",")[2] for row in rows]
 
     def test_export_embedding_rows_match_snapshots(self, tmp_path, pipeline):
         out = tmp_path / "emb.csv"

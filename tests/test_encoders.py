@@ -10,12 +10,12 @@ from tailcast.encoders import (
     AttentionPool,
     GmlpBlock,
     GraphTransformerLayer,
+    MessageRouting,
     ResourceEncoder,
     ResourceEncoderConfig,
     TrafficEncoder,
     TrafficEncoderConfig,
     collate_snapshots,
-    segment_softmax,
 )
 from tailcast.statgraph import Snapshot, Topology
 from tailcast.tensor import Tensor
@@ -41,31 +41,55 @@ def layer_weights(layer):
 
 
 def run_layer(layer, h, edge_feats, edges, n):
-    src = np.asarray([e[0] for e in edges], dtype=np.intp)
+    """One graph through the batch-major layer: returns (|V|, d) output, iso."""
     dst = np.asarray([e[1] for e in edges], dtype=np.intp)
     in_deg = np.zeros(n, dtype=np.intp)
     np.add.at(in_deg, dst, 1)
     iso = np.flatnonzero(in_deg == 0)
-    return layer(Tensor(h), Tensor(edge_feats), src, dst, iso, n), iso
+    routing = MessageRouting.from_edges(n, edges)
+    return layer(Tensor(h[None]), Tensor(edge_feats[None]), routing).data[0], iso
+
+
+def routing_for(topo, reverse=False):
+    return MessageRouting.from_edges(topo.num_services, topo.edges, reverse)
 
 
 class TestSegmentSoftmax:
+    """The softmax over each node's in-messages inside ``edge_attention``."""
+
+    @staticmethod
+    def weights(scores, dst, n):
+        # one head of width m: all-ones queries, keys scaled so message j
+        # scores scores[j], and one-hot values, so row i of the output is
+        # the weight node i puts on each message
+        m = len(dst)
+        routing = MessageRouting(n, np.zeros(m, dtype=np.intp), dst)
+        key = np.tile(np.asarray(scores, dtype=float)[:, None] / np.sqrt(m), (1, m))
+        out = T.edge_attention(Tensor(np.ones((1, n, m))), Tensor(key[None]),
+                               Tensor(np.eye(m)[None]), routing, 1)
+        return out.data[0]
+
     def test_singleton_segment_weight_one(self):
-        out = segment_softmax(Tensor([[3.7]]), np.array([0]), 1)
-        assert out.data.tolist() == [[1.0]]
+        out = self.weights([3.7], np.array([0]), 1)
+        assert out.tolist() == [[1.0]]
 
     def test_equal_scores_split_evenly(self):
-        out = segment_softmax(Tensor([[1.0], [1.0]]), np.array([0, 0]), 1)
-        assert np.allclose(out.data, 0.5, atol=0)
+        out = self.weights([1.0, 1.0], np.array([0, 0]), 1)
+        assert np.allclose(out, 0.5, atol=0)
+
+    def test_large_scores_do_not_overflow(self):
+        out = self.weights([1000.0, 0.0, -1000.0, -1001.0], np.array([0, 0, 1, 1]), 2)
+        assert np.all(np.isfinite(out))
+        assert np.allclose(out, [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1 / (1 + np.exp(-1.0)),
+                                                       1 / (1 + np.exp(1.0))]], atol=1e-12)
 
     def test_probability_vector_per_segment(self):
         rng = np.random.default_rng(0)
         seg = np.array([0, 0, 1, 1, 1, 2])
-        out = segment_softmax(Tensor(rng.normal(size=(6, 3))), seg, 3)
-        assert np.all(out.data >= 0)
-        sums = np.zeros((3, 3))
-        np.add.at(sums, seg, out.data)
-        assert np.allclose(sums, 1.0, atol=1e-9)
+        out = self.weights(rng.normal(size=6) * 5.0, seg, 3)
+        assert np.all(out >= 0)
+        assert np.allclose(out.sum(axis=1), 1.0, atol=1e-9)
+        assert np.array_equal(out > 0, (seg[None, :] == np.arange(3)[:, None]))
 
 
 class TestGraphTransformerLayer:
@@ -82,7 +106,7 @@ class TestGraphTransformerLayer:
             expected = dense_graph_attention(
                 h, efeat, edges, iso, layer.self_edge.data,
                 layer_weights(layer), heads)
-            assert np.max(np.abs(out.data - expected)) < 1e-10, f"trial {trial}"
+            assert np.max(np.abs(out - expected)) < 1e-10, f"trial {trial}"
 
     def test_single_in_neighbor_attention_weight_one(self):
         # with one incoming message, the update must equal the case where the
@@ -98,7 +122,7 @@ class TestGraphTransformerLayer:
         pre = h[1] + val
         mu, var = pre.mean(), ((pre - pre.mean()) ** 2).mean()
         expected = (pre - mu) / np.sqrt(var + 1e-5) * w["norm_gain"] + w["norm_bias"]
-        assert np.allclose(out.data[1], expected, atol=1e-12)
+        assert np.allclose(out[1], expected, atol=1e-12)
 
     def test_identical_keys_split_half_half(self):
         # two in-neighbors with identical keys and edge features -> 0.5/0.5
@@ -114,7 +138,7 @@ class TestGraphTransformerLayer:
         pre = h[2] + val  # 0.5 * v + 0.5 * v = v
         mu, var = pre.mean(), ((pre - pre.mean()) ** 2).mean()
         expected = (pre - mu) / np.sqrt(var + 1e-5) * w["norm_gain"] + w["norm_bias"]
-        assert np.allclose(out.data[2], expected, atol=1e-12)
+        assert np.allclose(out[2], expected, atol=1e-12)
 
     def test_isolated_node_gets_updated(self):
         rng = np.random.default_rng(7)
@@ -123,8 +147,8 @@ class TestGraphTransformerLayer:
         h = rng.normal(size=(2, 8))
         out, iso = run_layer(layer, h, np.zeros((1, 3)), [(1, 0)], 2)
         assert 1 in iso.tolist()
-        assert np.all(np.isfinite(out.data))
-        assert not np.allclose(out.data[1], h[1])
+        assert np.all(np.isfinite(out))
+        assert not np.allclose(out[1], h[1])
 
 
 class TestAttentionPool:
@@ -132,26 +156,24 @@ class TestAttentionPool:
         rng = np.random.default_rng(8)
         pool = AttentionPool(8, rng)
         row = rng.normal(size=8)
-        h = Tensor(np.tile(row, (5, 1)))
-        out = pool(h, np.zeros(5, dtype=np.intp), 1)
+        h = Tensor(np.tile(row, (1, 5, 1)))
+        out = pool(h)
         assert np.allclose(out.data[0], row, atol=1e-12)
 
     def test_single_node_identity(self):
         rng = np.random.default_rng(9)
         pool = AttentionPool(8, rng)
         row = rng.normal(size=(1, 8))
-        out = pool(Tensor(row), np.zeros(1, dtype=np.intp), 1)
+        out = pool(Tensor(row[None]))
         assert np.array_equal(out.data, row)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(10)
         pool = AttentionPool(8, rng)
-        h = Tensor(rng.normal(size=(7, 8)))
-        seg = np.array([0, 0, 0, 1, 1, 1, 1])
-        alpha = pool.weights(h, seg, 2)
-        sums = np.zeros((2, 1))
-        np.add.at(sums, seg, alpha.data)
-        assert np.allclose(sums, 1.0, atol=1e-9)
+        h = Tensor(rng.normal(size=(2, 4, 8)))
+        alpha = pool.weights(h)
+        assert alpha.shape == (2, 4, 1)
+        assert np.allclose(alpha.data.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestGmlpBlock:
@@ -211,7 +233,7 @@ class TestTrafficEncoder:
         rng = np.random.default_rng(14)
         enc = TrafficEncoder(TrafficEncoderConfig(num_layers=2, d_emb=16), rng)
         enc.eval()
-        batch = collate_snapshots(snapshots_for(topo, rng), topo)
+        batch = collate_snapshots(snapshots_for(topo, rng), routing_for(topo))
         out = enc(batch)
         assert out.shape == (2, 16)
 
@@ -221,7 +243,7 @@ class TestTrafficEncoder:
         enc = TrafficEncoder(TrafficEncoderConfig(num_layers=2), rng)
         enc.eval()
         snap = Snapshot(0.0, np.zeros((2, 3)), np.zeros((1, 3)), np.zeros((2, 5)), 0.1)
-        out = enc(collate_snapshots([snap], topo))
+        out = enc(collate_snapshots([snap], routing_for(topo)))
         assert np.all(np.isfinite(out.data))
 
     def test_edge_order_invariance(self):
@@ -238,8 +260,8 @@ class TestTrafficEncoder:
         r = np.zeros((4, 5))
         s1 = Snapshot(0.0, x, feats, r, 0.1)
         s2 = Snapshot(0.0, x, feats[perm], r, 0.1)
-        out1 = enc(collate_snapshots([s1], topo1))
-        out2 = enc(collate_snapshots([s2], topo2))
+        out1 = enc(collate_snapshots([s1], routing_for(topo1)))
+        out2 = enc(collate_snapshots([s2], routing_for(topo2)))
         assert np.max(np.abs(out1.data - out2.data)) < 1e-12
 
     def test_batched_equals_per_snapshot(self):
@@ -248,8 +270,8 @@ class TestTrafficEncoder:
         enc = TrafficEncoder(TrafficEncoderConfig(num_layers=2), rng)
         enc.eval()
         snaps = snapshots_for(topo, rng, count=3)
-        batched = enc(collate_snapshots(snaps, topo)).data
-        singles = np.vstack([enc(collate_snapshots([s], topo)).data for s in snaps])
+        batched = enc(collate_snapshots(snaps, routing_for(topo))).data
+        singles = np.vstack([enc(collate_snapshots([s], routing_for(topo))).data for s in snaps])
         assert np.allclose(batched, singles, atol=1e-12)
 
     def test_reverse_direction_changes_messages(self):
@@ -258,8 +280,8 @@ class TestTrafficEncoder:
         enc = TrafficEncoder(TrafficEncoderConfig(num_layers=1), rng)
         enc.eval()
         snaps = snapshots_for(topo, rng, count=1)
-        fwd = enc(collate_snapshots(snaps, topo, reverse_messages=False)).data
-        rev = enc(collate_snapshots(snaps, topo, reverse_messages=True)).data
+        fwd = enc(collate_snapshots(snaps, routing_for(topo, reverse=False))).data
+        rev = enc(collate_snapshots(snaps, routing_for(topo, reverse=True))).data
         assert not np.allclose(fwd, rev)
 
 
@@ -308,15 +330,14 @@ class TestEncoderGradients:
         n, edges = 4, [(0, 1), (1, 2), (0, 2)]  # node 3 isolated, node 0 too
         layer = GraphTransformerLayer(8, 3, 2, 0.0, rng)
         layer.eval()
-        h = Tensor(rng.normal(size=(n, 8)), requires_grad=True)
-        ef = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        probe = Tensor(rng.normal(size=(n, 8)))
-        src = np.array([e[0] for e in edges])
-        dst = np.array([e[1] for e in edges])
-        iso = np.array([0, 3])
+        h = Tensor(rng.normal(size=(n, 8))[None], requires_grad=True)
+        ef = Tensor(rng.normal(size=(3, 3))[None], requires_grad=True)
+        probe = Tensor(rng.normal(size=(n, 8))[None])
+        routing = MessageRouting.from_edges(n, edges)
+        assert routing.src[len(edges):].tolist() == [0, 3]
 
         def build():
-            return T.tsum(T.mul(layer(h, ef, src, dst, iso, n), probe))
+            return T.tsum(T.mul(layer(h, ef, routing), probe))
 
         leaves = [h, ef] + list(layer.parameters().values())
         check_tensor_gradients(build, leaves)
@@ -325,12 +346,11 @@ class TestEncoderGradients:
     def test_attention_pool_gradients(self, seed):
         rng = np.random.default_rng(seed)
         pool = AttentionPool(6, rng)
-        h = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
-        seg = np.array([0, 0, 1, 1, 1])
+        h = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
         probe = Tensor(rng.normal(size=(2, 6)))
 
         def build():
-            return T.tsum(T.mul(pool(h, seg, 2), probe))
+            return T.tsum(T.mul(pool(h), probe))
 
         check_tensor_gradients(build, [h] + list(pool.parameters().values()))
 
@@ -355,7 +375,7 @@ class TestEncoderGradients:
         enc = TrafficEncoder(TrafficEncoderConfig(num_layers=1, d_emb=8, num_heads=2), rng)
         enc.eval()
         snaps = snapshots_for(topo, rng, count=1)
-        batch = collate_snapshots(snaps, topo)
+        batch = collate_snapshots(snaps, routing_for(topo))
         batch.node_features.requires_grad = True
         batch.edge_features.requires_grad = True
         probe = Tensor(rng.normal(size=(1, 8)))

@@ -294,6 +294,30 @@ class TestVariants:
             assert max_rel_error(ad, fd) < 1e-4
 
 
+class TestBatchInvariance:
+    @pytest.mark.parametrize("preset", ["online_boutique_like", "sockshop_like"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_batched_equals_per_snapshot_on_presets(self, preset, reverse):
+        topo = preset_topologies()[preset].topology
+        snaps = make_snapshots(topo, count=5, seed=17)
+        for variant in VARIANTS:
+            model = build_variant(variant, ModelConfig(reverse_messages=reverse), topo, seed=18)
+            batched = model.predict(snaps)
+            singles = np.concatenate([model.predict([s]) for s in snaps])
+            assert np.max(np.abs(batched - singles)) < 1e-12, variant
+
+    def test_predict_and_export_keep_the_training_mode(self):
+        topo = small_topology()
+        snaps = make_snapshots(topo, count=2)
+        model = build_variant("full", ModelConfig(), topo, seed=19)
+        for mode in (True, False):
+            model.train(mode)
+            first = model.predict(snaps)
+            export_embeddings(snaps, model)
+            assert all(m.training is mode for m in model.modules())
+            assert np.array_equal(model.predict(snaps), first)
+
+
 class TestEmbeddingExport:
     def test_export_length_matches_config(self):
         topo = small_topology()

@@ -79,6 +79,12 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_exposition("metric nan")
 
+    @pytest.mark.parametrize("stamp", ["nan", "NaN", "inf", "-inf", "+Inf"])
+    def test_non_finite_timestamp_rejected_with_line_number(self, stamp):
+        with pytest.raises(ParseError) as err:
+            parse_exposition(f"good 1 5\nmetric 1 {stamp}\n")
+        assert err.value.line_number == 2
+
     @given(st.dictionaries(
         st.text(alphabet="abc_", min_size=1, max_size=5),
         st.text(st.characters(codec="utf-8", exclude_characters="\r"), max_size=12),
@@ -199,6 +205,15 @@ class TestLatencyCsv:
         path.write_text("time,lat\n1,2\n")
         with pytest.raises(ParseError):
             read_latency_csv(path)
+
+    @pytest.mark.parametrize("row", ["1.0,nan", "1.0,inf", "1.0,-inf", "nan,0.5", "inf,0.5",
+                                     "-inf,0.5"])
+    def test_non_finite_row_rejected_with_line_number(self, tmp_path, row):
+        path = tmp_path / "latency.csv"
+        path.write_text(f"timestamp,latency_seconds\n0.5,0.25\n{row}\n")
+        with pytest.raises(ParseError) as err:
+            read_latency_csv(path)
+        assert err.value.line_number == 3
 
     def test_nonpositive_latency_rejected(self, tmp_path):
         path = tmp_path / "latency.csv"

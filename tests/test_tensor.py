@@ -6,6 +6,7 @@ import pytest
 from oracles import fd_gradient, max_rel_error, naive_matmul
 
 from tailcast import tensor as T
+from tailcast.encoders import MessageRouting
 from tailcast.errors import ShapeError, TrainingError
 from tailcast.tensor import Adam, Tape, Tensor, load_checkpoint, load_params_into, save_checkpoint
 
@@ -82,6 +83,24 @@ class TestForwardSemantics:
         rng = np.random.default_rng(42)
         out = T.dropout(Tensor(np.ones(10000)), 0.1, training=True, rng=rng)
         assert abs(out.data.mean() - 1.0) < 0.02
+
+    def test_linear_matches_matmul_plus_bias(self):
+        rng = np.random.default_rng(8)
+        x, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)
+        out = T.linear(Tensor(x), Tensor(w), Tensor(b)).data
+        assert out.shape == (2, 3, 5)
+        assert np.max(np.abs(out - (x @ w + b))) < 1e-12
+
+    def test_edge_attention_node_without_messages_gets_zeros(self):
+        rng = np.random.default_rng(9)
+        routing = MessageRouting(3, [0, 2], [1, 1])
+        key, val = Tensor(rng.normal(size=(2, 2, 4))), Tensor(rng.normal(size=(2, 2, 4)))
+        out = T.edge_attention(Tensor(rng.normal(size=(2, 3, 4))), key, val, routing, 2).data
+        assert np.array_equal(out[:, [0, 2]], np.zeros((2, 2, 4)))
+        assert np.all(np.isfinite(out))
+        empty = Tensor(np.zeros((2, 0, 4)))
+        out = T.edge_attention(Tensor(np.ones((2, 3, 4))), empty, empty, MessageRouting(3, [], []), 2)
+        assert np.array_equal(out.data, np.zeros((2, 3, 4)))
 
     def test_concat_and_slice_roundtrip(self):
         a = np.arange(6.0).reshape(2, 3)
@@ -256,14 +275,44 @@ class TestGradientChecks:
             [(3, 4)], seed)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_linear(self, seed):
+        _check_op_gradient(
+            lambda ts: T.tsum(T.mul(T.linear(ts[0], ts[1], ts[2]), _probe((4, 3), seed))),
+            [(4, 5), (5, 3), (3,)], seed)
+        _check_op_gradient(
+            lambda ts: T.tsum(T.mul(T.linear(ts[0], ts[1], ts[2]), _probe((2, 4, 3), seed))),
+            [(2, 4, 5), (5, 3), (3,)], seed)
+        _check_op_gradient(
+            lambda ts: T.tsum(T.mul(T.linear(ts[0], ts[1]), _probe((2, 4, 3), seed))),
+            [(2, 4, 5), (5, 3)], seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gather_scatter(self, seed):
-        idx = np.array([0, 2, 2, 1])
+        # repeated and missing indices: the backward pass scatter-adds
+        # through the incidence matmul
+        idx = np.array([0, 2, 2, 1, 2])
+        incidence = (np.arange(4)[:, None] == idx).astype(float)
         _check_op_gradient(
-            lambda ts: T.tsum(T.mul(T.gather_rows(ts[0], idx), _probe((4, 3), seed))),
-            [(3, 3)], seed)
+            lambda ts: T.tsum(T.mul(T.gather(ts[0], idx, incidence), _probe((2, 5, 3), seed))),
+            [(2, 4, 3)], seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_edge_attention(self, seed):
+        # nodes 0 and 4 have no in-messages; node 2 has three
+        routing = MessageRouting(5, [0, 0, 1, 3, 2], [1, 2, 2, 2, 3])
         _check_op_gradient(
-            lambda ts: T.tsum(T.mul(T.scatter_add(ts[0], idx, 5), _probe((5, 3), seed))),
-            [(4, 3)], seed)
+            lambda ts: T.tsum(T.mul(T.edge_attention(ts[0], ts[1], ts[2], routing, 2),
+                                    _probe((2, 5, 4), seed))),
+            [(2, 5, 4), (2, 5, 4), (2, 5, 4)], seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_edge_attention_zero_edges(self, seed):
+        routing = MessageRouting(3, [], [])
+        empty = Tensor(np.zeros((2, 0, 4)))
+        _check_op_gradient(
+            lambda ts: T.tsum(T.mul(T.edge_attention(ts[0], empty, empty, routing, 2),
+                                    _probe((2, 3, 4), seed))),
+            [(2, 3, 4)], seed)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_softmax(self, seed):
