@@ -184,6 +184,7 @@ def cmd_ingest(args) -> int:
             "dropped_no_label": stats.dropped_no_label,
             "dropped_missing_data": stats.dropped_missing_data,
             "unknown_label_series": stats.unknown_label_series,
+            "dropped_missing_by_series": dict(sorted(stats.dropped_missing_by_series.items())),
             "parse_skipped": skipped,
             "labels": label_stats,
         }

@@ -4,6 +4,14 @@ The ingestion path: parse exposition-format text into samples, group them
 into per-series time sequences, slide a 30 s window every 5 s, convert
 cumulative counters to rates, average gauges, attach the window's P95
 latency label, and emit a :class:`~tailcast.statgraph.Dataset`.
+
+Both hot paths do per-series work. The parser runs its exact character
+grammar once per distinct ``name{labels}`` head and reuses the result for
+later lines with the same head. Windowing finds every window's sample range
+in a series with one ``searchsorted`` and computes each feature for all
+windows at once; a window holding a counter reset goes through
+:func:`counter_to_rate`, the one definition of the reset rule. The
+features equal the per-window definitions bit for bit.
 """
 
 from __future__ import annotations
@@ -126,7 +134,8 @@ def _parse_label_block(text: str, start: int, line_no: int) -> tuple[dict[str, s
             i += 1
 
 
-def _parse_line(line: str, line_no: int) -> MetricSample:
+def _parse_head(line: str, line_no: int) -> tuple[str, dict[str, str], int]:
+    """Parse the 'name{labels}' head of a line; returns (name, labels, index past it)."""
     i = 0
     n = len(line)
     if n == 0 or line[0] not in _NAME_START:
@@ -137,7 +146,26 @@ def _parse_line(line: str, line_no: int) -> MetricSample:
     labels: dict[str, str] = {}
     if i < n and line[i] == "{":
         labels, i = _parse_label_block(line, i, line_no)
-    rest = line[i:].split()
+    return name, labels, i
+
+
+def _parse_line(line: str, line_no: int, heads: dict[str, tuple[str, dict[str, str]]]) -> MetricSample:
+    """Parse one line, reusing a head that ``heads`` holds from an earlier line.
+
+    The lookup key is the line up to its last '}', where a labelled head ends
+    (a value or timestamp holds none). A key is stored only as the exact text
+    :func:`_parse_head` consumed, and that parse reads nothing past the
+    closing '}', so a hit would parse the same way again; a miss, and every
+    head error, goes through :func:`_parse_head`. Heads without labels are
+    stored but never found: a key ends with '}' or is empty.
+    """
+    end = line.rfind("}") + 1
+    head = heads.get(line[:end])
+    if head is None:
+        name, labels, end = _parse_head(line, line_no)
+        head = heads[line[:end]] = (name, labels)
+    name, labels = head[0], dict(head[1])
+    rest = line[end:].split()
     if len(rest) not in (1, 2):
         raise ParseError("expected 'value [timestamp]' after metric", line_number=line_no, line=line)
     try:
@@ -162,9 +190,11 @@ def parse_exposition(text: str, strict: bool = True) -> ParseResult:
 
     Comment (``#``) and blank lines are skipped. In strict mode a malformed
     line raises :class:`ParseError` carrying the line number; in lenient mode
-    it is skipped and recorded in ``result.skipped``.
+    it is skipped and recorded in ``result.skipped``. Samples never share a
+    label dict.
     """
     result = ParseResult(samples=[])
+    heads: dict[str, tuple[str, dict[str, str]]] = {}
     # split on newlines only: splitlines() would also break on exotic
     # separators (\x1c..\x1e etc.) that are legal inside label values
     for line_no, raw in enumerate(text.split("\n"), start=1):
@@ -172,7 +202,7 @@ def parse_exposition(text: str, strict: bool = True) -> ParseResult:
         if not line or line.startswith("#"):
             continue
         try:
-            result.samples.append(_parse_line(line, line_no))
+            result.samples.append(_parse_line(line, line_no, heads))
         except ParseError as exc:
             if strict:
                 raise
@@ -217,25 +247,19 @@ def sliding_windows(stream_duration: float, spec: WindowSpec) -> list[tuple[floa
     return [(k * spec.stride, k * spec.stride + spec.length) for k in range(count)]
 
 
-def _window_slice(series: list[tuple[float, float]], window: tuple[float, float]) -> list[tuple[float, float]]:
-    """Samples with start <= timestamp <= end; series must be time-sorted."""
-    start, end = window
-    lo = bisect_left(series, (start, -math.inf))
-    hi = bisect_right(series, (end, math.inf))
-    return series[lo:hi]
-
-
 def counter_to_rate(
     series: list[tuple[float, float]], window: tuple[float, float]
 ) -> float | None:
     """Per-second rate of a cumulative counter over one window.
 
-    Uses samples with timestamps inside [start, end]. A decrease between
-    consecutive samples is a counter reset; the post-reset value counts as
-    the increase for that step. Returns None when fewer than two samples
-    cover the window (the caller drops the snapshot).
+    Uses samples with timestamps inside [start, end]; series must be
+    time-sorted. A decrease between consecutive samples is a counter reset;
+    the post-reset value counts as the increase for that step. Returns None
+    when fewer than two samples cover the window (the caller drops the
+    snapshot).
     """
-    in_win = _window_slice(series, window)
+    start, end = window
+    in_win = series[bisect_left(series, (start, -math.inf)):bisect_right(series, (end, math.inf))]
     if len(in_win) < 2:
         return None
     # Telescope each monotone run (last - first) instead of summing per-step
@@ -250,15 +274,7 @@ def counter_to_rate(
             run_first = 0.0
         prev = cur
     increase += prev - run_first
-    start, end = window
     return increase / (end - start)
-
-
-def gauge_mean(series: list[tuple[float, float]], window: tuple[float, float]) -> float | None:
-    in_win = _window_slice(series, window)
-    if not in_win:
-        return None
-    return float(np.mean([v for _, v in in_win]))
 
 
 def window_p95(latency_samples) -> float:
@@ -322,6 +338,9 @@ class IngestStats:
     dropped_missing_data: int = 0
     unknown_label_series: int = 0
     parse_skipped: int = 0
+    # 'metric{service}' or 'metric{source->destination}' -> labelled windows
+    # the series left under-covered (one window may name several series)
+    dropped_missing_by_series: dict[str, int] = field(default_factory=dict)
 
 
 SeriesKey = tuple[str, tuple[tuple[str, str], ...]]
@@ -351,15 +370,14 @@ class _EdgeTable:
         self.strict = strict
         self.edge_pos = topology.edge_index()
         # metric -> edge row -> series
-        self.per_edge: dict[str, dict[int, list[tuple[float, float]]]] = {m: {} for m in EDGE_METRICS}
+        self.per_edge: dict[str, dict[int, SeriesKey]] = {m: {} for m in EDGE_METRICS}
         # metric -> destination node -> list of series (summed as rates)
-        self.by_destination: dict[str, dict[int, list[list[tuple[float, float]]]]] = {
-            m: {} for m in EDGE_METRICS}
+        self.by_destination: dict[str, dict[int, list[SeriesKey]]] = {m: {} for m in EDGE_METRICS}
         # response bytes aggregate keyed by the calling side
-        self.by_source: dict[int, list[list[tuple[float, float]]]] = {}
+        self.by_source: dict[int, list[SeriesKey]] = {}
         self.unknown = 0
 
-    def add(self, key: SeriesKey, series: list[tuple[float, float]]) -> None:
+    def add(self, key: SeriesKey) -> None:
         name, label_items = key
         labels = dict(label_items)
         src_name = labels.get("source_workload")
@@ -381,22 +399,54 @@ class _EdgeTable:
                     raise SchemaError(f"{name}: ({src_name}, {dst_name}) is not a topology edge")
                 self.unknown += 1
                 return
-        self.by_destination[name].setdefault(dst, []).append(series)
+        self.by_destination[name].setdefault(dst, []).append(key)
         if src is not None:
-            self.per_edge[name][self.edge_pos[(src, dst)]] = series
+            self.per_edge[name][self.edge_pos[(src, dst)]] = key
             if name == METRIC_RESPONSE_BYTES:
-                self.by_source.setdefault(src, []).append(series)
+                self.by_source.setdefault(src, []).append(key)
 
 
-def _sum_rates(series_list, window) -> float | None:
-    """Sum of counter rates across series; absent series contribute zero."""
-    total = 0.0
-    for series in series_list:
-        rate = counter_to_rate(series, window)
-        if rate is None:
-            return None
-        total += rate
-    return total
+def _window_bounds(series, starts, ends):
+    """Values of a time-sorted series, and per window the [lo, hi) index range
+    of its samples with start <= timestamp <= end."""
+    ts, vs = np.array(series, dtype=np.float64).T.copy()
+    return vs, np.searchsorted(ts, starts, side="left"), np.searchsorted(ts, ends, side="right")
+
+
+def _counter_rates(series, starts, ends) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`counter_to_rate` over every window at once, bit for bit.
+
+    Returns the rates and the mask of windows with at least two samples
+    (rates elsewhere are 0). A window without a decrease is one monotone run,
+    whose telescoped increase is last - first; a window with a reset goes
+    through :func:`counter_to_rate`.
+    """
+    vs, lo, hi = _window_bounds(series, starts, ends)
+    covered = hi - lo >= 2
+    decreases = np.concatenate(([0], np.cumsum(vs[1:] < vs[:-1])))
+    lo, last = lo[covered], hi[covered] - 1
+    rates = np.zeros(len(starts))
+    # + 0.0 as the loop's 0.0 + increase: a -0.0 difference becomes 0.0
+    rates[covered] = (vs[last] - vs[lo] + 0.0) / (ends[covered] - starts[covered])
+    for w in np.flatnonzero(covered)[decreases[last] > decreases[lo]]:
+        rates[w] = counter_to_rate(series, (float(starts[w]), float(ends[w])))
+    return rates, covered
+
+
+def _gauge_means(series, starts, ends) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of each window's samples, and the mask of windows with any.
+
+    Windows are grouped by sample count n and each group's (windows, n)
+    block is reduced along its rows, which numpy sums as it does the 1-D
+    ``np.mean`` of one window's samples.
+    """
+    vs, lo, hi = _window_bounds(series, starts, ends)
+    counts = hi - lo
+    means = np.zeros(len(starts))
+    for n in np.unique(counts[counts > 0]):
+        group = np.flatnonzero(counts == n)
+        means[group] = vs[lo[group, None] + np.arange(n)].mean(axis=1)
+    return means, counts > 0
 
 
 def build_snapshots(
@@ -420,12 +470,12 @@ def build_snapshots(
     series = group_series(samples)
 
     edges = _EdgeTable(topology, strict)
-    resource: dict[tuple[str, int], list[tuple[float, float]]] = {}
-    for key, values in series.items():
+    resource: dict[tuple[str, int], SeriesKey] = {}
+    for key in series:
         name, label_items = key
         labels = dict(label_items)
         if name in EDGE_METRICS:
-            edges.add(key, values)
+            edges.add(key)
         elif name in {m for m, _ in RESOURCE_METRICS}:
             workload = labels.get("workload")
             if workload is None or workload not in topology.services:
@@ -433,94 +483,91 @@ def build_snapshots(
                     raise SchemaError(f"{name}: unknown workload {workload!r}")
                 stats.unknown_label_series += 1
                 continue
-            resource[(name, topology.services.index(workload))] = values
+            resource[(name, topology.services.index(workload))] = key
         else:
             if strict:
                 raise SchemaError(f"unknown metric {name!r}")
             stats.unknown_label_series += 1
     stats.unknown_label_series += edges.unknown
 
-    scrape_times = [t for values in series.values() for t, _ in values]
-    if not scrape_times:
+    if not series:
         return Dataset(topology=topology, snapshots=()), stats
-    t0 = min(scrape_times)
-    duration = max(scrape_times) - t0
+    # each series is time-sorted, so its first and last samples bound it
+    t0 = min(values[0][0] for values in series.values())
+    duration = max(values[-1][0] for values in series.values()) - t0
 
-    windows = [(t0 + a, t0 + b) for a, b in sliding_windows(duration, spec)]
-    stats.windows_total = len(windows)
+    windows = np.array(sliding_windows(duration, spec), dtype=np.float64).reshape(-1, 2)
+    starts, ends = t0 + windows[:, 0], t0 + windows[:, 1]
+    num_w = stats.windows_total = len(starts)
 
-    num_v, num_e = topology.num_services, topology.num_edges
-    latency_sorted = sorted(latency_samples)
-    snapshots = []
-    for window in windows:
-        start, end = window
-        # Label samples attach to the window (start, end]: a request whose
-        # completion time equals the window start belongs to the previous one.
-        lo = bisect_right(latency_sorted, (start, math.inf))
-        hi = bisect_right(latency_sorted, (end, math.inf))
-        in_win = [v for _, v in latency_sorted[lo:hi]]
-        if not in_win:
-            stats.dropped_no_label += 1
-            continue
-        label = window_p95(in_win)
+    # Label samples attach to the window (start, end]: a request whose
+    # completion time equals the window start belongs to the previous one.
+    latency = np.array(latency_samples, dtype=np.float64).reshape(-1, 2)
+    order = np.argsort(latency[:, 0], kind="stable")
+    latency_t, latency_v = latency[order, 0], latency[order, 1].tolist()
+    label_lo = np.searchsorted(latency_t, starts, side="right")
+    label_hi = np.searchsorted(latency_t, ends, side="right")
+    labelled = label_hi > label_lo
+    stats.dropped_no_label = int(np.count_nonzero(~labelled))
 
-        ok = True
-        node = np.zeros((num_v, 3))
-        for col, metric in enumerate(EDGE_METRICS):
-            for svc in range(num_v):
-                if metric == METRIC_RESPONSE_BYTES:
-                    series_list = edges.by_source.get(svc, [])
-                else:
-                    series_list = edges.by_destination[metric].get(svc, [])
-                rate = _sum_rates(series_list, window)
-                if rate is None:
-                    ok = False
-                    break
-                node[svc, col] = rate
-            if not ok:
-                break
+    num_v = topology.num_services
+    node = np.zeros((num_w, num_v, 3))
+    edge = np.zeros((num_w, topology.num_edges, 3))
+    res = np.zeros((num_w, num_v, len(RESOURCE_METRICS)))
+    # series name -> windows it leaves under-covered, for every series read
+    short: dict[str, np.ndarray] = {}
+    traffic: dict[SeriesKey, np.ndarray] = {}
 
-        edge = np.zeros((num_e, 3))
-        if ok:
-            for col, metric in enumerate(EDGE_METRICS):
-                for pos, ser in edges.per_edge[metric].items():
-                    rate = counter_to_rate(ser, window)
-                    if rate is None:
-                        ok = False
-                        break
-                    edge[pos, col] = rate
-                if not ok:
-                    break
+    def rates(key: SeriesKey) -> np.ndarray:
+        if key not in traffic:
+            traffic[key], covered = _counter_rates(series[key], starts, ends)
+            labels = dict(key[1])
+            name = f"{key[0]}{{{labels.get('source_workload')}->{labels.get('destination_workload')}}}"
+            short[name] = short.get(name, False) | ~covered
+        return traffic[key]
 
-        res = np.zeros((num_v, len(RESOURCE_METRICS)))
-        if ok:
-            for svc in range(num_v):
-                for col, (metric, kind) in enumerate(RESOURCE_METRICS):
-                    ser = resource.get((metric, svc))
-                    if ser is None:
-                        ok = False
-                        break
-                    value = counter_to_rate(ser, window) if kind == "counter" else gauge_mean(ser, window)
-                    if value is None:
-                        ok = False
-                        break
-                    res[svc, col] = value
-                if not ok:
-                    break
+    for col, metric in enumerate(EDGE_METRICS):
+        for svc in range(num_v):
+            if metric == METRIC_RESPONSE_BYTES:
+                keys = edges.by_source.get(svc, [])
+            else:
+                keys = edges.by_destination[metric].get(svc, [])
+            # node sums add series in order, as a running total from 0.0
+            for key in keys:
+                node[:, svc, col] += rates(key)
+        for pos, key in edges.per_edge[metric].items():
+            edge[:, pos, col] = rates(key)
 
-        if not ok:
-            stats.dropped_missing_data += 1
-            continue
+    for svc, service in enumerate(topology.services):
+        for col, (metric, kind) in enumerate(RESOURCE_METRICS):
+            key = resource.get((metric, svc))
+            name = f"{metric}{{{service}}}"
+            if key is None:
+                short[name] = np.ones(num_w, dtype=bool)
+                continue
+            window_values = _counter_rates if kind == "counter" else _gauge_means
+            res[:, svc, col], covered = window_values(series[key], starts, ends)
+            short[name] = ~covered
 
-        snapshots.append(Snapshot(
-            window_start=start,
-            node_features=node,
-            edge_features=edge,
-            resource_features=res,
-            label=label,
-        ))
-        stats.windows_built += 1
+    keep = labelled.copy()
+    for name, mask in short.items():
+        dropped = int(np.count_nonzero(mask & labelled))
+        if dropped:
+            stats.dropped_missing_by_series[name] = dropped
+            keep &= ~mask
+    stats.dropped_missing_data = int(np.count_nonzero(labelled & ~keep))
+    stats.windows_built = int(np.count_nonzero(keep))
 
-    dataset = Dataset(topology=topology, snapshots=tuple(snapshots))
+    window_starts = starts.tolist()
+    snapshots = tuple(
+        Snapshot(
+            window_start=window_starts[w],
+            node_features=node[w],
+            edge_features=edge[w],
+            resource_features=res[w],
+            label=window_p95(latency_v[label_lo[w]:label_hi[w]]),
+        )
+        for w in np.flatnonzero(keep))
+    dataset = Dataset(topology=topology, snapshots=snapshots)
     dataset.validate()
     return dataset, stats

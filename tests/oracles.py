@@ -56,6 +56,16 @@ def nearest_rank_p95(values) -> float:
     return float(arr[rank - 1])
 
 
+def gauge_mean(series, window) -> float | None:
+    """One window at a time: np.mean of the samples with start <= t <= end,
+    or None when the window holds none."""
+    start, end = window
+    in_win = [v for t, v in series if start <= t <= end]
+    if not in_win:
+        return None
+    return float(np.mean(in_win))
+
+
 def dense_graph_attention(
     h: np.ndarray,
     edge_feats: np.ndarray,

@@ -84,6 +84,29 @@ class TestIngest:
         assert set(report["labels"]) == {
             "count", "min_ms", "max_ms", "mean_ms", "std_ms", "q1_ms", "median_ms", "q3_ms"}
         assert report["windows_built"] == report["labels"]["count"]
+        assert report["dropped_missing_by_series"] == {}
+
+    def test_report_names_under_covering_series(self, tmp_path, pipeline):
+        import shutil
+        tel = tmp_path / "tel"
+        shutil.copytree(pipeline["sim"], tel)
+        prom = tel / "telemetry.prom"
+        lines = prom.read_text().splitlines()
+        t0 = min(float(line.split()[-1]) for line in lines if line and not line.startswith("#"))
+        gaps = ('container_spec_cpu_period{workload="frontend"}',
+                'container_memory_usage_bytes{workload="cartservice"}')
+        prom.write_text("\n".join(
+            line for line in lines
+            if not (line.startswith(gaps) and float(line.split()[-1]) < t0 + 40.0)) + "\n")
+        report_path = tmp_path / "report.json"
+        assert main(["ingest", "--telemetry", str(tel), "--topology", str(tel / "topology.json"),
+                     "--dataset", str(tmp_path / "d.jsonl"), "--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        by_series = report["dropped_missing_by_series"]
+        assert list(by_series) == ["container_memory_usage_bytes{cartservice}",
+                                   "container_spec_cpu_period{frontend}"]
+        assert set(by_series.values()) == {report["dropped_missing_data"]}
+        assert report["dropped_missing_data"] > 0
 
     def test_corrupt_line_strict_exit_2_lenient_ok(self, tmp_path, pipeline):
         import shutil

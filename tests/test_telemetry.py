@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import nearest_rank_p95
+from oracles import gauge_mean, nearest_rank_p95
 
 from tailcast.errors import ParseError, SchemaError
 from tailcast.statgraph import Topology
@@ -18,7 +18,6 @@ from tailcast.telemetry import (
     counter_to_rate,
     format_exposition,
     format_sample,
-    gauge_mean,
     parse_exposition,
     read_latency_csv,
     sliding_windows,
@@ -93,9 +92,35 @@ class TestParser:
         st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)))
     @settings(max_examples=150, deadline=None)
     def test_print_parse_identity(self, labels, value, timestamp):
+        # the second line reuses the head parsed on the first
         sample = MetricSample("some_metric", labels, value, timestamp)
-        parsed = parse_exposition(format_sample(sample)).samples[0]
-        assert parsed == sample
+        line = format_sample(sample)
+        parsed = parse_exposition(line + "\n" + line).samples
+        assert parsed == [sample, sample]
+        assert parsed[0].labels is not parsed[1].labels
+
+    def test_samples_sharing_a_head_get_independent_labels(self):
+        text = "".join(f'm{{a="b",c="d"}} {i} {i}\n' for i in range(3))
+        samples = parse_exposition(text).samples
+        samples[0].labels["a"] = "changed"
+        samples[1].labels.clear()
+        assert samples[2].labels == {"a": "b", "c": "d"}
+        assert parse_exposition(text).samples[0].labels == {"a": "b", "c": "d"}
+
+    @pytest.mark.parametrize("bad", ['m{a="b"} 1 2 3', 'm{a="b"} x', 'm{a="b"} 1 nan',
+                                     'm{a="b"} nan 1', 'm{a="b"}} 1', 'm{a="b"}x 1'])
+    def test_malformed_line_after_a_repeated_head(self, bad):
+        good = "".join(f'm{{a="b"}} {i} {i}\n' for i in range(50))
+        text = good + bad + "\nm{a=\"b\"} 50 50\n"
+        with pytest.raises(ParseError) as alone:
+            parse_exposition(bad)
+        with pytest.raises(ParseError) as err:
+            parse_exposition(text)
+        assert err.value.line_number == 51
+        assert str(err.value) == str(alone.value).replace("line 1:", "line 51:", 1)
+        result = parse_exposition(text, strict=False)
+        assert [line_no for line_no, _ in result.skipped] == [51]
+        assert len(result.samples) == 51
 
     def test_format_exposition_multiline(self):
         samples = [MetricSample("a", {}, 1.0, 0.0), MetricSample("b", {"x": "y"}, 2.0, 5.0)]
@@ -215,6 +240,16 @@ class TestLatencyCsv:
             read_latency_csv(path)
         assert err.value.line_number == 3
 
+    @given(st.lists(st.tuples(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_roundtrip_fuzz(self, tmp_path, records):
+        path = tmp_path / "latency.csv"
+        write_latency_csv(path, records)
+        assert read_latency_csv(path) == records
+
     def test_nonpositive_latency_rejected(self, tmp_path):
         path = tmp_path / "latency.csv"
         path.write_text("timestamp,latency_seconds\n1.0,0.0\n")
@@ -321,3 +356,124 @@ class TestBuildSnapshots:
         ds, stats = build_snapshots(samples, topo, WindowSpec(30.0, 5.0), latency)
         assert len(ds.snapshots) == 0
         assert stats.dropped_missing_data == 3
+        assert stats.dropped_missing_by_series == {"container_memory_usage_bytes{back}": 3}
+
+    @pytest.mark.parametrize("at", [10.0, 40.0])  # inside a reset window; the last sample
+    def test_inf_counter_sample_raises_schema_error(self, at):
+        samples = [MetricSample(s.name, s.labels, math.inf, s.timestamp)
+                   if s.name == "container_cpu_usage_seconds_total" and s.timestamp == at else s
+                   for s in _mini_samples()]
+        latency = [(float(t), 0.05) for t in range(1, 41)]
+        with pytest.raises(SchemaError):
+            build_snapshots(samples, _mini_topology(), WindowSpec(30.0, 5.0), latency)
+
+
+_SPAN = 80.0  # the dense mini streams cover [0, 80]: eleven 30 s windows
+_times = st.one_of(st.integers(0, 4 * int(_SPAN)).map(lambda k: k / 4.0),  # duplicates
+                   st.floats(0.0, _SPAN))
+
+
+@st.composite
+def _counter_points(draw):
+    """(t, v) in random order: increments, resets to a fresh start, -0.0 values."""
+    steps = draw(st.lists(st.tuples(
+        _times, st.one_of(st.just(-0.0), st.floats(0.0, 1e6)), st.integers(0, 5)),
+        min_size=1, max_size=30))
+    points, total = [], 0.0
+    for t, delta, reset in steps:
+        total = delta if reset == 0 else total + delta
+        points.append((t, total))
+    return points
+
+
+# at least one sample each: an absent series is a different case (tests above)
+_gauge_points = st.lists(st.tuples(_times, st.floats(0.0, 1e12)), min_size=1, max_size=60)
+
+
+def _bits(x):
+    return None if x is None else float(x).hex()
+
+
+class TestVectorisedWindowing:
+    """build_snapshots against the per-window oracles, bit for bit."""
+
+    @staticmethod
+    def _ingest(a, b, cpu, mem):
+        """Mini streams with client->front requests from series ``a`` plus an
+        external caller ``b``, and back's cpu counter and memory gauge."""
+        replaced = {("istio_requests_total", "front"), ("container_cpu_usage_seconds_total", "back"),
+                    ("container_memory_usage_bytes", "back")}
+        samples = [s for s in _mini_samples(duration=_SPAN) if (
+            s.name, s.labels.get("destination_workload", s.labels.get("workload"))) not in replaced]
+
+        def add(name, labels, points):
+            samples.extend(MetricSample(name, labels, v, t) for t, v in points)
+        add("istio_requests_total", {"source_workload": "client", "destination_workload": "front"}, a)
+        add("istio_requests_total", {"source_workload": "other", "destination_workload": "front"}, b)
+        add("container_cpu_usage_seconds_total", {"workload": "back"}, cpu)
+        add("container_memory_usage_bytes", {"workload": "back"}, mem)
+        latency = [(t + 0.5, 0.05) for t in range(int(_SPAN))]
+        return build_snapshots(samples, _mini_topology(), WindowSpec(30.0, 5.0), latency)
+
+    def _check(self, a, b, cpu, mem):
+        ds, stats = self._ingest(a, b, cpu, mem)
+        front, back = _mini_topology().index_of("front"), _mini_topology().index_of("back")
+
+        def by_time(points):  # what group_series hands the oracles
+            return sorted(points, key=lambda tv: tv[0])
+
+        oracles = {
+            "istio_requests_total{client->front}": lambda w: counter_to_rate(by_time(a), w),
+            "istio_requests_total{other->front}": lambda w: counter_to_rate(by_time(b), w),
+            "container_cpu_usage_seconds_total{back}": lambda w: counter_to_rate(by_time(cpu), w),
+            "container_memory_usage_bytes{back}": lambda w: gauge_mean(by_time(mem), w),
+        }
+        windows = sliding_windows(_SPAN, WindowSpec(30.0, 5.0))
+        want = {w: {name: f(w) for name, f in oracles.items()} for w in windows}
+        covered = [w for w in windows if None not in want[w].values()]
+        assert [s.window_start for s in ds.snapshots] == [w[0] for w in covered]
+        assert stats.dropped_missing_data == len(windows) - len(covered)
+        assert stats.dropped_missing_by_series == {
+            name: n for name in oracles
+            if (n := sum(want[w][name] is None for w in windows))}
+        for snap in ds.snapshots:
+            w = want[(snap.window_start, snap.window_start + 30.0)]
+            node_rate = 0.0 + w["istio_requests_total{client->front}"]
+            node_rate += w["istio_requests_total{other->front}"]
+            assert _bits(snap.node_features[front, 0]) == _bits(node_rate)
+            assert _bits(snap.resource_features[back, 0]) == _bits(
+                w["container_cpu_usage_seconds_total{back}"])
+            assert _bits(snap.resource_features[back, 1]) == _bits(
+                w["container_memory_usage_bytes{back}"])
+
+    @given(_counter_points(), _counter_points(), _counter_points(), _gauge_points)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_window_oracles(self, a, b, cpu, mem):
+        self._check(a, b, cpu, mem)
+
+    def test_two_resets_in_one_window(self):
+        a = [(0.0, 5.0), (6.0, 9.0), (12.0, 2.0), (18.0, 7.0), (24.0, 1.0), (30.0, 4.0),
+             (80.0, 10.0)]
+        dense = [(5.0 * k, float(k)) for k in range(17)]
+        self._check(a, dense, dense, dense)
+        ds, _ = self._ingest(a, dense, dense, dense)
+        # increase 4 (5 -> 9) + 7 (reset to 2, on to 7) + 4 (reset to 1, on to 4)
+        assert counter_to_rate(a, (0.0, 30.0)) == 0.5
+        front = _mini_topology().index_of("front")
+        assert ds.snapshots[0].node_features[front, 0] == 0.5 + 6.0 / 30.0
+
+    def test_negative_zero_increase_is_positive_zero(self):
+        # 0.0 -> -0.0 is no decrease; the loop's 0.0 + (-0.0 - 0.0) is 0.0,
+        # which a dataset file writes as "0.0", not "-0.0"
+        dense = [(5.0 * k, float(k)) for k in range(17)]
+        cpu = [(5.0 * k, 0.0 if k == 0 else -0.0) for k in range(17)]
+        self._check(dense, dense, cpu, dense)
+
+    def test_gauge_block_means_match_np_mean(self):
+        # windows of 1..12 samples each, values spread over many magnitudes
+        rng = np.random.default_rng(4)
+        dense = [(5.0 * k, float(k)) for k in range(17)]
+        for n in range(1, 13):
+            times = np.sort(rng.uniform(0.0, _SPAN, size=n * 11))
+            values = rng.exponential(1.0, size=times.size) * 10.0 ** rng.integers(-8, 9, times.size)
+            self._check(dense, dense, dense, list(zip(times.tolist(), values.tolist())))
