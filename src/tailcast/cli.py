@@ -164,19 +164,8 @@ def cmd_ingest(args) -> int:
 
     spec = WindowSpec(length=args.window_length, stride=args.window_stride)
     dataset, stats = build_snapshots(samples, topology, spec, latency, strict=args.strict)
-    if not dataset.snapshots:
-        raise EmptyResult("no complete window could be built from the telemetry")
-    save_dataset(dataset, args.dataset)
-
-    label_stats = _label_stats_ms(dataset.labels())
-    print(f"windows: {stats.windows_total} total, {stats.windows_built} built, "
-          f"{stats.dropped_no_label} without labels, {stats.dropped_missing_data} under-covered")
-    if skipped:
-        print(f"lenient parse skipped {skipped} malformed lines")
-    print("label statistics (P95 latency, ms):")
-    for key, value in label_stats.items():
-        print(f"  {key:>10}: {value:.2f}" if isinstance(value, float) else f"  {key:>10}: {value}")
-    print(f"wrote dataset with {len(dataset.snapshots)} snapshots to {args.dataset}")
+    label_stats = _label_stats_ms(dataset.labels()) if dataset.snapshots else {"count": 0}
+    # the report comes first: when nothing is built, its drop reasons say why
     if args.report:
         report = {
             "windows_total": stats.windows_total,
@@ -189,6 +178,18 @@ def cmd_ingest(args) -> int:
             "labels": label_stats,
         }
         Path(args.report).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    if not dataset.snapshots:
+        raise EmptyResult("no complete window could be built from the telemetry")
+    save_dataset(dataset, args.dataset)
+
+    print(f"windows: {stats.windows_total} total, {stats.windows_built} built, "
+          f"{stats.dropped_no_label} without labels, {stats.dropped_missing_data} under-covered")
+    if skipped:
+        print(f"lenient parse skipped {skipped} malformed lines")
+    print("label statistics (P95 latency, ms):")
+    for key, value in label_stats.items():
+        print(f"  {key:>10}: {value:.2f}" if isinstance(value, float) else f"  {key:>10}: {value}")
+    print(f"wrote dataset with {len(dataset.snapshots)} snapshots to {args.dataset}")
     return EXIT_OK
 
 

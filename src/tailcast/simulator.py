@@ -13,9 +13,12 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -25,8 +28,7 @@ from .statgraph import Topology
 CLIENT = "client"  # pseudo-source for external arrivals
 CPU_PERIOD_US = 100000.0
 
-_ARRIVAL = 0
-_COMPLETE = 1
+_DRAW_BLOCK = 4096  # service times drawn per rng call
 
 
 @dataclass(frozen=True)
@@ -125,19 +127,33 @@ class IntensityProfile:
             peak = max(peak, s.start_rate, s.end_rate if s.kind != "plateau" else s.start_rate)
         return peak
 
-    def rate_at(self, t: float) -> float:
+    @cached_property
+    def _segment_ends(self) -> tuple[float, ...]:
+        """Cumulative end offset of each segment, summed left to right."""
+        ends = []
         offset = 0.0
         for s in self.segments:
-            if t <= offset + s.duration:
-                tau = (t - offset) / s.duration
-                if s.kind == "plateau":
-                    return s.start_rate
-                if s.kind == "ramp":
-                    return s.start_rate + (s.end_rate - s.start_rate) * tau
-                # spike: triangular excursion peaking at the midpoint
-                return s.start_rate + (s.end_rate - s.start_rate) * (1.0 - abs(2.0 * tau - 1.0))
             offset += s.duration
-        return 0.0
+            ends.append(offset)
+        return tuple(ends)
+
+    def rate_at(self, t: float) -> float:
+        """Rate of the first segment whose end is at or after ``t``; 0 past the end.
+
+        A boundary instant belongs to the earlier segment.
+        """
+        ends = self._segment_ends
+        i = bisect_left(ends, t)
+        if i == len(ends):
+            return 0.0
+        s = self.segments[i]
+        tau = (t - (ends[i - 1] if i else 0.0)) / s.duration
+        if s.kind == "plateau":
+            return s.start_rate
+        if s.kind == "ramp":
+            return s.start_rate + (s.end_rate - s.start_rate) * tau
+        # spike: triangular excursion peaking at the midpoint
+        return s.start_rate + (s.end_rate - s.start_rate) * (1.0 - abs(2.0 * tau - 1.0))
 
 
 @dataclass
@@ -152,22 +168,29 @@ def sample_workload(
     request_types: tuple[RequestType, ...],
     rng: np.random.Generator,
 ) -> Workload:
-    """Nonhomogeneous Poisson arrivals via thinning, typed by mix weights."""
+    """Nonhomogeneous Poisson arrivals via thinning, typed by mix weights.
+
+    Each candidate draws ``rng.exponential`` (the gap) then ``rng.random``
+    (the thinning test); a kept one draws ``rng.random`` once more for its
+    request type. The ziggurat reads a variable number of words, so the
+    draws stay scalar and in this order.
+    """
     total = profile.total_duration
     lam_max = profile.max_rate
     arrivals: list[tuple[float, int]] = []
     if lam_max <= 0:
         return Workload(arrivals)
-    weights = np.cumsum([rt.weight for rt in request_types])
+    weights = np.cumsum([rt.weight for rt in request_types]).tolist()
+    last = len(request_types) - 1
+    scale = 1.0 / lam_max
+    exponential, uniform, rate_at, append = rng.exponential, rng.random, profile.rate_at, arrivals.append
     t = 0.0
     while True:
-        t += rng.exponential(1.0 / lam_max)
+        t += exponential(scale)
         if t > total:
             break
-        if rng.random() * lam_max <= profile.rate_at(t):
-            kind = int(np.searchsorted(weights, rng.random(), side="right"))
-            kind = min(kind, len(request_types) - 1)
-            arrivals.append((t, kind))
+        if uniform() * lam_max <= rate_at(t):
+            append((t, min(bisect_right(weights, uniform()), last)))
     return Workload(arrivals)
 
 
@@ -198,16 +221,6 @@ class SimulationResult:
     exposition_text: str
     saturated_scrape_times: list[float] = field(default_factory=list)
 
-    def window_p95(self, window: tuple[float, float]) -> float | None:
-        """P95 over latencies completing in (start, end]; nearest rank."""
-        start, end = window
-        lo = bisect_right(self.latency_records, (start, math.inf))
-        hi = bisect_right(self.latency_records, (end, math.inf))
-        values = sorted(lat for _, lat in self.latency_records[lo:hi])
-        if not values:
-            return None
-        return values[math.ceil(0.95 * len(values)) - 1]
-
 
 def run_simulation(
     spec: ClusterSpec,
@@ -226,6 +239,14 @@ def run_simulation(
     events worth learning). Request counters are exact; resource counters
     and gauges get multiplicative Gaussian observation noise of relative
     scale ``noise_sigma`` (clipped so counters stay monotone).
+
+    Events run in time order; at equal times arrivals (in workload order)
+    go before completions (in the order they were scheduled). Draw order,
+    which fixed-seed byte identity rests on: ``rng`` gives one service time
+    per hop, ``mean_service * standard_exponential``, in the order services
+    start; ``noise_rng`` gives, when ``noise_sigma > 0``, four standard
+    normals per service per scrape, in service order and within a service
+    in the order cpu, rx, tx, mem.
     """
     spec.validate()
     if duration <= 0:
@@ -236,7 +257,11 @@ def run_simulation(
     topo = spec.topology
     n = topo.num_services
     caps = [spec.capacities[name] for name in topo.services]
+    pods = [c.pods for c in caps]
     mean_service = [1.0 / c.service_rate for c in caps]
+    cpu_per_request = [c.cpu_per_request for c in caps]
+    request_bytes = [c.request_bytes for c in caps]
+    response_bytes = [c.response_bytes for c in caps]
     paths = [tuple(topo.index_of(s) for s in rt.path) for rt in spec.request_types]
 
     # per-service queue state
@@ -261,6 +286,13 @@ def run_simulation(
     edge_req_bytes = [0.0] * len(edge_keys)
     edge_resp_bytes = [0.0] * len(edge_keys)
 
+    # per request type: (service, upstream edge) of each hop
+    hop_table = [
+        tuple((svc, client_edge_of[svc] if h == 0 else edge_of[(path[h - 1], svc)])
+              for h, svc in enumerate(path))
+        for path in paths
+    ]
+
     # noisy observed counters (exact value at the previous scrape + noised increments)
     obs_cpu = [0.0] * n
     obs_rx = [0.0] * n
@@ -269,106 +301,47 @@ def run_simulation(
     prev_rx = [0.0] * n
     prev_tx = [0.0] * n
 
-    # request state, indexed by request id
-    req_path: list[tuple[int, ...]] = []
-    req_type: list[int] = []
-    req_hop: list[int] = []
-    req_arrival: list[float] = []
+    # request ``rid`` is arrival ``rid``; its hop arrival times so far also
+    # give the hop it is on
     req_hop_times: list[list[float]] = []
 
     completed: list[SimRequest] = []
     latency_records: list[tuple[float, float]] = []
 
-    heap: list[tuple[float, int, int, int, float]] = []
-    seq = 0
-    for t, kind in workload.arrivals:
-        heap.append((t, seq, _ARRIVAL, kind, 0.0))
-        seq += 1
-    heapq.heapify(heap)
+    # arrivals are read in time order (stable, so ties keep workload order);
+    # the heap holds only in-flight completions: (time, seq, request id, service time)
+    arrivals = sorted(workload.arrivals, key=itemgetter(0))
+    num_arrivals = len(arrivals)
+    next_arrival = 0
+    heap: list[tuple[float, int, int, float]] = []
+    seq = num_arrivals
+    heappush, heappop = heapq.heappush, heapq.heappop
 
-    def upstream_edge(rid: int, hop: int) -> int:
-        path = req_path[rid]
-        if hop == 0:
-            return client_edge_of[path[0]]
-        return edge_of[(path[hop - 1], path[hop])]
-
-    def start_service(svc: int, rid: int, now: float) -> None:
-        nonlocal seq
-        busy[svc] += 1
-        st = rng.exponential(mean_service[svc])
-        heapq.heappush(heap, (now + st, seq, _COMPLETE, rid, st))
-        seq += 1
-
-    def arrive_at_hop(rid: int, now: float) -> None:
-        hop = req_hop[rid]
-        svc = req_path[rid][hop]
-        cap = caps[svc]
-        e = upstream_edge(rid, hop)
-        edge_requests[e] += 1
-        edge_req_bytes[e] += cap.request_bytes
-        net_rx[svc] += cap.request_bytes
-        req_hop_times[rid].append(now)
-        if busy[svc] < cap.pods:
-            start_service(svc, rid, now)
-        else:
-            queues[svc].append(rid)
-
-    def process(event: tuple[float, int, int, int, float]) -> None:
-        nonlocal seq
-        now, _, kind, a, b = event
-        if kind == _ARRIVAL:
-            rid = len(req_path)
-            req_path.append(paths[a])
-            req_type.append(a)
-            req_hop.append(0)
-            req_arrival.append(now)
-            req_hop_times.append([])
-            arrive_at_hop(rid, now)
-            return
-        # completion of one hop
-        rid = a
-        hop = req_hop[rid]
-        svc = req_path[rid][hop]
-        cap = caps[svc]
-        cpu_seconds[svc] += b * cap.cpu_per_request
-        e = upstream_edge(rid, hop)
-        edge_resp_bytes[e] += cap.response_bytes
-        net_tx[svc] += cap.response_bytes
-        busy[svc] -= 1
-        if queues[svc]:
-            start_service(svc, queues[svc].popleft(), now)
-        if hop + 1 < len(req_path[rid]):
-            req_hop[rid] = hop + 1
-            arrive_at_hop(rid, now)
-        else:
-            completed.append(SimRequest(
-                type_index=req_type[rid],
-                arrival_time=req_arrival[rid],
-                completion_time=now,
-                hop_services=req_path[rid],
-                hop_arrival_times=tuple(req_hop_times[rid]),
-            ))
-            latency_records.append((now, now - req_arrival[rid]))
-
-    def noised(value: float) -> float:
-        if noise_sigma <= 0:
-            return value
-        return max(0.0, value * (1.0 + noise_sigma * noise_rng.standard_normal()))
+    # one exponential per hop, drawn in blocks that add up to the hop count
+    hops_total = sum(len(paths[kind]) for _, kind in arrivals)
+    block_sizes = [min(_DRAW_BLOCK, hops_total - i) for i in range(0, hops_total, _DRAW_BLOCK)]
+    next_z = chain.from_iterable(rng.standard_exponential(k).tolist() for k in block_sizes).__next__
 
     lines: list[str] = []
     saturated: list[float] = []
 
     def scrape(now: float) -> None:
+        noise = noise_rng.standard_normal(4 * n).tolist() if noise_sigma > 0 else None
         overloaded = False
         for i, name in enumerate(topo.services):
             backlog = len(queues[i]) + busy[i]
             if backlog > queue_cap:
                 overloaded = True
-            obs_cpu[i] += noised(cpu_seconds[i] - prev_cpu[i])
-            obs_rx[i] += noised(net_rx[i] - prev_rx[i])
-            obs_tx[i] += noised(net_tx[i] - prev_tx[i])
+            observed = (cpu_seconds[i] - prev_cpu[i], net_rx[i] - prev_rx[i], net_tx[i] - prev_tx[i],
+                        caps[i].memory_base + caps[i].memory_per_queued * backlog)
+            if noise is not None:
+                observed = [max(0.0, v * (1.0 + noise_sigma * z))
+                            for v, z in zip(observed, noise[4 * i:4 * i + 4])]
+            d_cpu, d_rx, d_tx, mem = observed
+            obs_cpu[i] += d_cpu
+            obs_rx[i] += d_rx
+            obs_tx[i] += d_tx
             prev_cpu[i], prev_rx[i], prev_tx[i] = cpu_seconds[i], net_rx[i], net_tx[i]
-            mem = noised(caps[i].memory_base + caps[i].memory_per_queued * backlog)
             lines.append(f'container_cpu_usage_seconds_total{{workload="{name}"}} {obs_cpu[i]!r} {now!r}')
             lines.append(f'container_memory_usage_bytes{{workload="{name}"}} {mem!r} {now!r}')
             lines.append(f'container_spec_cpu_period{{workload="{name}"}} {CPU_PERIOD_US!r} {now!r}')
@@ -383,13 +356,57 @@ def run_simulation(
             saturated.append(now)
 
     num_scrapes = int(math.floor(duration / scrape_interval)) + 1
-    for k in range(num_scrapes):
-        scrape_t = k * scrape_interval
-        while heap and heap[0][0] <= scrape_t:
-            process(heapq.heappop(heap))
-        scrape(scrape_t)
-    while heap:  # drain in-flight work past the last scrape
-        process(heapq.heappop(heap))
+    for k in range(num_scrapes + 1):
+        # run every event up to the scrape instant; after the last scrape, drain
+        until = k * scrape_interval if k < num_scrapes else math.inf
+        while True:
+            if next_arrival < num_arrivals and (not heap or arrivals[next_arrival][0] <= heap[0][0]):
+                now, kind = arrivals[next_arrival]
+                if now > until:
+                    break
+                rid = next_arrival
+                next_arrival += 1
+                times = []
+                req_hop_times.append(times)
+                svc, e = hop_table[kind][0]
+            elif heap and heap[0][0] <= until:
+                # completion of one hop
+                now, _, rid, st = heappop(heap)
+                start, kind = arrivals[rid]
+                hops = hop_table[kind]
+                times = req_hop_times[rid]
+                hop = len(times)
+                svc, e = hops[hop - 1]
+                cpu_seconds[svc] += st * cpu_per_request[svc]
+                edge_resp_bytes[e] += response_bytes[svc]
+                net_tx[svc] += response_bytes[svc]
+                if queues[svc]:  # the freed server takes the head of the queue
+                    st = mean_service[svc] * next_z()
+                    heappush(heap, (now + st, seq, queues[svc].popleft(), st))
+                    seq += 1
+                else:
+                    busy[svc] -= 1
+                if hop == len(hops):
+                    completed.append(SimRequest(kind, start, now, paths[kind], tuple(times)))
+                    latency_records.append((now, now - start))
+                    continue
+                svc, e = hops[hop]
+            else:
+                break
+            # request ``rid`` arrives at hop service ``svc`` over edge ``e``
+            edge_requests[e] += 1
+            edge_req_bytes[e] += request_bytes[svc]
+            net_rx[svc] += request_bytes[svc]
+            times.append(now)
+            if busy[svc] < pods[svc]:
+                busy[svc] += 1
+                st = mean_service[svc] * next_z()
+                heappush(heap, (now + st, seq, rid, st))
+                seq += 1
+            else:
+                queues[svc].append(rid)
+        if k < num_scrapes:
+            scrape(until)
 
     return SimulationResult(
         topology=topo,

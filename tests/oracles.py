@@ -5,9 +5,14 @@ full sorts, dense masks, finite differences) and never imports the code
 paths it is used to verify beyond the public entry points under test.
 """
 
+import heapq
 import math
+from collections import deque
 
 import numpy as np
+
+from tailcast.errors import SchemaError
+from tailcast.simulator import CLIENT, CPU_PERIOD_US, SimRequest, SimulationResult, Workload
 
 
 def fd_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -153,3 +158,250 @@ def assert_gradients_match(build_loss, leaves, tol: float = 1e-4, h: float = 1e-
         worst = max(worst, err)
         assert err < tol, f"gradient mismatch: relative error {err}"
     return worst
+
+
+# ---------------------------------------------------------------------------
+# the simulator as it was before its event loop was flattened: the reference
+# that ``tailcast.simulator`` must reproduce value for value, random draw for
+# random draw
+# ---------------------------------------------------------------------------
+
+_ARRIVAL = 0
+_COMPLETE = 1
+
+
+def reference_rate_at(profile, t: float) -> float:
+    """Linear scan over the segments with a running offset."""
+    offset = 0.0
+    for s in profile.segments:
+        if t <= offset + s.duration:
+            tau = (t - offset) / s.duration
+            if s.kind == "plateau":
+                return s.start_rate
+            if s.kind == "ramp":
+                return s.start_rate + (s.end_rate - s.start_rate) * tau
+            # spike: triangular excursion peaking at the midpoint
+            return s.start_rate + (s.end_rate - s.start_rate) * (1.0 - abs(2.0 * tau - 1.0))
+        offset += s.duration
+    return 0.0
+
+
+def reference_sample_workload(
+    profile,
+    request_types,
+    rng: np.random.Generator,
+) -> Workload:
+    """Thinning with one ``rng.exponential``, one ``rng.random`` and, for a kept
+    arrival, one more ``rng.random`` and an ``np.searchsorted`` per candidate."""
+    total = profile.total_duration
+    lam_max = profile.max_rate
+    arrivals: list[tuple[float, int]] = []
+    if lam_max <= 0:
+        return Workload(arrivals)
+    weights = np.cumsum([rt.weight for rt in request_types])
+    t = 0.0
+    while True:
+        t += rng.exponential(1.0 / lam_max)
+        if t > total:
+            break
+        if rng.random() * lam_max <= reference_rate_at(profile, t):
+            kind = int(np.searchsorted(weights, rng.random(), side="right"))
+            kind = min(kind, len(request_types) - 1)
+            arrivals.append((t, kind))
+    return Workload(arrivals)
+
+
+def reference_run_simulation(
+    spec,
+    workload: Workload,
+    duration: float,
+    rng: np.random.Generator,
+    noise_rng: np.random.Generator | None = None,
+    noise_sigma: float = 0.0,
+    scrape_interval: float = 5.0,
+    queue_cap: int = 500,
+) -> SimulationResult:
+    """One heap of every arrival and completion, processed by closures that
+    draw each service time and each noise factor with a scalar call.
+
+    Overload does not stop the run: scrapes where any service backlog
+    exceeds ``queue_cap`` are flagged as saturated (those are the tail
+    events worth learning). Request counters are exact; resource counters
+    and gauges get multiplicative Gaussian observation noise of relative
+    scale ``noise_sigma`` (clipped so counters stay monotone).
+    """
+    spec.validate()
+    if duration <= 0:
+        raise SchemaError(f"duration must be > 0, got {duration}")
+    if noise_sigma > 0 and noise_rng is None:
+        raise ValueError("noise_sigma > 0 requires a noise_rng")
+
+    topo = spec.topology
+    n = topo.num_services
+    caps = [spec.capacities[name] for name in topo.services]
+    mean_service = [1.0 / c.service_rate for c in caps]
+    paths = [tuple(topo.index_of(s) for s in rt.path) for rt in spec.request_types]
+
+    # per-service queue state
+    busy = [0] * n
+    queues: list[deque[int]] = [deque() for _ in range(n)]
+
+    # exact internal counters
+    cpu_seconds = [0.0] * n
+    net_rx = [0.0] * n
+    net_tx = [0.0] * n
+    edge_keys: list[tuple[str, str]] = []
+    for src, dst in topo.edges:
+        edge_keys.append((topo.services[src], topo.services[dst]))
+    for entry in sorted({rt.path[0] for rt in spec.request_types}):
+        edge_keys.append((CLIENT, entry))
+    edge_of: dict[tuple[int, int], int] = {e: i for i, e in enumerate(topo.edges)}
+    client_edge_of: dict[int, int] = {}
+    for i, (src, dst) in enumerate(edge_keys):
+        if src == CLIENT:
+            client_edge_of[topo.index_of(dst)] = i
+    edge_requests = [0.0] * len(edge_keys)
+    edge_req_bytes = [0.0] * len(edge_keys)
+    edge_resp_bytes = [0.0] * len(edge_keys)
+
+    # noisy observed counters (exact value at the previous scrape + noised increments)
+    obs_cpu = [0.0] * n
+    obs_rx = [0.0] * n
+    obs_tx = [0.0] * n
+    prev_cpu = [0.0] * n
+    prev_rx = [0.0] * n
+    prev_tx = [0.0] * n
+
+    # request state, indexed by request id
+    req_path: list[tuple[int, ...]] = []
+    req_type: list[int] = []
+    req_hop: list[int] = []
+    req_arrival: list[float] = []
+    req_hop_times: list[list[float]] = []
+
+    completed: list[SimRequest] = []
+    latency_records: list[tuple[float, float]] = []
+
+    heap: list[tuple[float, int, int, int, float]] = []
+    seq = 0
+    for t, kind in workload.arrivals:
+        heap.append((t, seq, _ARRIVAL, kind, 0.0))
+        seq += 1
+    heapq.heapify(heap)
+
+    def upstream_edge(rid: int, hop: int) -> int:
+        path = req_path[rid]
+        if hop == 0:
+            return client_edge_of[path[0]]
+        return edge_of[(path[hop - 1], path[hop])]
+
+    def start_service(svc: int, rid: int, now: float) -> None:
+        nonlocal seq
+        busy[svc] += 1
+        st = rng.exponential(mean_service[svc])
+        heapq.heappush(heap, (now + st, seq, _COMPLETE, rid, st))
+        seq += 1
+
+    def arrive_at_hop(rid: int, now: float) -> None:
+        hop = req_hop[rid]
+        svc = req_path[rid][hop]
+        cap = caps[svc]
+        e = upstream_edge(rid, hop)
+        edge_requests[e] += 1
+        edge_req_bytes[e] += cap.request_bytes
+        net_rx[svc] += cap.request_bytes
+        req_hop_times[rid].append(now)
+        if busy[svc] < cap.pods:
+            start_service(svc, rid, now)
+        else:
+            queues[svc].append(rid)
+
+    def process(event: tuple[float, int, int, int, float]) -> None:
+        nonlocal seq
+        now, _, kind, a, b = event
+        if kind == _ARRIVAL:
+            rid = len(req_path)
+            req_path.append(paths[a])
+            req_type.append(a)
+            req_hop.append(0)
+            req_arrival.append(now)
+            req_hop_times.append([])
+            arrive_at_hop(rid, now)
+            return
+        # completion of one hop
+        rid = a
+        hop = req_hop[rid]
+        svc = req_path[rid][hop]
+        cap = caps[svc]
+        cpu_seconds[svc] += b * cap.cpu_per_request
+        e = upstream_edge(rid, hop)
+        edge_resp_bytes[e] += cap.response_bytes
+        net_tx[svc] += cap.response_bytes
+        busy[svc] -= 1
+        if queues[svc]:
+            start_service(svc, queues[svc].popleft(), now)
+        if hop + 1 < len(req_path[rid]):
+            req_hop[rid] = hop + 1
+            arrive_at_hop(rid, now)
+        else:
+            completed.append(SimRequest(
+                type_index=req_type[rid],
+                arrival_time=req_arrival[rid],
+                completion_time=now,
+                hop_services=req_path[rid],
+                hop_arrival_times=tuple(req_hop_times[rid]),
+            ))
+            latency_records.append((now, now - req_arrival[rid]))
+
+    def noised(value: float) -> float:
+        if noise_sigma <= 0:
+            return value
+        return max(0.0, value * (1.0 + noise_sigma * noise_rng.standard_normal()))
+
+    lines: list[str] = []
+    saturated: list[float] = []
+
+    def scrape(now: float) -> None:
+        overloaded = False
+        for i, name in enumerate(topo.services):
+            backlog = len(queues[i]) + busy[i]
+            if backlog > queue_cap:
+                overloaded = True
+            obs_cpu[i] += noised(cpu_seconds[i] - prev_cpu[i])
+            obs_rx[i] += noised(net_rx[i] - prev_rx[i])
+            obs_tx[i] += noised(net_tx[i] - prev_tx[i])
+            prev_cpu[i], prev_rx[i], prev_tx[i] = cpu_seconds[i], net_rx[i], net_tx[i]
+            mem = noised(caps[i].memory_base + caps[i].memory_per_queued * backlog)
+            lines.append(f'container_cpu_usage_seconds_total{{workload="{name}"}} {obs_cpu[i]!r} {now!r}')
+            lines.append(f'container_memory_usage_bytes{{workload="{name}"}} {mem!r} {now!r}')
+            lines.append(f'container_spec_cpu_period{{workload="{name}"}} {CPU_PERIOD_US!r} {now!r}')
+            lines.append(f'container_network_receive_bytes_total{{workload="{name}"}} {obs_rx[i]!r} {now!r}')
+            lines.append(f'container_network_transmit_bytes_total{{workload="{name}"}} {obs_tx[i]!r} {now!r}')
+        for i, (src, dst) in enumerate(edge_keys):
+            labels = f'{{source_workload="{src}",destination_workload="{dst}"}}'
+            lines.append(f"istio_requests_total{labels} {edge_requests[i]!r} {now!r}")
+            lines.append(f"istio_request_bytes_sum{labels} {edge_req_bytes[i]!r} {now!r}")
+            lines.append(f"istio_response_bytes_sum{labels} {edge_resp_bytes[i]!r} {now!r}")
+        if overloaded:
+            saturated.append(now)
+
+    num_scrapes = int(math.floor(duration / scrape_interval)) + 1
+    for k in range(num_scrapes):
+        scrape_t = k * scrape_interval
+        while heap and heap[0][0] <= scrape_t:
+            process(heapq.heappop(heap))
+        scrape(scrape_t)
+    while heap:  # drain in-flight work past the last scrape
+        process(heapq.heappop(heap))
+
+    return SimulationResult(
+        topology=topo,
+        duration=duration,
+        scrape_interval=scrape_interval,
+        arrivals_total=len(workload.arrivals),
+        completed_total=len(completed),
+        requests=completed,
+        latency_records=latency_records,
+        exposition_text="\n".join(lines) + ("\n" if lines else ""),
+        saturated_scrape_times=saturated,
+    )

@@ -108,6 +108,25 @@ class TestIngest:
         assert set(by_series.values()) == {report["dropped_missing_data"]}
         assert report["dropped_missing_data"] > 0
 
+    def test_report_written_when_every_window_is_dropped(self, tmp_path, pipeline):
+        import shutil
+        tel = tmp_path / "tel"
+        shutil.copytree(pipeline["sim"], tel)
+        prom = tel / "telemetry.prom"
+        gone = 'container_memory_usage_bytes{workload="cartservice"}'
+        prom.write_text("".join(
+            line for line in prom.read_text().splitlines(keepends=True) if not line.startswith(gone)))
+        report_path = tmp_path / "report.json"
+        assert main(["ingest", "--telemetry", str(tel), "--topology", str(tel / "topology.json"),
+                     "--dataset", str(tmp_path / "d.jsonl"), "--report", str(report_path)]) == 3
+        assert not (tmp_path / "d.jsonl").exists()
+        report = json.loads(report_path.read_text())
+        assert report["windows_built"] == 0
+        assert report["labels"] == {"count": 0}
+        assert report["dropped_missing_by_series"] == {
+            "container_memory_usage_bytes{cartservice}": report["dropped_missing_data"]}
+        assert report["dropped_missing_data"] > 0
+
     def test_corrupt_line_strict_exit_2_lenient_ok(self, tmp_path, pipeline):
         import shutil
         tel = tmp_path / "tel"
