@@ -249,24 +249,31 @@ def _select_split(dataset, split: str):
     return {"train": train_ds, "val": val_ds, "test": test_ds}[split]
 
 
-def cmd_eval(args) -> int:
-    dataset = load_dataset(args.dataset)
-    model, stats = load_model(args.checkpoint)
+def _load_for_inference(dataset_path, checkpoint_path):
+    """The checkpoint's model and the dataset normalised with its stats.
+
+    The dataset must be raw, nonempty and on the checkpoint's topology.
+    """
+    dataset = load_dataset(dataset_path)
+    model, stats = load_model(checkpoint_path)
     if dataset.topology != model.topology:
         raise CheckpointError("dataset topology differs from the checkpoint's topology")
     if dataset.norm_stats is not None:
         raise CheckpointError("expected a raw dataset; this one is already normalized")
-    part = _select_split(dataset, args.split)
-    normalized = normalize_dataset(part, stats)
-    snaps = list(normalized.snapshots)
-    if not snaps:
-        raise EmptyResult(f"split {args.split!r} is empty")
+    if not dataset.snapshots:
+        raise EmptyResult("the dataset has no snapshots")
+    return model, normalize_dataset(dataset, stats)
+
+
+def cmd_eval(args) -> int:
+    model, normalized = _load_for_inference(args.dataset, args.checkpoint)
+    snaps = list(_select_split(normalized, args.split).snapshots)
     preds = model.predict(snaps)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "predictions.csv", "w", encoding="utf-8") as fh:
         fh.write("window_start,y,y_hat\n")
-        for snap, pred in zip(part.snapshots, preds):
+        for snap, pred in zip(snaps, preds):
             y = "" if snap.label is None else repr(snap.label)
             fh.write(f"{snap.window_start!r},{y},{float(pred)!r}\n")
     labeled = [i for i, s in enumerate(snaps) if s.label is not None]
@@ -283,25 +290,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    dataset = load_dataset(args.snapshots)
-    model, stats = load_model(args.checkpoint)
-    if dataset.topology != model.topology:
-        raise CheckpointError("snapshot topology differs from the checkpoint's topology")
-    if not dataset.snapshots:
-        raise EmptyResult("no snapshots to predict")
-    for pred in model.predict(list(normalize_dataset(dataset, stats).snapshots)):
+    model, normalized = _load_for_inference(args.snapshots, args.checkpoint)
+    for pred in model.predict(list(normalized.snapshots)):
         print(repr(float(pred)))
     return EXIT_OK
 
 
 def cmd_export_embedding(args) -> int:
-    dataset = load_dataset(args.dataset)
-    model, stats = load_model(args.checkpoint)
-    if dataset.topology != model.topology:
-        raise CheckpointError("dataset topology differs from the checkpoint's topology")
-    if not dataset.snapshots:
-        raise EmptyResult("no snapshots to embed")
-    normalized = normalize_dataset(dataset, stats)
+    model, normalized = _load_for_inference(args.dataset, args.checkpoint)
     embeddings = export_embeddings(list(normalized.snapshots), model)
     write_embeddings_csv(args.out, embeddings)
     print(f"wrote {len(embeddings)} embeddings to {args.out}")

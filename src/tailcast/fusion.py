@@ -17,8 +17,8 @@ and a graph-encoded resource stream.
 from __future__ import annotations
 
 import csv
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,11 +33,28 @@ from .encoders import (
     collate_snapshots,
 )
 from .errors import CheckpointError, SchemaError
-from .nn import MLP, Linear, Module
+from .nn import EVAL_BATCH, MLP, Linear, Module, Predictor, _eval_mode
 from .statgraph import NormStats, Snapshot, Topology
 from .tensor import Tensor, load_checkpoint, load_params_into, save_checkpoint
 
-VARIANTS = ("full", "traffic_only", "resource_only", "simple_fused", "gnn_fused", "single_stream")
+
+class VariantSpec(NamedTuple):
+    """How one model variant builds and combines its two streams."""
+
+    demand: str | None    # "traffic" encoder, "merged" (traffic + resources), or none
+    capacity: str | None  # "gmlp" resource encoder, "graph" encoder, or none
+    combine: str          # "fusion", "sum", or the one stream it passes on
+
+
+VARIANT_TABLE = {
+    "full": VariantSpec("traffic", "gmlp", "fusion"),
+    "traffic_only": VariantSpec("traffic", None, "demand"),
+    "resource_only": VariantSpec(None, "gmlp", "capacity"),
+    "simple_fused": VariantSpec("traffic", "gmlp", "sum"),
+    "gnn_fused": VariantSpec("traffic", "graph", "fusion"),
+    "single_stream": VariantSpec("merged", None, "demand"),
+}
+VARIANTS = tuple(VARIANT_TABLE)
 
 
 @dataclass(frozen=True)
@@ -110,7 +127,9 @@ class CrossTokenAttention(Module):
         self.wk = Linear(self.d_token, self.d_token, rng)
         self.wv = Linear(self.d_token, self.d_token, rng)
 
-    def __call__(self, q_emb: Tensor, kv_emb: Tensor) -> Tensor:
+    def __call__(self, q_emb: Tensor, kv_emb: Tensor) -> tuple[Tensor, Tensor]:
+        """The attended values ``(B, d_emb)`` and the attention weights
+        ``(B, tokens, tokens)``, each row a distribution over context tokens."""
         b = q_emb.shape[0]
         shape = (b, self.num_tokens, self.d_token)
         q = self.wq(T.reshape(q_emb, shape))
@@ -118,15 +137,7 @@ class CrossTokenAttention(Module):
         v = self.wv(T.reshape(kv_emb, shape))
         scores = T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(self.d_token))
         attn = T.softmax(scores, axis=-1)
-        return T.reshape(T.matmul(attn, v), (b, self.d_emb))
-
-    def attention_matrix(self, q_emb: Tensor, kv_emb: Tensor) -> Tensor:
-        b = q_emb.shape[0]
-        shape = (b, self.num_tokens, self.d_token)
-        q = self.wq(T.reshape(q_emb, shape))
-        k = self.wk(T.reshape(kv_emb, shape))
-        scores = T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(self.d_token))
-        return T.softmax(scores, axis=-1)
+        return T.reshape(T.matmul(attn, v), (b, self.d_emb)), attn
 
 
 class DemandCapacityFusion(Module):
@@ -154,20 +165,21 @@ class DemandCapacityFusion(Module):
         self.mix = MLP([rank, fused_width, fused_width], rng)
 
     def enhance(self, z_t: Tensor, z_r: Tensor) -> tuple[Tensor, Tensor]:
-        zt_e = T.add(z_t, self.attend_demand(z_t, z_r))
-        zr_e = T.add(z_r, self.attend_capacity(z_r, z_t))
+        zt_e = T.add(z_t, self.attend_demand(z_t, z_r)[0])
+        zr_e = T.add(z_r, self.attend_capacity(z_r, z_t)[0])
         return zt_e, zr_e
 
     def factors(self, zt_e: Tensor, zr_e: Tensor) -> tuple[Tensor, Tensor]:
         return self.project_demand(zt_e), self.project_capacity(zr_e)
 
-    def __call__(self, z_t: Tensor, z_r: Tensor) -> Tensor:
+    def __call__(self, z_t: Tensor, z_r: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+        """The two enhanced stream embeddings and the fused embedding."""
         zt_e, zr_e = self.enhance(z_t, z_r)
         f_t, f_r = self.factors(zt_e, zr_e)
-        return self.mix(T.mul(f_t, f_r))
+        return zt_e, zr_e, self.mix(T.mul(f_t, f_r))
 
 
-class LatencyModel(Module):
+class LatencyModel(Predictor):
     """End-to-end window-level P95 predictor over one topology.
 
     The head output passes through softplus, so predictions are strictly
@@ -185,14 +197,16 @@ class LatencyModel(Module):
         rng = np.random.default_rng(streams[0])
         self._dropout_rng = np.random.default_rng(streams[1])
 
-        variant = config.variant
-        d_node = config.d_node + (config.d_resource if variant == "single_stream" else 0)
+        # one generator feeds every module in this fixed order: seeded runs
+        # and checkpoints depend on it
+        spec = VARIANT_TABLE[config.variant]
+        d_node = config.d_node + (config.d_resource if spec.demand == "merged" else 0)
         self.traffic = None
         self.resource = None
         self.resource_graph = None
         self.fusion = None
 
-        if variant in ("full", "traffic_only", "simple_fused", "gnn_fused", "single_stream"):
+        if spec.demand is not None:
             self.traffic = TrafficEncoder(TrafficEncoderConfig(
                 num_layers=config.traffic_layers,
                 d_node=d_node,
@@ -201,7 +215,7 @@ class LatencyModel(Module):
                 num_heads=config.num_heads,
                 dropout=config.dropout_traffic,
             ), rng)
-        if variant in ("full", "resource_only", "simple_fused"):
+        if spec.capacity == "gmlp":
             self.resource = ResourceEncoder(ResourceEncoderConfig(
                 num_blocks=config.resource_blocks,
                 d_resource=config.d_resource,
@@ -210,7 +224,7 @@ class LatencyModel(Module):
                 num_positions=topology.num_services,
                 dropout=config.dropout_resource,
             ), rng)
-        if variant == "gnn_fused":
+        if spec.capacity == "graph":
             # the ablation that imposes the call graph on resource state
             self.resource_graph = TrafficEncoder(TrafficEncoderConfig(
                 num_layers=config.traffic_layers,
@@ -220,7 +234,7 @@ class LatencyModel(Module):
                 num_heads=config.num_heads,
                 dropout=config.dropout_resource,
             ), rng)
-        if variant in ("full", "gnn_fused"):
+        if spec.combine == "fusion":
             self.fusion = DemandCapacityFusion(
                 config.d_emb, config.fusion_tokens, config.fusion_rank,
                 config.fused_width, rng)
@@ -233,17 +247,17 @@ class LatencyModel(Module):
 
     def _streams(self, batch: SnapshotBatch) -> dict[str, Tensor | None]:
         rng = self._dropout_rng if self.training else None
-        variant = self.config.variant
+        spec = VARIANT_TABLE[self.config.variant]
         z_t = None
         z_r = None
-        if variant == "single_stream":
+        if spec.demand == "merged":
             merged = T.concat([batch.node_features, batch.resources], axis=2)
             z_t = self.traffic(batch, rng, node_features=merged)
-        elif self.traffic is not None:
+        elif spec.demand == "traffic":
             z_t = self.traffic(batch, rng)
-        if self.resource is not None:
+        if spec.capacity == "gmlp":
             z_r = self.resource(batch.resources, rng)
-        if self.resource_graph is not None:
+        elif spec.capacity == "graph":
             zero_edges = Tensor(np.zeros_like(batch.edge_features.data))
             z_r = self.resource_graph(batch, rng, node_features=batch.resources,
                                       edge_features=zero_edges)
@@ -252,20 +266,14 @@ class LatencyModel(Module):
     def embed(self, batch: SnapshotBatch) -> dict[str, Tensor | None]:
         """All intermediate embeddings plus the head input ("embedding")."""
         parts = self._streams(batch)
-        z_t, z_r = parts["demand"], parts["capacity"]
-        variant = self.config.variant
-        if variant in ("full", "gnn_fused"):
-            zt_e, zr_e = self.fusion.enhance(z_t, z_r)
-            f_t, f_r = self.fusion.factors(zt_e, zr_e)
-            parts["demand_enhanced"] = zt_e
-            parts["capacity_enhanced"] = zr_e
-            parts["embedding"] = self.fusion.mix(T.mul(f_t, f_r))
-        elif variant in ("traffic_only", "single_stream"):
-            parts["embedding"] = z_t
-        elif variant == "resource_only":
-            parts["embedding"] = z_r
-        elif variant == "simple_fused":
-            parts["embedding"] = T.add(z_t, z_r)
+        combine = VARIANT_TABLE[self.config.variant].combine
+        if combine == "fusion":
+            zt_e, zr_e, fused = self.fusion(parts["demand"], parts["capacity"])
+            parts.update(demand_enhanced=zt_e, capacity_enhanced=zr_e, embedding=fused)
+        elif combine == "sum":
+            parts["embedding"] = T.add(parts["demand"], parts["capacity"])
+        else:
+            parts["embedding"] = parts[combine]
         return parts
 
     def forward(self, batch: SnapshotBatch) -> Tensor:
@@ -278,34 +286,9 @@ class LatencyModel(Module):
     def collate(self, snapshots: list[Snapshot]) -> SnapshotBatch:
         return collate_snapshots(snapshots, self.routing)
 
-    def predict(self, snapshots: list[Snapshot], batch_size: int = 256) -> np.ndarray:
-        """Inference over many snapshots; dropout off, parameters untouched."""
-        with _eval_mode(self):
-            preds = []
-            for i in range(0, len(snapshots), batch_size):
-                out = self.forward_snapshots(snapshots[i:i + batch_size])
-                preds.append(out.data.reshape(-1))
-            return np.concatenate(preds) if preds else np.zeros(0)
-
-
-@contextmanager
-def _eval_mode(model: Module):
-    """Run the body in eval mode, then restore the mode; the two module-tree
-    walks are skipped when the model is in eval mode already."""
-    if not model.training:
-        yield
-        return
-    model.eval()
-    try:
-        yield
-    finally:
-        model.train()
-
 
 def build_variant(kind: str, config: ModelConfig, topology: Topology, seed=0) -> LatencyModel:
     """Construct one of the model variants over a fixed topology."""
-    if kind not in VARIANTS:
-        raise ValueError(f"unknown variant {kind!r}; expected one of {VARIANTS}")
     return LatencyModel(replace(config, variant=kind), topology, seed=seed)
 
 
@@ -349,12 +332,11 @@ def load_model(path) -> tuple[LatencyModel, NormStats]:
 # ---------------------------------------------------------------------------
 
 
-def export_embeddings(snapshots: list[Snapshot], model: LatencyModel,
-                      batch_size: int = 256) -> list[SystemEmbedding]:
+def export_embeddings(snapshots: list[Snapshot], model: LatencyModel) -> list[SystemEmbedding]:
     with _eval_mode(model):
         out: list[SystemEmbedding] = []
-        for i in range(0, len(snapshots), batch_size):
-            chunk = snapshots[i:i + batch_size]
+        for i in range(0, len(snapshots), EVAL_BATCH):
+            chunk = snapshots[i:i + EVAL_BATCH]
             parts = model.embed(model.collate(chunk))
 
             def row(name: str, j: int) -> np.ndarray | None:

@@ -3,11 +3,13 @@
 A :class:`Module` collects named parameter tensors by walking its attributes;
 construction order gives stable, checkpoint-friendly names. There is no
 autograd magic here; modules are just containers for parameters plus a
-``__call__`` that builds the op graph.
+``__call__`` that builds the op graph. A :class:`Predictor` adds the one
+batched inference loop that every snapshot model shares.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Iterator
 
 import numpy as np
@@ -48,6 +50,39 @@ class Module:
 
     def eval(self) -> "Module":
         return self.train(False)
+
+
+EVAL_BATCH = 256  # snapshots per forward pass when nothing is trained
+
+
+@contextmanager
+def _eval_mode(model: Module):
+    """Run the body in eval mode, then restore the mode; the two module-tree
+    walks are skipped when the model is in eval mode already."""
+    if not model.training:
+        yield
+        return
+    model.eval()
+    try:
+        yield
+    finally:
+        model.train()
+
+
+class Predictor(Module):
+    """A module mapping a list of snapshots to (B, 1) predictions."""
+
+    def forward_snapshots(self, snapshots: list) -> Tensor:  # pragma: no cover
+        raise NotImplementedError
+
+    def predict(self, snapshots: list) -> np.ndarray:
+        """Inference over many snapshots; dropout off, parameters untouched."""
+        with _eval_mode(self):
+            preds = []
+            for i in range(0, len(snapshots), EVAL_BATCH):
+                out = self.forward_snapshots(snapshots[i:i + EVAL_BATCH])
+                preds.append(out.data.reshape(-1))
+            return np.concatenate(preds) if preds else np.zeros(0)
 
 
 def _walk(name: str, val) -> Iterator[tuple[str, Tensor]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import erf, expit
@@ -22,11 +22,6 @@ Array = np.ndarray
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def _as_f64(data) -> Array:
-    arr = np.asarray(data, dtype=np.float64)
-    return arr
 
 
 class Tensor:
@@ -42,7 +37,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_f64(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -67,17 +62,11 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> Array:
-        return self.data
-
     def grad_array(self) -> Array:
         """Gradient as an array; exact zeros if nothing reached this tensor."""
         if self.grad is None:
             return np.zeros_like(self.data)
         return self.grad
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -89,60 +78,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar loss, got shape {self.shape}")
         Tape(self).backward()
-
-    # -- operator sugar --------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _lift(other))
-
-    def __rtruediv__(self, other):
-        return div(_lift(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
-
-    # convenience method forms
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-
-def _lift(value) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(value)
 
 
 def _from_op(data: Array, parents: Sequence[Tensor], backward_fn: Callable[[Array], tuple]) -> Tensor:
@@ -248,22 +183,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(da * db, (a, b), backward)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    da, db = _broadcast_data(a, b, "div")
-
-    def backward(g):
-        return (
-            _unbroadcast(g / db, a.shape),
-            _unbroadcast(-g * da / (db * db), b.shape),
-        )
-
-    return _from_op(da / db, (a, b), backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    return _from_op(-a.data, (a,), lambda g: (-g,))
-
-
 def scale(a: Tensor, factor: float) -> Tensor:
     """Multiply by a python scalar constant."""
     factor = float(factor)
@@ -300,15 +219,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-
-    def backward(g):
-        return (g * mask,)
-
-    return _from_op(np.where(mask, a.data, 0.0), (a,), backward)
-
-
 def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit, exact (erf) form."""
     x = a.data
@@ -321,28 +231,9 @@ def gelu(a: Tensor) -> Tensor:
     return _from_op(x * cdf, (a,), backward)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    y = expit(a.data)
-    return _from_op(y, (a,), lambda g: (g * y * (1.0 - y),))
-
-
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
     return _from_op(y, (a,), lambda g: (g * (1.0 - y * y),))
-
-
-def texp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-    return _from_op(y, (a,), lambda g: (g * y,))
-
-
-def tlog(a: Tensor) -> Tensor:
-    return _from_op(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    y = np.sqrt(a.data)
-    return _from_op(y, (a,), lambda g: (g / (2.0 * y),))
 
 
 def softplus(a: Tensor) -> Tensor:
@@ -564,18 +455,6 @@ def dropout(a: Tensor, p: float, training: bool, rng: np.random.Generator | None
         raise ValueError("dropout in training mode needs an explicit rng")
     mask = (rng.random(a.shape) >= p) / (1.0 - p)
     return _from_op(a.data * mask, (a,), lambda g: (g * mask,))
-
-
-# ---------------------------------------------------------------------------
-# numeric hygiene
-# ---------------------------------------------------------------------------
-
-
-def assert_finite(t: Tensor, context: str) -> Tensor:
-    """Raise :class:`TrainingError` if ``t`` holds NaN/Inf; NaN is an error state."""
-    if not np.all(np.isfinite(t.data)):
-        raise TrainingError(f"non-finite values encountered in {context}")
-    return t
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,7 @@ quadratic in between, linear with slope alpha_R * theta_R right of theta_R.
 With alpha_L > alpha_R under-prediction costs more than over-prediction,
 which is the right asymmetry when a missed latency spike means a missed
 scaling action. The printed piecewise form is implemented verbatim, jumps
-at the region boundaries included; a continuity-corrected variant exists
-behind a flag and is never the default.
+at the region boundaries included.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import SchemaError, TrainingError
-from .fusion import LatencyModel, ModelConfig, build_variant
-from .nn import MLP, Module
+from .fusion import LatencyModel, ModelConfig
+from .nn import EVAL_BATCH, MLP, Predictor
 from .statgraph import (
     Dataset,
     NormStats,
@@ -43,7 +42,6 @@ class LossParams:
     alpha_left: float = 8.0
     alpha_right: float = 4.0
     eps: float = 1e-8
-    continuous: bool = False  # continuity-corrected linear branches (non-default)
 
     def __post_init__(self):
         if self.theta_left <= 0 or self.theta_right <= 0:
@@ -70,13 +68,9 @@ def aph_loss(e_p: float, params: LossParams = LossParams()) -> float:
     tl, tr = params.theta_left, params.theta_right
     al, ar = params.alpha_left, params.alpha_right
     if e_p < -tl:
-        if params.continuous:
-            return -tl * al * (e_p + tl) + tl * tl
         return -tl * (al * e_p + tl)
     if e_p < tr:
         return e_p * e_p
-    if params.continuous:
-        return tr * ar * (e_p - tr) + tr * tr
     return tr * (ar * e_p - tr)
 
 
@@ -93,12 +87,8 @@ def aph_loss_tensor(e: Tensor, params: LossParams = LossParams()) -> Tensor:
     mask_left = Tensor(d < -tl)
     mask_quad = Tensor((d >= -tl) & (d < tr))
     mask_right = Tensor(d >= tr)
-    if params.continuous:
-        left = T.add(T.scale(e, -tl * al), Tensor(-tl * al * tl + tl * tl))
-        right = T.add(T.scale(e, tr * ar), Tensor(tr * tr - ar * tr * tr))
-    else:
-        left = T.add(T.scale(e, -tl * al), Tensor(-tl * tl))
-        right = T.add(T.scale(e, tr * ar), Tensor(-tr * tr))
+    left = T.add(T.scale(e, -tl * al), Tensor(-tl * tl))
+    right = T.add(T.scale(e, tr * ar), Tensor(-tr * tr))
     quad = T.square(e)
     return T.add(T.add(T.mul(mask_left, left), T.mul(mask_quad, quad)), T.mul(mask_right, right))
 
@@ -146,7 +136,6 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 1e-3
     seed: int = 0
-    checkpoint_every: int = 0     # write an extra checkpoint every N epochs (0 = off)
     clip_norm: float | None = None
 
     def __post_init__(self):
@@ -194,39 +183,24 @@ class TrainReport:
         }
 
 
-class _Trainable(Module):
-    """Anything with forward_snapshots(), parameters(), train()/eval()."""
-
-    def forward_snapshots(self, snapshots: list[Snapshot]) -> Tensor:  # pragma: no cover
-        raise NotImplementedError
-
-
 def _param_norms(model) -> str:
     norms = {name: float(np.sqrt((p.data ** 2).sum())) for name, p in model.parameters().items()}
     worst = sorted(norms.items(), key=lambda kv: -kv[1])[:3]
     return ", ".join(f"{k}={v:.3g}" for k, v in worst)
 
 
-def _split_loss(model, snapshots, params: LossParams, batch_size: int = 256) -> float:
+def _split_loss(model, snapshots, params: LossParams) -> float:
     total = 0.0
-    for i in range(0, len(snapshots), batch_size):
-        chunk = snapshots[i:i + batch_size]
+    for i in range(0, len(snapshots), EVAL_BATCH):
+        chunk = snapshots[i:i + EVAL_BATCH]
         pred = model.forward_snapshots(chunk)
         labels = np.asarray([s.label for s in chunk])
         total += batch_loss(pred, labels, params).item() * len(chunk)
     return total / len(snapshots)
 
 
-def _predict(model, snapshots, batch_size: int = 256) -> np.ndarray:
-    preds = []
-    for i in range(0, len(snapshots), batch_size):
-        out = model.forward_snapshots(snapshots[i:i + batch_size])
-        preds.append(out.data.reshape(-1))
-    return np.concatenate(preds)
-
-
 def run_training(
-    model,
+    model: Predictor,
     train_snaps: list[Snapshot],
     val_snaps: list[Snapshot],
     test_snaps: list[Snapshot],
@@ -234,7 +208,6 @@ def run_training(
     loss_params: LossParams,
     shuffle_rng: np.random.Generator,
     variant: str,
-    checkpoint_writer=None,
 ) -> TrainReport:
     """Mini-batch Adam over shuffled training windows with best-val selection.
 
@@ -281,16 +254,13 @@ def run_training(
             best_val = val_loss
             best_params = {name: p.data.copy() for name, p in model.parameters().items()}
             report.best_epoch = epoch
-        if checkpoint_writer and config.checkpoint_every and epoch % config.checkpoint_every == 0:
-            checkpoint_writer(model, epoch)
 
     if best_params is not None:
         for name, p in model.parameters().items():
             p.data = best_params[name].copy()
     report.best_val_loss = best_val
 
-    model.eval()
-    preds = _predict(model, test_snaps)
+    preds = model.predict(test_snaps)
     labels = np.asarray([s.label for s in test_snaps])
     m = metrics(preds, labels)
     report.test_mae, report.test_rmse, report.test_mape = m.mae, m.rmse, m.mape
@@ -340,7 +310,6 @@ def train(
     config: TrainConfig = TrainConfig(),
     loss_params: LossParams = LossParams(),
     model_config: ModelConfig | None = None,
-    checkpoint_writer=None,
 ) -> tuple[TrainReport, TrainedModel]:
     """Split chronologically, standardize on the training split, fit, report.
 
@@ -356,7 +325,6 @@ def train(
     report = run_training(
         model, train_snaps, val_snaps, test_snaps, config, loss_params,
         shuffle_rng=np.random.default_rng(seed_shuffle), variant=variant,
-        checkpoint_writer=checkpoint_writer,
     )
     return report, TrainedModel(model=model, norm_stats=stats, config=base)
 
@@ -409,7 +377,7 @@ def linear_regression(dataset: Dataset, damping: float = 1e-8) -> tuple[TrainRep
     return report, weights
 
 
-class FlatRegressor(_Trainable):
+class FlatRegressor(Predictor):
     """Two-hidden-layer MLP on flattened features with a softplus output."""
 
     def __init__(self, num_features: int, hidden: int, seed=0):

@@ -215,6 +215,19 @@ class TestEvalPredictExport:
                      "--checkpoint", str(pipeline["train"] / "checkpoint.json"),
                      "--out-dir", str(tmp_path / "e")]) == 5
 
+    @pytest.mark.parametrize("command", ["eval", "predict", "export-embedding"])
+    def test_normalized_dataset_exit_5(self, tmp_path, pipeline, command):
+        from tailcast.statgraph import fit_normalizer, load_dataset, normalize_dataset, save_dataset
+        ds = load_dataset(pipeline["dataset"])
+        normalized = tmp_path / "normalized.jsonl"
+        save_dataset(normalize_dataset(ds, fit_normalizer(ds)), normalized)
+        data_flag = "--snapshots" if command == "predict" else "--dataset"
+        out_flag = {"eval": ["--out-dir", str(tmp_path / "e")],
+                    "predict": [],
+                    "export-embedding": ["--out", str(tmp_path / "emb.csv")]}[command]
+        assert main([command, data_flag, str(normalized),
+                     "--checkpoint", str(pipeline["train"] / "checkpoint.json")] + out_flag) == 5
+
     def test_predict_prints_positive_numbers(self, capsys, pipeline):
         assert main(["predict", "--snapshots", str(pipeline["dataset"]),
                      "--checkpoint", str(pipeline["train"] / "checkpoint.json")]) == 0

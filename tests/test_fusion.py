@@ -1,5 +1,7 @@
 """Cross-attention, multiplicative fusion, model variants, export, checkpoints."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -51,8 +53,8 @@ class TestCrossTokenAttention:
         attn = CrossTokenAttention(8, 4, rng)
         token = rng.normal(size=2)
         kv = Tensor(np.tile(token, 4).reshape(1, 8))
-        out1 = attn(Tensor(rng.normal(size=(1, 8))), kv)
-        out2 = attn(Tensor(rng.normal(size=(1, 8))), kv)
+        out1, _ = attn(Tensor(rng.normal(size=(1, 8))), kv)
+        out2, _ = attn(Tensor(rng.normal(size=(1, 8))), kv)
         assert np.allclose(out1.data, out2.data, atol=1e-12)
         expected = token @ attn.wv.w.data + attn.wv.b.data
         assert np.allclose(out1.data.reshape(4, 2), np.tile(expected, (4, 1)), atol=1e-12)
@@ -62,15 +64,14 @@ class TestCrossTokenAttention:
         attn = CrossTokenAttention(8, 1, rng)
         q = Tensor(rng.normal(size=(2, 8)))
         kv_arr = rng.normal(size=(2, 8))
-        out = attn(q, Tensor(kv_arr))
+        out, _ = attn(q, Tensor(kv_arr))
         expected = kv_arr @ attn.wv.w.data + attn.wv.b.data
         assert np.allclose(out.data, expected, atol=1e-12)
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
         attn = CrossTokenAttention(16, 4, rng)
-        mat = attn.attention_matrix(Tensor(rng.normal(size=(3, 16))),
-                                    Tensor(rng.normal(size=(3, 16))))
+        _, mat = attn(Tensor(rng.normal(size=(3, 16))), Tensor(rng.normal(size=(3, 16))))
         assert np.allclose(mat.data.sum(axis=-1), 1.0, atol=1e-9)
         assert np.all(mat.data >= 0)
 
@@ -106,7 +107,7 @@ class TestDemandCapacityFusion:
             layer.w.data[:] = 0.0
             layer.b.data[:] = 0.0
         z = Tensor(rng.normal(size=(3, 8)))
-        out = fusion(z, Tensor(rng.normal(size=(3, 8))))
+        _, _, out = fusion(z, Tensor(rng.normal(size=(3, 8))))
         bias_path = fusion.mix(Tensor(np.zeros((3, 4))))
         assert np.allclose(out.data, bias_path.data, atol=1e-12)
 
@@ -119,7 +120,7 @@ class TestDemandCapacityFusion:
         # so the fused product is the all-ones rank vector
         for project in (fusion.project_demand, fusion.project_capacity):
             project.layers[-1].w.data[:] = 0.0
-        out = fusion(Tensor(rng.normal(size=(3, 8))), Tensor(rng.normal(size=(3, 8))))
+        _, _, out = fusion(Tensor(rng.normal(size=(3, 8))), Tensor(rng.normal(size=(3, 8))))
         ones_path = fusion.mix(Tensor(np.ones((3, 4))))
         assert np.allclose(out.data, ones_path.data, rtol=0.0, atol=1e-12)
 
@@ -128,7 +129,7 @@ class TestDemandCapacityFusion:
         fusion = DemandCapacityFusion(8, 4, 4, 8, rng)
         z_t = Tensor(rng.normal(size=(1, 8)), requires_grad=True)
         z_r = Tensor(rng.normal(size=(1, 8)), requires_grad=True)
-        T.tsum(fusion(z_t, z_r)).backward()
+        T.tsum(fusion(z_t, z_r)[2]).backward()
         assert np.any(z_t.grad != 0)
         assert np.any(z_r.grad != 0)
 
@@ -140,7 +141,7 @@ class TestDemandCapacityFusion:
         probe = Tensor(rng.normal(size=(1, 4)))
 
         def build():
-            return T.tsum(T.mul(fusion(z_t, z_r), probe))
+            return T.tsum(T.mul(fusion(z_t, z_r)[2], probe))
 
         build().backward()
         ad_t = z_t.grad_array().copy()
@@ -379,3 +380,61 @@ class TestModelCheckpoint:
         save_checkpoint(path, model.parameters(), meta={})
         with pytest.raises(CheckpointError):
             load_model(path)
+
+    def test_fresh_parameters_are_pinned(self):
+        # (count, SHA-256 of the sorted "name shape" lines, SHA-256 of the
+        # float64 values in that order) of every variant at seed 0, recorded
+        # before the variant table replaced the per-variant branches: a
+        # renamed parameter or a reordered random draw breaks old checkpoints
+        # and seeded runs, and shows here
+        def digests(model):
+            params = model.parameters()
+            names = sorted(params)
+            layout = "\n".join(f"{name} {params[name].shape}" for name in names)
+            values = b"".join(params[name].data.tobytes() for name in names)
+            return (len(names), hashlib.sha256(layout.encode()).hexdigest(),
+                    hashlib.sha256(values).hexdigest())
+
+        got = {
+            (preset, variant): digests(build_variant(variant, ModelConfig(), spec.topology, seed=0))
+            for preset, spec in sorted(preset_topologies().items())
+            for variant in VARIANTS
+        }
+        assert got == {
+            ("online_boutique_like", "full"): (
+                129, "1b106cb775985ac497ed92fbd7d274fff06cc21cc8513769a258cf77fca95759",
+                "0a056a3eac16a8cf26db6467a41a434cbb096574b8ee8576aa32c5ac72773983"),
+            ("online_boutique_like", "traffic_only"): (
+                61, "fe598a796c896818441c7e171d3bcb22bfeafdae67495a824614c87a5558ff08",
+                "5996bae6310e850a2038dd1df0074189e25028e8cbe9c24d65b7614ac6901690"),
+            ("online_boutique_like", "resource_only"): (
+                48, "7a593aab3733544c732632546ec97362697e664fe83920081957b8dc3e9043a7",
+                "7da8930c70ee2382434e8f528fffd1f56b2bd6c235e1cf0444a707cff21d528d"),
+            ("online_boutique_like", "simple_fused"): (
+                105, "bc8a069e35456faa0553343988512e150c76007225e882d4ac174b4256c6ef0e",
+                "28b1509a86a052ee1f8031b71438e3666743b2208f6c809fefb88101cef3d5a4"),
+            ("online_boutique_like", "gnn_fused"): (
+                142, "bca9a9430aaeff26eb991077e960206d7a918c5d11d99ec0885c09a713a639f7",
+                "0f6863a36a1dde0b423b35202a4640f33a1412086c0e679bf22bb5409de6a39d"),
+            ("online_boutique_like", "single_stream"): (
+                61, "ef276ac716daceb0b696a5760eb12d9258ef65c80629c2f1492b8b60641ca74f",
+                "8f8d5ff863b8c7b022299cc529104d5587258bdc8d4eb130f1d91c6c6fdb5a3e"),
+            ("sockshop_like", "full"): (
+                129, "e4c21f7dcce4d4d36a8225ee78c596d3b858be397292f772e7594be8bfe6ddbf",
+                "5e4c732ef670f97b001d6e9759c999d9b29c5f184a96d7b14b87d05d4b0ae102"),
+            ("sockshop_like", "traffic_only"): (
+                61, "fe598a796c896818441c7e171d3bcb22bfeafdae67495a824614c87a5558ff08",
+                "5996bae6310e850a2038dd1df0074189e25028e8cbe9c24d65b7614ac6901690"),
+            ("sockshop_like", "resource_only"): (
+                48, "458874ae4e9adb94ee30d1d03a18607789b8d4c8a6c2d6fac60ae4d194cc62ba",
+                "5d7de68eb09ac2ab2d525f2a2e88b50b000d46b2e3ae7ab2c884f08750eb977e"),
+            ("sockshop_like", "simple_fused"): (
+                105, "974558f35021383fc339c6ca224ea7f1461ce1cb1c9d81afeb0b3fc41e12a637",
+                "ad4e3663de1a4a992f185a6e76f0bff599f74b3f0988959b620e5d124a570272"),
+            ("sockshop_like", "gnn_fused"): (
+                142, "bca9a9430aaeff26eb991077e960206d7a918c5d11d99ec0885c09a713a639f7",
+                "0f6863a36a1dde0b423b35202a4640f33a1412086c0e679bf22bb5409de6a39d"),
+            ("sockshop_like", "single_stream"): (
+                61, "ef276ac716daceb0b696a5760eb12d9258ef65c80629c2f1492b8b60641ca74f",
+                "8f8d5ff863b8c7b022299cc529104d5587258bdc8d4eb130f1d91c6c6fdb5a3e"),
+        }

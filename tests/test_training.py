@@ -78,13 +78,6 @@ class TestAphLoss:
         assert left_inside == pytest.approx(0.04, abs=1e-12)
         assert left_outside > left_inside
 
-    def test_continuous_variant_has_no_jumps(self):
-        params = LossParams(continuous=True)
-        for e in (0.2, -0.2):
-            inside = aph_loss(e - math.copysign(1e-9, e), params)
-            outside = aph_loss(e + math.copysign(1e-9, e), params)
-            assert abs(inside - outside) < 1e-6
-
     @given(st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
     @settings(max_examples=300, deadline=None)
     def test_nonnegative_everywhere(self, e):
