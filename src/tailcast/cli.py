@@ -34,7 +34,15 @@ from .telemetry import (
     read_latency_csv,
     write_latency_csv,
 )
-from .training import LossParams, TrainConfig, linear_regression, metrics, mlp_baseline, train
+from .training import (
+    LossParams,
+    TrainConfig,
+    linear_regression,
+    metrics,
+    mlp_baseline,
+    tail_metrics,
+    train,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -278,10 +286,12 @@ def cmd_eval(args) -> int:
             fh.write(f"{snap.window_start!r},{y},{float(pred)!r}\n")
     labeled = [i for i, s in enumerate(snaps) if s.label is not None]
     if labeled:
-        m = metrics(preds[labeled], np.asarray([snaps[i].label for i in labeled]))
+        labels = np.asarray([snaps[i].label for i in labeled])
+        m = metrics(preds[labeled], labels)
         (out / "metrics.json").write_text(json.dumps({
             "split": args.split, "count": len(labeled),
             "mae_s": m.mae, "rmse_s": m.rmse, "mape_pct": m.mape,
+            **tail_metrics(preds[labeled], labels),
         }, indent=2) + "\n", encoding="utf-8")
         print(f"split={args.split} n={len(labeled)}  MAE {m.mae:.4f}s  "
               f"RMSE {m.rmse:.4f}s  MAPE {m.mape:.2f}%")

@@ -333,7 +333,7 @@ def load_model(path) -> tuple[LatencyModel, NormStats]:
 
 
 def export_embeddings(snapshots: list[Snapshot], model: LatencyModel) -> list[SystemEmbedding]:
-    with _eval_mode(model):
+    with _eval_mode(model), T.no_grad():
         out: list[SystemEmbedding] = []
         for i in range(0, len(snapshots), EVAL_BATCH):
             chunk = snapshots[i:i + EVAL_BATCH]

@@ -76,8 +76,8 @@ class Predictor(Module):
         raise NotImplementedError
 
     def predict(self, snapshots: list) -> np.ndarray:
-        """Inference over many snapshots; dropout off, parameters untouched."""
-        with _eval_mode(self):
+        """Inference over many snapshots; dropout off, no graph recorded."""
+        with _eval_mode(self), T.no_grad():
             preds = []
             for i in range(0, len(snapshots), EVAL_BATCH):
                 out = self.forward_snapshots(snapshots[i:i + EVAL_BATCH])

@@ -4,13 +4,15 @@ Every model computation in this package runs through the ops defined here.
 The design is deliberately small: eager numpy forward passes, a closure per
 op for the backward pass, and a :class:`Tape` that replays the recorded ops
 in reverse topological order. Everything is 64-bit so gradient checks
-against finite differences can be tight.
+against finite differences can be tight. Inference runs inside
+:func:`no_grad`, where ops record nothing.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -77,10 +79,37 @@ class Tensor:
         """Backpropagate from a scalar; accumulates into ``grad`` of leaves."""
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar loss, got shape {self.shape}")
+        if not self.requires_grad:
+            raise TrainingError("backward() from a tensor that recorded no graph "
+                                "(built under no_grad, or from constants only)")
         Tape(self).backward()
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Run the body without recording the autodiff graph.
+
+    Ops inside it return plain tensors: no parents, no backward closure and
+    ``requires_grad`` False, so nothing is kept alive for a backward pass
+    that inference never runs. The values are the same as with recording
+    on. The previous state is restored on exit, exceptions included, so the
+    context nests.
+    """
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _from_op(data: Array, parents: Sequence[Tensor], backward_fn: Callable[[Array], tuple]) -> Tensor:
+    if not _grad_enabled:
+        return Tensor(data)
     out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = tuple(parents)
@@ -96,6 +125,9 @@ class Tape:
     record once in reverse, accumulating gradients additively across fan-out.
     A tape belongs to the thread that built it; parameter tensors may be
     read concurrently, but only one owner may run backward/optimizer steps.
+    The :func:`no_grad` flag is process-wide, not per thread: while any
+    thread is inside it, ops in every thread record nothing, so a graph
+    being built for training must not overlap inference in another thread.
     """
 
     def __init__(self, root: Tensor):

@@ -125,6 +125,26 @@ def metrics(preds, labels) -> Metrics:
     return Metrics(mae=mae, rmse=rmse, mape=mape)
 
 
+def tail_metrics(preds, labels) -> dict[str, float | int | None]:
+    """MAPE (%) on the windows the asymmetric loss exists for.
+
+    ``under`` holds the windows with y_hat < y and ``over`` those with
+    y_hat > y (an exact hit is in neither), each with its count; an empty
+    side reports ``None``. The top decile is every window whose label is at
+    least the nearest-rank P90 label. Inputs are as :func:`metrics` accepts.
+    """
+    preds = np.asarray(preds, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    rel = np.abs(labels - preds) / labels
+    p90 = np.sort(labels)[math.ceil(0.9 * labels.size) - 1]
+    out: dict[str, float | int | None] = {}
+    for side, mask in (("under", preds < labels), ("over", preds > labels)):
+        out[f"{side}_mape_pct"] = float(100.0 * np.mean(rel[mask])) if mask.any() else None
+        out[f"{side}_count"] = int(mask.sum())
+    out["top_decile_mape_pct"] = float(100.0 * np.mean(rel[labels >= p90]))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
@@ -191,11 +211,12 @@ def _param_norms(model) -> str:
 
 def _split_loss(model, snapshots, params: LossParams) -> float:
     total = 0.0
-    for i in range(0, len(snapshots), EVAL_BATCH):
-        chunk = snapshots[i:i + EVAL_BATCH]
-        pred = model.forward_snapshots(chunk)
-        labels = np.asarray([s.label for s in chunk])
-        total += batch_loss(pred, labels, params).item() * len(chunk)
+    with T.no_grad():
+        for i in range(0, len(snapshots), EVAL_BATCH):
+            chunk = snapshots[i:i + EVAL_BATCH]
+            pred = model.forward_snapshots(chunk)
+            labels = np.asarray([s.label for s in chunk])
+            total += batch_loss(pred, labels, params).item() * len(chunk)
     return total / len(snapshots)
 
 

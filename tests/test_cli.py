@@ -1,6 +1,7 @@
 """End-to-end command-line pipeline tests and the exit-code contract."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -200,6 +201,23 @@ class TestEvalPredictExport:
         lines = (out / "predictions.csv").read_text().splitlines()
         assert lines[0] == "window_start,y,y_hat"
         assert len(lines) == metrics["count"] + 1
+        rows = [line.split(",") for line in lines[1:]]
+        pairs = [(float(y), float(y_hat)) for _, y, y_hat in rows]
+
+        def mape(sel):
+            return 100.0 * sum(abs(y - y_hat) / y for y, y_hat in sel) / len(sel)
+
+        under = [(y, y_hat) for y, y_hat in pairs if y_hat < y]
+        over = [(y, y_hat) for y, y_hat in pairs if y_hat > y]
+        assert over  # at this seed no test window is under-predicted: "under" is null
+        for side, sel in (("under", under), ("over", over)):
+            assert metrics[f"{side}_count"] == len(sel)
+            expected = pytest.approx(mape(sel), rel=1e-12) if sel else None
+            assert metrics[f"{side}_mape_pct"] == expected
+        ys = sorted(y for y, _ in pairs)
+        p90 = ys[math.ceil(0.9 * len(ys)) - 1]  # nearest rank
+        top = [(y, y_hat) for y, y_hat in pairs if y >= p90]
+        assert metrics["top_decile_mape_pct"] == pytest.approx(mape(top), rel=1e-12)
 
     def test_eval_topology_mismatch_exit_5(self, tmp_path, pipeline):
         from tailcast.statgraph import Topology, load_dataset, save_dataset, Dataset

@@ -26,7 +26,8 @@ from tailcast.fusion import (
 )
 from tailcast.simulator import preset_topologies
 from tailcast.statgraph import NormStats, Snapshot, Topology
-from tailcast.tensor import Tensor
+from tailcast.tensor import Tape, Tensor
+from tailcast.training import LossParams, _split_loss
 
 
 def small_topology():
@@ -317,6 +318,60 @@ class TestBatchInvariance:
             export_embeddings(snaps, model)
             assert all(m.training is mode for m in model.modules())
             assert np.array_equal(model.predict(snaps), first)
+
+
+# nodes of a recorded single-snapshot eval forward per variant, as the
+# benchmark's tensor.tape_nodes.b1 probe counts them (either preset)
+EVAL_TAPE_NODES = {"full": 287, "traffic_only": 130, "resource_only": 105,
+                   "simple_fused": 228, "gnn_fused": 312, "single_stream": 130}
+PARTS = ("demand", "capacity", "demand_enhanced", "capacity_enhanced")
+
+
+class TestNoGradInference:
+    @pytest.mark.parametrize("preset", ["online_boutique_like", "sockshop_like"])
+    def test_predict_and_export_equal_the_recorded_forward(self, preset):
+        topo = preset_topologies()[preset].topology
+        snaps = make_snapshots(topo, count=5, seed=23)
+        for variant in VARIANTS:
+            model = build_variant(variant, ModelConfig(), topo, seed=24).eval()
+            recorded = model.forward_snapshots(snaps)
+            parts = model.embed(model.collate(snaps))
+            assert recorded.requires_grad
+            assert np.array_equal(model.predict(snaps), recorded.data.reshape(-1)), variant
+            for j, emb in enumerate(export_embeddings(snaps, model)):
+                assert np.array_equal(emb.fused, parts["embedding"].data[j]), variant
+                for name in PARTS:
+                    got, want = getattr(emb, name), parts.get(name)
+                    assert got is None if want is None else np.array_equal(got, want.data[j])
+
+    def test_inference_records_no_graph(self):
+        topo = small_topology()
+        snaps = make_snapshots(topo, count=3)
+        model = build_variant("full", ModelConfig(), topo, seed=25)
+        outputs = []
+        embed = model.embed
+
+        def recording_embed(batch):
+            parts = embed(batch)
+            outputs.extend(t for t in parts.values() if t is not None)
+            return parts
+
+        model.embed = recording_embed
+        model.predict(snaps)
+        export_embeddings(snaps, model)
+        _split_loss(model, snaps, LossParams())
+        assert len(outputs) == 3 * (len(PARTS) + 1)
+        assert all(not t.requires_grad and t._parents == () for t in outputs)
+        assert model.forward_snapshots(snaps).requires_grad
+
+    @pytest.mark.parametrize("preset", ["online_boutique_like", "sockshop_like"])
+    def test_recorded_eval_forward_tape_is_pinned(self, preset):
+        topo = preset_topologies()[preset].topology
+        snaps = make_snapshots(topo, count=2, seed=1)
+        for variant, nodes in EVAL_TAPE_NODES.items():
+            model = build_variant(variant, ModelConfig(), topo, seed=0).eval()
+            model.predict(snaps)
+            assert len(Tape(model.forward_snapshots(snaps[:1])).nodes) == nodes, variant
 
 
 class TestEmbeddingExport:

@@ -128,6 +128,12 @@ class TestBackward:
         with pytest.raises(ShapeError):
             Tensor([1.0, 2.0], requires_grad=True).backward()
 
+    def test_backward_from_constants_raises(self):
+        # nothing records a graph, so a backward pass would leave every
+        # gradient None and Adam would step on zeros
+        with pytest.raises(TrainingError):
+            T.tsum(T.mul(Tensor([1.0, 2.0]), Tensor([3.0, 4.0]))).backward()
+
     def test_fanout_accumulates(self):
         w = Tensor([3.0], requires_grad=True)
         y = T.add(T.mul(w, w), w)  # w^2 + w -> grad 2w + 1
@@ -161,6 +167,37 @@ class TestBackward:
         out.backward()
         fd = fd_gradient(forward, a0.copy())
         assert max_rel_error(a.grad, fd, floor=1e-4) < 1e-6
+
+
+class TestNoGrad:
+    def test_ops_record_nothing(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        with T.no_grad():
+            out = T.tsum(T.mul(w, w))
+        assert out.item() == 5.0
+        assert out.requires_grad is False
+        assert out._parents == () and out._backward_fn is None
+
+    def test_backward_under_no_grad_raises(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        with T.no_grad():
+            loss = T.tsum(T.mul(w, w))
+        with pytest.raises(TrainingError):
+            loss.backward()
+        assert w.grad is None
+
+    def test_flag_restored_after_nesting_and_exception(self):
+        w = Tensor([1.0], requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert not T.mul(w, w).requires_grad
+        assert T.mul(w, w)._parents == (w, w)
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError("boom")
+        out = T.mul(w, w)
+        assert out.requires_grad and out._parents == (w, w)
 
 
 def _check_op_gradient(build, shapes, seed, floor=1e-4, tol=1e-4):

@@ -25,6 +25,7 @@ from tailcast.training import (
     metrics,
     mlp_baseline,
     percentage_error,
+    tail_metrics,
     train,
 )
 
@@ -152,6 +153,22 @@ class TestMetrics:
     def test_zero_label_rejected(self):
         with pytest.raises(ValueError):
             metrics([1.0], [0.0])
+
+    def test_tail_split_by_sign_and_top_decile(self):
+        labels = np.arange(1.0, 11.0)
+        preds = labels.copy()
+        preds[[0, 2, 8, 9]] = [0.5, 3.3, 9.9, 8.0]  # errors -50%, +10%, +10%, -20%
+        tail = tail_metrics(preds, labels)
+        assert (tail["under_count"], tail["over_count"]) == (2, 2)  # exact hits in neither
+        assert tail["under_mape_pct"] == pytest.approx(35.0, abs=1e-9)
+        assert tail["over_mape_pct"] == pytest.approx(10.0, abs=1e-9)
+        # nearest-rank P90 of 1..10 is the 9th order statistic: labels 9 and 10
+        assert tail["top_decile_mape_pct"] == pytest.approx(15.0, abs=1e-9)
+
+    def test_tail_empty_side_is_none(self):
+        tail = tail_metrics([2.0, 3.0], [2.0, 4.0])
+        assert tail["under_mape_pct"] == pytest.approx(25.0) and tail["under_count"] == 1
+        assert tail["over_mape_pct"] is None and tail["over_count"] == 0
 
     def test_matches_single_pass_oracle(self):
         rng = np.random.default_rng(3)
