@@ -205,9 +205,9 @@ def _write_report(out_dir: Path, report) -> None:
     (out_dir / "report.json").write_text(
         json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
     with open(out_dir / "epochs.csv", "w", encoding="utf-8") as fh:
-        fh.write("epoch,train_loss,val_loss\n")
+        fh.write("epoch,train_loss,val_loss,grad_norm_max\n")
         for rec in report.epochs:
-            fh.write(f"{rec.epoch},{rec.train_loss!r},{rec.val_loss!r}\n")
+            fh.write(f"{rec.epoch},{rec.train_loss!r},{rec.val_loss!r},{rec.grad_norm_max!r}\n")
 
 
 def cmd_train(args) -> int:

@@ -226,9 +226,7 @@ class GmlpBlock(Module):
         u1 = T.slice_axis(u, 2, 0, self.half)
         u2 = T.slice_axis(u, 2, self.half, self.d_ffn)
         gate = self.gate_norm(u2)
-        gate = T.transpose(gate, (0, 2, 1))            # (B, half, V)
-        gate = T.linear(gate, self.w_spatial, self.b_spatial)
-        gate = T.transpose(gate, (0, 2, 1))            # back to (B, V, half)
+        gate = T.spatial_mix(gate, self.w_spatial, self.b_spatial)
         out = self.proj_out(T.mul(u1, gate))
         out = T.dropout(out, self.drop_p, self.training, rng)
         return T.add(z, out)

@@ -379,6 +379,26 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _from_op(out.reshape(x.shape[:-1] + (d_out,)), parents, backward)
 
 
+def spatial_mix(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Mix along axis 1: ``out[:, v, c] = sum_u x[:, u, c] * w[u, v] + b[v]``.
+
+    ``x`` is ``(B, U, C)``, ``w`` is ``(U, V)`` and ``b`` is ``(V,)``: the
+    affine map of :func:`linear` applied across positions instead of
+    channels, as one batched ``w.T @ x`` with no transposed copies.
+    """
+    n_in, _ = w.shape
+    if x.ndim != 3 or x.shape[1] != n_in:
+        raise ShapeError(f"spatial_mix: input {x.shape} does not match weight {w.shape}")
+    xd, wd = x.data, w.data
+    out = wd.T @ xd
+    out += b.data[:, None]
+
+    def backward(g):
+        return wd @ g, (xd @ np.swapaxes(g, 1, 2)).sum(axis=0), g.sum(axis=(0, 2))
+
+    return _from_op(out, (x, w, b), backward)
+
+
 def broadcast_to(a: Tensor, shape) -> Tensor:
     """Repeat ``a`` along broadcast axes; the backward pass sums them back."""
     shape = tuple(shape)
@@ -456,11 +476,14 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """Normalize the last axis to zero mean / unit variance, then affine.
 
     Uses the population variance of each slice; ``eps`` guards the division.
+    Each mean is a sum divided by the width, which is what ``np.mean``
+    computes, without its Python wrapper.
     """
     x = a.data
-    mu = x.mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / n
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     y = xhat * gain.data + bias.data
@@ -469,8 +492,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         dgain = _unbroadcast(g * xhat, gain.shape)
         dbias = _unbroadcast(g, bias.shape)
         dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = dxhat.sum(axis=-1, keepdims=True) / n
+        m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
         dx = (dxhat - m1 - xhat * m2) * inv
         return dx, dgain, dbias
 
@@ -497,8 +520,17 @@ def dropout(a: Tensor, p: float, training: bool, rng: np.random.Generator | None
 class Adam:
     """Adam with bias correction over a named parameter dict.
 
+    The optimizer owns the parameters' storage: construction copies every
+    parameter into one contiguous float64 vector, ``flat``, and rebinds each
+    ``p.data`` to a reshaped view of it, so a step is a handful of
+    whole-vector ops. Rebinding a parameter's ``data`` afterwards detaches it
+    from the optimizer; restores must write in place (``p.data[...] = ...``).
+    ``m`` and ``v`` map each name to a view of the flat moment vectors.
+
     Missing gradients are treated as exact zeros (the moments still decay).
     ``clip_norm`` enables global-norm gradient clipping; it is off by default.
+    ``grad_norm`` is the global norm of the last step's gradient, before
+    clipping.
     """
 
     def __init__(
@@ -517,45 +549,49 @@ class Adam:
         self.eps = eps
         self.clip_norm = clip_norm
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        self.grad_norm: float | None = None
+        total = sum(p.data.size for p in self.params.values())
+        self.flat = np.empty(total)
+        self._m = np.zeros(total)
+        self._v = np.zeros(total)
+        self.m: dict[str, Array] = {}
+        self.v: dict[str, Array] = {}
+        start = 0
+        for name, p in self.params.items():
+            stop = start + p.data.size
+            shape = p.data.shape
+            self.flat[start:stop] = p.data.reshape(-1)
+            p.data = self.flat[start:stop].reshape(shape)
+            self.m[name] = self._m[start:stop].reshape(shape)
+            self.v[name] = self._v[start:stop].reshape(shape)
+            start = stop
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
 
-    def _clip(self, grads: dict[str, Array]) -> dict[str, Array]:
-        if self.clip_norm is None:
-            return grads
-        total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-        if total <= self.clip_norm or total == 0.0:
-            return grads
-        factor = self.clip_norm / total
-        return {name: g * factor for name, g in grads.items()}
-
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        grads = {}
-        for name, p in self.params.items():
-            g = p.grad_array()
-            if not np.all(np.isfinite(g)):
-                raise TrainingError(f"NaN/Inf gradient for parameter {name!r} at step {t}")
-            grads[name] = g
-        grads = self._clip(grads)
+        grad = np.concatenate([p.grad_array().reshape(-1) for p in self.params.values()])
+        if not np.isfinite(grad).all():
+            for name, p in self.params.items():
+                if not np.isfinite(p.grad_array()).all():
+                    raise TrainingError(f"NaN/Inf gradient for parameter {name!r} at step {t}")
+        norm = math.sqrt(float(np.dot(grad, grad)))
+        self.grad_norm = norm
+        if self.clip_norm is not None and norm > self.clip_norm and norm != 0.0:
+            grad *= self.clip_norm / norm
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for name, p in self.params.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / bc1
-            v_hat = v / bc2
-            p.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (grad * grad)
+        m_hat = m / bc1
+        v_hat = v / bc2
+        self.flat -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +641,11 @@ def load_checkpoint(path) -> tuple[dict[str, Array], dict]:
 
 
 def load_params_into(params: Mapping[str, Tensor], arrays: Mapping[str, Array]) -> None:
-    """Copy checkpoint arrays into live parameter tensors, strictly by name."""
+    """Copy checkpoint arrays into live parameter tensors, strictly by name.
+
+    Values are written in place, so parameters stay views of an optimizer's
+    flat buffer.
+    """
     missing = sorted(set(params) - set(arrays))
     extra = sorted(set(arrays) - set(params))
     if missing or extra:
@@ -614,4 +654,4 @@ def load_params_into(params: Mapping[str, Tensor], arrays: Mapping[str, Array]) 
         arr = arrays[name]
         if arr.shape != p.data.shape:
             raise CheckpointError(f"shape mismatch for {name!r}: checkpoint {arr.shape}, model {p.data.shape}")
-        p.data = arr.copy()
+        p.data[...] = arr

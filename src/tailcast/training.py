@@ -168,6 +168,7 @@ class EpochRecord:
     epoch: int
     train_loss: float
     val_loss: float
+    grad_norm_max: float  # largest pre-clip global gradient norm over the epoch's steps
 
 
 @dataclass
@@ -246,12 +247,13 @@ def run_training(
     optimizer = Adam(model.parameters(), learning_rate=config.learning_rate,
                      clip_norm=config.clip_norm)
     best_val = math.inf
-    best_params: dict[str, np.ndarray] | None = None
+    best_params: np.ndarray | None = None
 
     for epoch in range(1, config.epochs + 1):
         model.train(True)
         order = shuffle_rng.permutation(len(train_snaps))
         epoch_loss = 0.0
+        grad_norm_max = 0.0
         for b_start in range(0, len(order), config.batch_size):
             idx = order[b_start:b_start + config.batch_size]
             chunk = [train_snaps[i] for i in idx]
@@ -266,19 +268,20 @@ def run_training(
             loss.backward()
             optimizer.step()
             optimizer.zero_grad()
+            grad_norm_max = max(grad_norm_max, optimizer.grad_norm)
             epoch_loss += loss_val * len(chunk)
         model.eval()
         train_loss = epoch_loss / len(train_snaps)
         val_loss = _split_loss(model, val_snaps, loss_params)
-        report.epochs.append(EpochRecord(epoch=epoch, train_loss=train_loss, val_loss=val_loss))
+        report.epochs.append(EpochRecord(epoch=epoch, train_loss=train_loss, val_loss=val_loss,
+                                         grad_norm_max=grad_norm_max))
         if val_loss < best_val:
             best_val = val_loss
-            best_params = {name: p.data.copy() for name, p in model.parameters().items()}
+            best_params = optimizer.flat.copy()
             report.best_epoch = epoch
 
     if best_params is not None:
-        for name, p in model.parameters().items():
-            p.data = best_params[name].copy()
+        optimizer.flat[...] = best_params
     report.best_val_loss = best_val
 
     preds = model.predict(test_snaps)

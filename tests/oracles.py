@@ -160,6 +160,33 @@ def assert_gradients_match(build_loss, leaves, tol: float = 1e-4, h: float = 1e-
     return worst
 
 
+def reference_adam_step(params, grads, m, v, t, learning_rate=1e-3, beta1=0.9, beta2=0.999,
+                        eps=1e-8, clip_norm=None) -> float:
+    """One Adam step, parameter by parameter, on dicts of arrays in place.
+
+    This is the per-parameter arithmetic ``tensor.Adam`` ran before it kept
+    one flat buffer: the global norm is a sum of per-parameter sums, and
+    every update is the same elementwise sequence. ``t`` is the 1-based
+    step number. Returns the pre-clip global gradient norm.
+    """
+    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    if clip_norm is not None and total > clip_norm and total != 0.0:
+        factor = clip_norm / total
+        grads = {name: g * factor for name, g in grads.items()}
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for name, p in params.items():
+        g = grads[name]
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * (g * g)
+        m_hat = m[name] / bc1
+        v_hat = v[name] / bc2
+        p -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # the simulator as it was before its event loop was flattened: the reference
 # that ``tailcast.simulator`` must reproduce value for value, random draw for

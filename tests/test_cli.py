@@ -176,8 +176,10 @@ class TestTrainCli:
         assert len(report["epochs"]) == 3
         assert "wall_clock" not in json.dumps(report)
         csv_lines = (train_dir / "epochs.csv").read_text().splitlines()
-        assert csv_lines[0] == "epoch,train_loss,val_loss"
+        assert csv_lines[0] == "epoch,train_loss,val_loss,grad_norm_max"
         assert len(csv_lines) == 4
+        for line, record in zip(csv_lines[1:], report["epochs"]):
+            assert float(line.split(",")[3]) == record["grad_norm_max"] > 0.0
 
     def test_deterministic_reports_and_checkpoints(self, tmp_path, pipeline):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -322,8 +322,8 @@ class TestBatchInvariance:
 
 # nodes of a recorded single-snapshot eval forward per variant, as the
 # benchmark's tensor.tape_nodes.b1 probe counts them (either preset)
-EVAL_TAPE_NODES = {"full": 287, "traffic_only": 130, "resource_only": 105,
-                   "simple_fused": 228, "gnn_fused": 312, "single_stream": 130}
+EVAL_TAPE_NODES = {"full": 279, "traffic_only": 130, "resource_only": 97,
+                   "simple_fused": 220, "gnn_fused": 312, "single_stream": 130}
 PARTS = ("demand", "capacity", "demand_enhanced", "capacity_enhanced")
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import fd_gradient, max_rel_error, naive_matmul
+from oracles import assert_gradients_match, fd_gradient, max_rel_error, naive_matmul
 
 from tailcast import tensor as T
 from tailcast.encoders import MessageRouting
@@ -101,6 +101,21 @@ class TestForwardSemantics:
         empty = Tensor(np.zeros((2, 0, 4)))
         out = T.edge_attention(Tensor(np.ones((2, 3, 4))), empty, empty, MessageRouting(3, [], []), 2)
         assert np.array_equal(out.data, np.zeros((2, 3, 4)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_spatial_mix_matches_transposed_linear(self, seed):
+        # the composition the gMLP spatial gate used before spatial_mix
+        rng = np.random.default_rng(seed)
+        x, w, b = rng.normal(size=(64, 11, 32)), rng.normal(size=(11, 11)), rng.normal(size=11)
+        out = T.spatial_mix(Tensor(x), Tensor(w), Tensor(b)).data
+        composed = T.transpose(T.linear(T.transpose(Tensor(x), (0, 2, 1)), Tensor(w), Tensor(b)),
+                               (0, 2, 1)).data
+        assert out.shape == (64, 11, 32)
+        assert max_rel_error(out, composed, floor=1e-300) <= 1e-15
+
+    def test_spatial_mix_shape_error(self):
+        with pytest.raises(ShapeError):
+            T.spatial_mix(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 4))), Tensor(np.ones(4)))
 
     def test_concat_and_slice_roundtrip(self):
         a = np.arange(6.0).reshape(2, 3)
@@ -296,6 +311,14 @@ class TestGradientChecks:
             [(2, 4, 5), (5, 3)], seed)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_spatial_mix(self, seed):
+        rng = np.random.default_rng(seed)
+        x, w, b = (Tensor(rng.normal(size=shape), requires_grad=True)
+                   for shape in ((2, 4, 3), (4, 5), (5,)))
+        probe = _probe((2, 5, 3), seed)
+        assert_gradients_match(lambda: T.tsum(T.mul(T.spatial_mix(x, w, b), probe)), [x, w, b])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gather_scatter(self, seed):
         # repeated and missing indices: the backward pass scatter-adds
         # through the incidence matmul
@@ -390,10 +413,17 @@ class TestAdam:
         assert abs(p.data[0] - theta) < 1e-15
 
     def test_nan_gradient_raises(self):
-        p = Tensor([1.0], requires_grad=True)
-        p.grad = np.array([np.nan])
-        with pytest.raises(TrainingError):
-            Adam({"p": p}).step()
+        # the flat check fails as a whole; the message names the parameter
+        for bad in (np.nan, np.inf, -np.inf):
+            params = {name: Tensor(np.ones((2, 2)), requires_grad=True) for name in "abcd"}
+            params["a"].grad = np.full((2, 2), 0.5)
+            params["c"].grad = np.array([[0.1, 0.2], [bad, 0.3]])
+            params["d"].grad = np.zeros((2, 2))  # "b" has no gradient at all
+            with pytest.raises(TrainingError) as err:
+                Adam(params).step()
+            assert "'c'" in str(err.value) and "step 1" in str(err.value)
+            for name in "abd":
+                assert f"'{name}'" not in str(err.value)
 
     def test_bit_identical_runs(self):
         def run():
@@ -417,6 +447,46 @@ class TestAdam:
         # clipped gradient = (3, 4); first-step update ~ lr * sign
         assert np.all(np.isfinite(p.data))
         assert np.allclose(opt.m["p"], 0.1 * np.array([3.0, 4.0]))
+
+    def test_grad_norm_is_the_pre_clip_global_norm(self):
+        rng = np.random.default_rng(5)
+        params = {"w": Tensor(rng.normal(size=(3, 4)), requires_grad=True),
+                  "b": Tensor(rng.normal(size=4), requires_grad=True),
+                  "unused": Tensor(rng.normal(size=2), requires_grad=True)}
+        params["w"].grad = rng.normal(size=(3, 4)) * 10.0
+        params["b"].grad = rng.normal(size=4)
+        opt = Adam(params, clip_norm=1.0)
+        opt.step()
+        expected = np.sqrt(sum(float((p.grad_array() ** 2).sum()) for p in params.values()))
+        assert abs(opt.grad_norm - expected) <= 1e-12 * expected
+        assert expected > 1.0  # so the norm was read before clipping
+
+    def test_parameters_are_views_of_one_flat_buffer(self):
+        rng = np.random.default_rng(6)
+        shapes = {"w": (3, 4), "b": (4,), "s": ()}
+        values = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        params = {name: Tensor(v, requires_grad=True) for name, v in values.items()}
+        opt = Adam(params)
+        assert opt.flat.size == 17
+        for name, p in params.items():
+            assert p.data.shape == shapes[name]
+            assert np.array_equal(p.data, values[name])
+            assert np.shares_memory(p.data, opt.flat)
+            assert opt.m[name].shape == opt.v[name].shape == shapes[name]
+        opt.flat[...] = 2.0
+        assert all(np.all(p.data == 2.0) for p in params.values())
+
+    def test_load_params_into_writes_in_place(self):
+        rng = np.random.default_rng(7)
+        params = {"w": Tensor(rng.normal(size=(2, 3)), requires_grad=True),
+                  "b": Tensor(rng.normal(size=3), requires_grad=True)}
+        opt = Adam(params)
+        arrays = {"w": rng.normal(size=(2, 3)), "b": rng.normal(size=3)}
+        load_params_into(params, arrays)
+        for name, p in params.items():
+            assert np.shares_memory(p.data, opt.flat)
+            assert np.array_equal(p.data, arrays[name])
+            assert not np.shares_memory(p.data, arrays[name])
 
 
 class TestCheckpoint:

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import max_rel_error
+from oracles import max_rel_error, reference_adam_step
 
+import tailcast.training as tr
 from tailcast import tensor as T
 from tailcast.errors import TrainingError
-from tailcast.fusion import ModelConfig
+from tailcast.fusion import ModelConfig, build_variant
+from tailcast.simulator import preset_topologies
 from tailcast.statgraph import Dataset, Snapshot, Topology
-from tailcast.tensor import Tensor
+from tailcast.tensor import Adam, Tensor
 from tailcast.training import (
     LossParams,
     TrainConfig,
@@ -235,7 +237,6 @@ class TestTrainLoop:
         test_starts = {s.window_start for s in ds.snapshots[16:]}
         seen_phases = []
 
-        import tailcast.training as tr
         real_metrics = tr.metrics
 
         def counting_metrics(p, y):
@@ -266,7 +267,6 @@ class TestTrainLoop:
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_nan_explosion_aborts_with_diagnostics(self):
         cfg = TrainConfig(epochs=2, batch_size=8, seed=6, learning_rate=1e-3)
-        import tailcast.training as tr
 
         # poison the loss with a non-finite label; training must abort
         bad = synthetic_dataset(n=20, seed=5)
@@ -278,6 +278,100 @@ class TestTrainLoop:
     def test_too_small_dataset_rejected(self):
         with pytest.raises(ValueError):
             train(synthetic_dataset(n=9), "full", TrainConfig(epochs=1))
+
+
+def preset_snapshots(topo, count, seed):
+    rng = np.random.default_rng(seed)
+    return [Snapshot(5.0 * i, rng.random((topo.num_services, 3)),
+                     rng.random((topo.num_edges, 3)), rng.random((topo.num_services, 5)),
+                     float(0.1 + rng.random()))
+            for i in range(count)]
+
+
+class RecordingAdam(Adam):
+    """``Adam`` that keeps every instance and the grad norm of every step."""
+
+    made: list = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.norms = []
+        RecordingAdam.made.append(self)
+
+    def step(self):
+        super().step()
+        self.norms.append(self.grad_norm)
+
+
+class TestFlatAdam:
+    """The flat-buffer ``Adam`` against the per-parameter oracle on real steps."""
+
+    @staticmethod
+    def _steps(preset, variant, clip_norm):
+        topo = preset_topologies()[preset].topology
+        snaps = preset_snapshots(topo, 40, seed=3)
+        model = build_variant(variant, ModelConfig(), topo, seed=4)
+        params = model.parameters()
+        ref = {name: p.data.copy() for name, p in params.items()}
+        m = {name: np.zeros_like(a) for name, a in ref.items()}
+        v = {name: np.zeros_like(a) for name, a in ref.items()}
+        opt = Adam(params, clip_norm=clip_norm)
+        for t in range(1, 11):
+            chunk = [snaps[(8 * t + i) % len(snaps)] for i in range(16)]
+            loss = batch_loss(model.forward_snapshots(chunk),
+                              np.asarray([s.label for s in chunk]), DEFAULTS)
+            loss.backward()
+            grads = {name: p.grad_array().copy() for name, p in params.items()}
+            opt.step()
+            opt.zero_grad()
+            norm = reference_adam_step(ref, grads, m, v, t, clip_norm=clip_norm)
+            yield opt, params, ref, norm
+
+    @pytest.mark.parametrize("preset", ["online_boutique_like", "sockshop_like"])
+    @pytest.mark.parametrize("variant", ["full", "resource_only"])
+    def test_trajectory_equals_the_oracle(self, preset, variant):
+        for opt, params, ref, norm in self._steps(preset, variant, None):
+            assert abs(opt.grad_norm - norm) <= 1e-12 * norm
+            for name, p in params.items():
+                assert np.array_equal(p.data, ref[name]), name
+                assert np.shares_memory(p.data, opt.flat)
+
+    @pytest.mark.parametrize("preset", ["online_boutique_like", "sockshop_like"])
+    @pytest.mark.parametrize("variant", ["full", "resource_only"])
+    def test_clipped_trajectory_within_one_reduction_order(self, preset, variant):
+        # the global norm is one flat reduction, summed in another order, so
+        # each parameter tensor may move by rounding: 1e-15 of its norm
+        clipped = 0
+        for opt, params, ref, norm in self._steps(preset, variant, 0.05):
+            clipped += norm > 0.05
+            for name, p in params.items():
+                assert np.linalg.norm(p.data - ref[name]) <= 1e-15 * np.linalg.norm(ref[name]), name
+        assert clipped == 10
+
+    def test_best_epoch_restore_writes_in_place(self, monkeypatch):
+        monkeypatch.setattr(RecordingAdam, "made", [])
+        monkeypatch.setattr(tr, "Adam", RecordingAdam)
+        ds = synthetic_dataset(n=40, seed=8)
+        cfg = TrainConfig(epochs=4, batch_size=8, seed=2)
+        report, trained = train(ds, "full", cfg)
+        (opt,) = RecordingAdam.made
+        assert report.best_epoch < cfg.epochs  # the restore moved the parameters
+        for p in trained.model.parameters().values():
+            assert np.shares_memory(p.data, opt.flat)
+        _, val_snaps, _, _ = tr._prepare_splits(ds)
+        assert tr._split_loss(trained.model, val_snaps, DEFAULTS) == report.best_val_loss
+
+    def test_epoch_grad_norm_max(self, monkeypatch):
+        monkeypatch.setattr(RecordingAdam, "made", [])
+        monkeypatch.setattr(tr, "Adam", RecordingAdam)
+        ds = synthetic_dataset(n=40, seed=9)
+        report, _ = train(ds, "resource_only", TrainConfig(epochs=3, batch_size=8, seed=4))
+        (opt,) = RecordingAdam.made
+        steps = math.ceil(report.train_snapshots / 8)
+        assert len(opt.norms) == 3 * steps
+        for i, rec in enumerate(report.epochs):
+            assert rec.grad_norm_max == max(opt.norms[i * steps:(i + 1) * steps]) > 0.0
+            assert report.to_dict()["epochs"][i]["grad_norm_max"] == rec.grad_norm_max
 
 
 class TestBaselines:
