@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 input error, 3 empty result, 4 numerical failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -165,26 +166,25 @@ def cmd_ingest(args) -> int:
     samples = []
     skipped = 0
     for path in prom_files:
-        result = parse_exposition(path.read_text(encoding="utf-8"), strict=args.strict)
+        try:
+            result = parse_exposition(path.read_text(encoding="utf-8"), strict=args.strict)
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
         samples.extend(result.samples)
         skipped += len(result.skipped)
-    latency = read_latency_csv(latency_path)
+    try:
+        latency = read_latency_csv(latency_path)
+    except ParseError as exc:
+        raise ParseError(f"{latency_path}: {exc}") from exc
 
     spec = WindowSpec(length=args.window_length, stride=args.window_stride)
     dataset, stats = build_snapshots(samples, topology, spec, latency, strict=args.strict)
+    stats.parse_skipped = skipped
     label_stats = _label_stats_ms(dataset.labels()) if dataset.snapshots else {"count": 0}
     # the report comes first: when nothing is built, its drop reasons say why
     if args.report:
-        report = {
-            "windows_total": stats.windows_total,
-            "windows_built": stats.windows_built,
-            "dropped_no_label": stats.dropped_no_label,
-            "dropped_missing_data": stats.dropped_missing_data,
-            "unknown_label_series": stats.unknown_label_series,
-            "dropped_missing_by_series": dict(sorted(stats.dropped_missing_by_series.items())),
-            "parse_skipped": skipped,
-            "labels": label_stats,
-        }
+        report = {**dataclasses.asdict(stats), "labels": label_stats}
+        report["dropped_missing_by_series"] = dict(sorted(stats.dropped_missing_by_series.items()))
         Path(args.report).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     if not dataset.snapshots:
         raise EmptyResult("no complete window could be built from the telemetry")
@@ -192,8 +192,8 @@ def cmd_ingest(args) -> int:
 
     print(f"windows: {stats.windows_total} total, {stats.windows_built} built, "
           f"{stats.dropped_no_label} without labels, {stats.dropped_missing_data} under-covered")
-    if skipped:
-        print(f"lenient parse skipped {skipped} malformed lines")
+    if stats.parse_skipped:
+        print(f"lenient parse skipped {stats.parse_skipped} malformed lines")
     print("label statistics (P95 latency, ms):")
     for key, value in label_stats.items():
         print(f"  {key:>10}: {value:.2f}" if isinstance(value, float) else f"  {key:>10}: {value}")

@@ -97,24 +97,17 @@ class SnapshotBatch:
     edge_features: Tensor        # (B, |E|, d_e)
     routing: MessageRouting
     resources: Tensor            # (B, |V|, d_r)
-    window_starts: np.ndarray
-    labels: np.ndarray | None    # (B,) seconds, or None for pure inference
 
 
 def collate_snapshots(snapshots: list[Snapshot], routing: MessageRouting) -> SnapshotBatch:
     """Stack snapshots along a new leading batch axis."""
     if not snapshots:
         raise ValueError("cannot collate an empty snapshot list")
-    labels = None
-    if all(s.label is not None for s in snapshots):
-        labels = np.asarray([s.label for s in snapshots], dtype=np.float64)
     return SnapshotBatch(
         node_features=Tensor(np.stack([s.node_features for s in snapshots])),
         edge_features=Tensor(np.stack([s.edge_features for s in snapshots])),
         routing=routing,
         resources=Tensor(np.stack([s.resource_features for s in snapshots])),
-        window_starts=np.asarray([s.window_start for s in snapshots]),
-        labels=labels,
     )
 
 

@@ -140,11 +140,10 @@ class MLP(Module):
 class LayerNorm(Module):
     """Learnable affine layer normalization over the last axis."""
 
-    def __init__(self, width: int, eps: float = 1e-5):
+    def __init__(self, width: int):
         super().__init__()
         self.gain = parameter(np.ones(width))
         self.bias = parameter(np.zeros(width))
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gain, self.bias, self.eps)
+        return T.layer_norm(x, self.gain, self.bias)

@@ -15,7 +15,7 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
@@ -44,6 +44,8 @@ class ServiceCapacity:
     memory_per_queued: float = 8e6   # additional bytes per in-flight request
 
     def __post_init__(self):
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
+            raise SchemaError(f"capacity fields must be finite: {self}")
         if self.pods < 1 or self.service_rate <= 0:
             raise SchemaError(f"invalid capacity: pods={self.pods}, service_rate={self.service_rate}")
 
@@ -73,8 +75,8 @@ class ClusterSpec:
         if not self.request_types:
             raise SchemaError("at least one request type is required")
         total = sum(rt.weight for rt in self.request_types)
-        if any(rt.weight <= 0 for rt in self.request_types):
-            raise SchemaError("request-type weights must be positive")
+        if not all(math.isfinite(rt.weight) and rt.weight > 0 for rt in self.request_types):
+            raise SchemaError("request-type weights must be finite and positive")
         if abs(total - 1.0) > 1e-9:
             raise SchemaError(f"request-type weights must sum to 1, got {total}")
         edges = set(self.topology.edges)
@@ -106,6 +108,8 @@ class Segment:
     def __post_init__(self):
         if self.kind not in ("ramp", "spike", "plateau"):
             raise SchemaError(f"unknown segment kind {self.kind!r}")
+        if not all(map(math.isfinite, (self.duration, self.start_rate, self.end_rate))):
+            raise SchemaError(f"segment fields must be finite: {self}")
         if self.duration <= 0:
             raise SchemaError(f"segment duration must be > 0, got {self.duration}")
         if self.start_rate < 0 or self.end_rate < 0:
@@ -572,11 +576,11 @@ def scenario_from_dict(raw: dict) -> Scenario:
     else:
         raise SchemaError("scenario needs either 'preset' or 'topology'")
 
-    for name, fields in raw.get("capacities", {}).items():
+    for name, overrides in raw.get("capacities", {}).items():
         if name not in topology.services:
             raise SchemaError(f"capacity override for unknown service {name!r}")
         try:
-            capacities[name] = ServiceCapacity(**fields)
+            capacities[name] = ServiceCapacity(**overrides)
         except TypeError as exc:
             raise SchemaError(f"bad capacity fields for {name!r}: {exc}") from exc
 
@@ -593,8 +597,15 @@ def scenario_from_dict(raw: dict) -> Scenario:
     profile = IntensityProfile(tuple(_segment_from_dict(s) for s in raw["profile"]))
 
     duration = float(raw.get("duration_s", profile.total_duration))
-    if duration <= 0:
-        raise SchemaError(f"scenario duration must be > 0, got {duration}")
+    if not (math.isfinite(duration) and duration > 0):
+        raise SchemaError(f"scenario duration must be finite and > 0, got {duration}")
+    noise_sigma = float(raw.get("noise_sigma", 0.01))
+    if not math.isfinite(noise_sigma):
+        raise SchemaError(f"scenario noise_sigma must be finite, got {noise_sigma}")
+    try:
+        seed, queue_cap = int(raw.get("seed", 0)), int(raw.get("queue_cap", 500))
+    except (OverflowError, ValueError) as exc:
+        raise SchemaError(f"scenario seed and queue_cap must be integers: {exc}") from exc
 
     cluster = ClusterSpec(topology=topology, capacities=capacities, request_types=request_types)
     cluster.validate()
@@ -602,9 +613,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
         cluster=cluster,
         profile=profile,
         duration_s=duration,
-        seed=int(raw.get("seed", 0)),
-        noise_sigma=float(raw.get("noise_sigma", 0.01)),
-        queue_cap=int(raw.get("queue_cap", 500)),
+        seed=seed,
+        noise_sigma=noise_sigma,
+        queue_cap=queue_cap,
     )
 
 

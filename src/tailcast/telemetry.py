@@ -5,6 +5,14 @@ into per-series time sequences, slide a 30 s window every 5 s, convert
 cumulative counters to rates, average gauges, attach the window's P95
 latency label, and emit a :class:`~tailcast.statgraph.Dataset`.
 
+Assembly is one loop over the series in order of first appearance: each
+series is classified from its metric and labels, windowed once, and written
+into its node, edge or resource cell, so its contribution is computed apart
+from every other series. :class:`IngestStats` reports what was kept and
+dropped: window counts, unlabelled and under-covered windows, series with
+unknown labels, skipped malformed lines, and per series the labelled windows
+it left under-covered.
+
 Both hot paths do per-series work. The parser runs its exact character
 grammar once per distinct ``name{labels}`` head and reuses the result for
 later lines with the same head. Windowing finds every window's sample range
@@ -304,9 +312,11 @@ def read_latency_csv(path) -> list[tuple[float, float]]:
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != 2:
+                raise ParseError(f"expected 2 fields, got {len(row)}", line_number=line_no)
             try:
                 t, v = float(row[0]), float(row[1])
-            except (IndexError, ValueError) as exc:
+            except ValueError as exc:
                 raise ParseError(f"bad latency row: {exc}", line_number=line_no) from exc
             if not math.isfinite(t):
                 raise ParseError(f"timestamp must be finite, got {t}", line_number=line_no)
@@ -337,10 +347,10 @@ class IngestStats:
     dropped_no_label: int = 0
     dropped_missing_data: int = 0
     unknown_label_series: int = 0
-    parse_skipped: int = 0
     # 'metric{service}' or 'metric{source->destination}' -> labelled windows
     # the series left under-covered (one window may name several series)
     dropped_missing_by_series: dict[str, int] = field(default_factory=dict)
+    parse_skipped: int = 0  # malformed lines a lenient parse skipped; set by the caller
 
 
 SeriesKey = tuple[str, tuple[tuple[str, str], ...]]
@@ -360,50 +370,6 @@ def group_series(samples: list[MetricSample]) -> dict[SeriesKey, list[tuple[floa
     for values in series.values():
         values.sort(key=lambda tv: tv[0])
     return series
-
-
-class _EdgeTable:
-    """Traffic series split into topology edges and node-level aggregates."""
-
-    def __init__(self, topology: Topology, strict: bool):
-        self.topology = topology
-        self.strict = strict
-        self.edge_pos = topology.edge_index()
-        # metric -> edge row -> series
-        self.per_edge: dict[str, dict[int, SeriesKey]] = {m: {} for m in EDGE_METRICS}
-        # metric -> destination node -> list of series (summed as rates)
-        self.by_destination: dict[str, dict[int, list[SeriesKey]]] = {m: {} for m in EDGE_METRICS}
-        # response bytes aggregate keyed by the calling side
-        self.by_source: dict[int, list[SeriesKey]] = {}
-        self.unknown = 0
-
-    def add(self, key: SeriesKey) -> None:
-        name, label_items = key
-        labels = dict(label_items)
-        src_name = labels.get("source_workload")
-        dst_name = labels.get("destination_workload")
-        if dst_name is None or dst_name not in self.topology.services:
-            if self.strict:
-                raise SchemaError(f"{name}: unknown destination_workload {dst_name!r}")
-            self.unknown += 1
-            return
-        dst = self.topology.services.index(dst_name)
-        # Sources outside the topology are external callers (user traffic):
-        # they count toward the destination aggregates but have no edge row.
-        src = None
-        if src_name is not None and src_name in self.topology.services:
-            src = self.topology.services.index(src_name)
-            if (src, dst) not in self.edge_pos:
-                # A pair of known services that is not a declared dependency.
-                if self.strict:
-                    raise SchemaError(f"{name}: ({src_name}, {dst_name}) is not a topology edge")
-                self.unknown += 1
-                return
-        self.by_destination[name].setdefault(dst, []).append(key)
-        if src is not None:
-            self.per_edge[name][self.edge_pos[(src, dst)]] = key
-            if name == METRIC_RESPONSE_BYTES:
-                self.by_source.setdefault(src, []).append(key)
 
 
 def _window_bounds(series, starts, ends):
@@ -458,38 +424,25 @@ def build_snapshots(
 ) -> tuple[Dataset, IngestStats]:
     """Assemble windowed snapshots from parsed metric samples.
 
-    Per window: node rows carry (request rate, request-byte rate,
-    response-byte rate) per destination service; edge rows the same per
-    declared dependency; resource rows carry (cpu rate, memory bytes, cpu
-    period, net receive rate, net transmit rate). The label is the window's
-    nearest-rank P95 over latency samples completing inside it. Windows with
-    no label or with under-covered series are dropped and counted, never
-    imputed.
+    Per window: node rows carry the request rate and request-byte rate a
+    service receives and the response-byte rate of the calls it makes; edge
+    rows carry the three rates per declared dependency; resource rows carry
+    (cpu rate, memory bytes, cpu period, net receive rate, net transmit
+    rate). The label is the window's nearest-rank P95 over latency samples
+    completing inside it.
+
+    One pass over the series, in order of first appearance, classifies each
+    series by its metric and labels, computes its window values once and
+    writes them into its cells: a node cell sums its series in that order,
+    and a later duplicate of an edge row or resource cell replaces the
+    earlier one. A series naming an unknown service or metric raises
+    :class:`SchemaError` (strict) or is counted in ``unknown_label_series``.
+    Windows with no label or with an under-covered series are dropped and
+    counted, never imputed; a resource slot without a series under-covers
+    every window.
     """
     stats = IngestStats()
     series = group_series(samples)
-
-    edges = _EdgeTable(topology, strict)
-    resource: dict[tuple[str, int], SeriesKey] = {}
-    for key in series:
-        name, label_items = key
-        labels = dict(label_items)
-        if name in EDGE_METRICS:
-            edges.add(key)
-        elif name in {m for m, _ in RESOURCE_METRICS}:
-            workload = labels.get("workload")
-            if workload is None or workload not in topology.services:
-                if strict:
-                    raise SchemaError(f"{name}: unknown workload {workload!r}")
-                stats.unknown_label_series += 1
-                continue
-            resource[(name, topology.services.index(workload))] = key
-        else:
-            if strict:
-                raise SchemaError(f"unknown metric {name!r}")
-            stats.unknown_label_series += 1
-    stats.unknown_label_series += edges.unknown
-
     if not series:
         return Dataset(topology=topology, snapshots=()), stats
     # each series is time-sorted, so its first and last samples bound it
@@ -514,40 +467,60 @@ def build_snapshots(
     node = np.zeros((num_w, num_v, 3))
     edge = np.zeros((num_w, topology.num_edges, 3))
     res = np.zeros((num_w, num_v, len(RESOURCE_METRICS)))
+    service_pos = {service: i for i, service in enumerate(topology.services)}
+    edge_pos = topology.edge_index()
+    resource_cols = {metric: (col, _counter_rates if kind == "counter" else _gauge_means)
+                     for col, (metric, kind) in enumerate(RESOURCE_METRICS)}
     # series name -> windows it leaves under-covered, for every series read
     short: dict[str, np.ndarray] = {}
-    traffic: dict[SeriesKey, np.ndarray] = {}
 
-    def rates(key: SeriesKey) -> np.ndarray:
-        if key not in traffic:
-            traffic[key], covered = _counter_rates(series[key], starts, ends)
-            labels = dict(key[1])
-            name = f"{key[0]}{{{labels.get('source_workload')}->{labels.get('destination_workload')}}}"
-            short[name] = short.get(name, False) | ~covered
-        return traffic[key]
+    def unknown(message: str) -> None:
+        if strict:
+            raise SchemaError(message)
+        stats.unknown_label_series += 1
 
-    for col, metric in enumerate(EDGE_METRICS):
-        for svc in range(num_v):
-            if metric == METRIC_RESPONSE_BYTES:
-                keys = edges.by_source.get(svc, [])
-            else:
-                keys = edges.by_destination[metric].get(svc, [])
-            # node sums add series in order, as a running total from 0.0
-            for key in keys:
-                node[:, svc, col] += rates(key)
-        for pos, key in edges.per_edge[metric].items():
-            edge[:, pos, col] = rates(key)
-
-    for svc, service in enumerate(topology.services):
-        for col, (metric, kind) in enumerate(RESOURCE_METRICS):
-            key = resource.get((metric, svc))
-            name = f"{metric}{{{service}}}"
-            if key is None:
-                short[name] = np.ones(num_w, dtype=bool)
+    for (name, label_items), values in series.items():
+        labels = dict(label_items)
+        if name in EDGE_METRICS:
+            src_name = labels.get("source_workload")
+            dst_name = labels.get("destination_workload")
+            src, dst = service_pos.get(src_name), service_pos.get(dst_name)
+            if dst is None:
+                unknown(f"{name}: unknown destination_workload {dst_name!r}")
                 continue
-            window_values = _counter_rates if kind == "counter" else _gauge_means
-            res[:, svc, col], covered = window_values(series[key], starts, ends)
-            short[name] = ~covered
+            # A source outside the topology is an external caller (user
+            # traffic): it has no edge row. Known services must be an edge.
+            if src is not None and (src, dst) not in edge_pos:
+                unknown(f"{name}: ({src_name}, {dst_name}) is not a topology edge")
+                continue
+            # response bytes sum by the calling side, which an external
+            # caller lacks: such a series feeds no row and is not read
+            row = src if name == METRIC_RESPONSE_BYTES else dst
+            if row is None:
+                continue
+            col = EDGE_METRICS.index(name)
+            rates, covered = _counter_rates(values, starts, ends)
+            key = f"{name}{{{src_name}->{dst_name}}}"
+            short[key] = short.get(key, False) | ~covered
+            # node sums add series in order, as a running total from 0.0
+            node[:, row, col] += rates
+            if src is not None:
+                edge[:, edge_pos[(src, dst)], col] = rates  # a later duplicate wins
+        elif name in resource_cols:
+            workload = labels.get("workload")
+            svc = service_pos.get(workload)
+            if svc is None:
+                unknown(f"{name}: unknown workload {workload!r}")
+                continue
+            col, window_values = resource_cols[name]
+            res[:, svc, col], covered = window_values(values, starts, ends)
+            short[f"{name}{{{workload}}}"] = ~covered  # a later duplicate wins
+        else:
+            unknown(f"unknown metric {name!r}")
+    # a resource slot without a series leaves every window under-covered
+    for service in topology.services:
+        for metric, _ in RESOURCE_METRICS:
+            short.setdefault(f"{metric}{{{service}}}", np.ones(num_w, dtype=bool))
 
     keep = labelled.copy()
     for name, mask in short.items():

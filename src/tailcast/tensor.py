@@ -149,10 +149,9 @@ class Tape:
                     stack.append((parent, False))
         self.nodes = order  # parents precede children
 
-    def backward(self, seed: Array | None = None) -> None:
+    def backward(self) -> None:
         root = self.root
-        if seed is None:
-            seed = np.ones_like(root.data)
+        seed = np.ones_like(root.data)
         root.grad = seed if root.grad is None else root.grad + seed
         for node in reversed(self.nodes):
             if node._backward_fn is None or node.grad is None:
@@ -472,19 +471,22 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _from_op(y, (a,), backward)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
-    Uses the population variance of each slice; ``eps`` guards the division.
-    Each mean is a sum divided by the width, which is what ``np.mean``
-    computes, without its Python wrapper.
+    Uses the population variance of each slice; ``LAYER_NORM_EPS`` guards
+    the division. Each mean is a sum divided by the width, which is what
+    ``np.mean`` computes, without its Python wrapper.
     """
     x = a.data
     n = x.shape[-1]
     mu = x.sum(axis=-1, keepdims=True) / n
     xc = x - mu
     var = (xc * xc).sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     y = xhat * gain.data + bias.data
 
@@ -517,6 +519,12 @@ def dropout(a: Tensor, p: float, training: bool, rng: np.random.Generator | None
 # ---------------------------------------------------------------------------
 
 
+# Adam's moment decay rates and the guard added to the denominator
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adam with bias correction over a named parameter dict.
 
@@ -537,16 +545,10 @@ class Adam:
         self,
         params: Mapping[str, Tensor],
         learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
         clip_norm: float | None = None,
     ):
         self.params = dict(params)
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.clip_norm = clip_norm
         self.step_count = 0
         self.grad_norm: float | None = None
@@ -582,16 +584,16 @@ class Adam:
         self.grad_norm = norm
         if self.clip_norm is not None and norm > self.clip_norm and norm != 0.0:
             grad *= self.clip_norm / norm
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - ADAM_BETA1**t
+        bc2 = 1.0 - ADAM_BETA2**t
         m, v = self._m, self._v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grad
-        v *= self.beta2
-        v += (1.0 - self.beta2) * (grad * grad)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (grad * grad)
         m_hat = m / bc1
         v_hat = v / bc2
-        self.flat -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.flat -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,9 @@ from .tensor import Adam, Tensor
 
 logger = logging.getLogger(__name__)
 
+RIDGE_DAMPING = 1e-8  # added to the diagonal of the linear baseline's normal matrix
+MLP_HIDDEN = 64  # width of both hidden layers of the flat MLP baseline
+
 
 @dataclass(frozen=True)
 class LossParams:
@@ -367,7 +370,7 @@ def flat_features(snapshot: Snapshot) -> np.ndarray:
     ])
 
 
-def linear_regression(dataset: Dataset, damping: float = 1e-8) -> tuple[TrainReport, np.ndarray]:
+def linear_regression(dataset: Dataset) -> tuple[TrainReport, np.ndarray]:
     """Least-squares on flat features via damped normal equations.
 
     The ridge damping is always applied; a warning is logged when the normal
@@ -385,8 +388,8 @@ def linear_regression(dataset: Dataset, damping: float = 1e-8) -> tuple[TrainRep
     cond = np.linalg.cond(gram)
     if cond > 1e12:
         logger.warning("normal matrix is near-singular (cond=%.3g); ridge damping %.1g applied",
-                       cond, damping)
-    weights = np.linalg.solve(gram + damping * np.eye(gram.shape[0]), a.T @ y)
+                       cond, RIDGE_DAMPING)
+    weights = np.linalg.solve(gram + RIDGE_DAMPING * np.eye(gram.shape[0]), a.T @ y)
 
     preds = design(test_snaps) @ weights
     labels = np.asarray([s.label for s in test_snaps])
@@ -404,10 +407,10 @@ def linear_regression(dataset: Dataset, damping: float = 1e-8) -> tuple[TrainRep
 class FlatRegressor(Predictor):
     """Two-hidden-layer MLP on flattened features with a softplus output."""
 
-    def __init__(self, num_features: int, hidden: int, seed=0):
+    def __init__(self, num_features: int, seed=0):
         super().__init__()
         rng = np.random.default_rng(seed)
-        self.head = MLP([num_features, hidden, hidden, 1], rng)
+        self.head = MLP([num_features, MLP_HIDDEN, MLP_HIDDEN, 1], rng)
 
     def forward_snapshots(self, snapshots: list[Snapshot]) -> Tensor:
         rows = np.stack([flat_features(s) for s in snapshots])
@@ -418,12 +421,11 @@ def mlp_baseline(
     dataset: Dataset,
     config: TrainConfig = TrainConfig(),
     loss_params: LossParams = LossParams(),
-    hidden: int = 64,
 ) -> tuple[TrainReport, FlatRegressor]:
     """Flat-vector MLP trained with the same loss and optimizer as the model."""
     train_snaps, val_snaps, test_snaps, _ = _prepare_splits(dataset)
     seed_model, seed_shuffle = np.random.SeedSequence(config.seed).spawn(2)
-    model = FlatRegressor(len(flat_features(train_snaps[0])), hidden, seed=seed_model)
+    model = FlatRegressor(len(flat_features(train_snaps[0])), seed=seed_model)
     center_output_bias(model, train_snaps)
     report = run_training(
         model, train_snaps, val_snaps, test_snaps, config, loss_params,

@@ -62,6 +62,16 @@ class TestSimulate:
                                    "profile": [{"kind": "plateau", "duration_s": 5.0, "start_rate": 1.0}]}))
         assert main(["simulate", "--scenario", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
 
+    def test_non_finite_scenario_exit_2(self, tmp_path, capsys):
+        # json reads Infinity; an infinite run would overflow (or, for a
+        # segment field, never end), so it is refused before simulating
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"preset": "online_boutique_like", "duration_s": Infinity, '
+                       '"profile": [{"kind": "plateau", "duration_s": 5.0, "start_rate": 1.0}]}')
+        assert main(["simulate", "--scenario", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "duration must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["simulate", "--scenario", str(tmp_path / "nope.json"),
                      "--out-dir", str(tmp_path / "o")]) == 2
@@ -137,7 +147,14 @@ class TestIngest:
         args = ["ingest", "--telemetry", str(tel), "--topology", str(tel / "topology.json"),
                 "--dataset", str(tmp_path / "d.jsonl")]
         assert main(args) == 2
-        assert main(args + ["--no-strict"]) == 0
+        report_path = tmp_path / "report.json"
+        assert main(args + ["--no-strict", "--report", str(report_path)]) == 0
+        # the report is IngestStats in field order, plus the label statistics
+        report = json.loads(report_path.read_text())
+        assert list(report) == [
+            "windows_total", "windows_built", "dropped_no_label", "dropped_missing_data",
+            "unknown_label_series", "dropped_missing_by_series", "parse_skipped", "labels"]
+        assert report["parse_skipped"] == 1
 
     @pytest.mark.parametrize("file_name,bad_line", [
         ("latency.csv", "12.5,nan"),
@@ -154,6 +171,24 @@ class TestIngest:
         assert main(["ingest", "--telemetry", str(tel), "--topology", str(tel / "topology.json"),
                      "--dataset", str(tmp_path / "d.jsonl")]) == 2
         assert "line 2:" in capsys.readouterr().err
+
+    def test_parse_error_names_the_file(self, tmp_path, capsys, pipeline):
+        import shutil
+        tel = tmp_path / "tel"
+        shutil.copytree(pipeline["sim"], tel)
+        lines = (tel / "telemetry.prom").read_text().splitlines(keepends=True)
+        (tel / "telemetry.prom").unlink()
+        half = len(lines) // 2
+        (tel / "a.prom").write_text("".join(lines[:half]))
+        b_lines = lines[half:]
+        b_lines[4] = "garbage here\n"
+        (tel / "b.prom").write_text("".join(b_lines))
+        args = ["ingest", "--telemetry", str(tel), "--topology", str(tel / "topology.json"),
+                "--dataset", str(tmp_path / "d.jsonl")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"{tel / 'b.prom'}: line 5: bad sample value 'here'" in err
+        assert main(args + ["--no-strict"]) == 0
 
     def test_no_windows_exit_3(self, tmp_path, scenario_file):
         short = json.loads(scenario_file.read_text())

@@ -475,3 +475,47 @@ class TestScenarioFile:
         })
         result = run_scenario(scenario)
         assert result.arrivals_total >= 0
+
+
+def _scenario_with(path, value):
+    """A small valid scenario with the field at ``path`` (keys and indices) set."""
+    raw = {
+        "preset": "online_boutique_like",
+        "duration_s": 10.0,
+        "noise_sigma": 0.01,
+        "profile": [{"kind": "ramp", "duration_s": 10.0, "start_rate": 1.0, "end_rate": 2.0}],
+        "capacities": {"frontend": {"pods": 2}},
+        "request_mix": [{"name": "browse", "path": ["frontend"], "weight": 1.0}],
+    }
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return raw
+
+
+_CAPACITY_FIELDS = [f.name for f in dataclasses.fields(ServiceCapacity)]
+
+
+class TestNonFiniteScenario:
+    """NaN and infinities are rejected before a simulation could start on them."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("path", [
+        ("profile", 0, "duration_s"),
+        ("profile", 0, "start_rate"),
+        ("profile", 0, "end_rate"),
+        ("duration_s",),
+        ("noise_sigma",),
+        ("seed",),
+        ("queue_cap",),
+        ("request_mix", 0, "weight"),
+        *[("capacities", "frontend", name) for name in _CAPACITY_FIELDS],
+    ], ids=lambda p: ".".join(map(str, p)))
+    def test_rejected(self, path, value):
+        with pytest.raises(SchemaError):
+            scenario_from_dict(_scenario_with(path, value))
+
+    def test_finite_values_still_load(self):
+        scenario = scenario_from_dict(_scenario_with(("noise_sigma",), 0.0))
+        assert scenario.duration_s == 10.0 and scenario.noise_sigma == 0.0

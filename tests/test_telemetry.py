@@ -240,6 +240,14 @@ class TestLatencyCsv:
             read_latency_csv(path)
         assert err.value.line_number == 3
 
+    @pytest.mark.parametrize("row", ["1.0,0.5,junk", "1.0,0.5,", "1.0"])
+    def test_row_without_two_fields_rejected_with_line_number(self, tmp_path, row):
+        path = tmp_path / "latency.csv"
+        path.write_text(f"timestamp,latency_seconds\n0.5,0.25\n{row}\n")
+        with pytest.raises(ParseError, match="expected 2 fields") as err:
+            read_latency_csv(path)
+        assert err.value.line_number == 3
+
     @given(st.lists(st.tuples(
         st.floats(allow_nan=False, allow_infinity=False),
         st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))))
