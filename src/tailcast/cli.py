@@ -29,6 +29,7 @@ from .fusion import (
 from .simulator import load_scenario, run_scenario
 from .statgraph import Topology, chronological_split, load_dataset, normalize_dataset, save_dataset
 from .telemetry import (
+    SeriesColumns,
     WindowSpec,
     build_snapshots,
     parse_exposition,
@@ -122,6 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
+        if args.seed < 0:
+            raise SchemaError(f"--seed must be >= 0, got {args.seed}")
         scenario.seed = args.seed
     result = run_scenario(scenario)
     out = Path(args.out_dir)
@@ -163,7 +166,7 @@ def cmd_ingest(args) -> int:
         raise SchemaError(f"missing latency sidecar {latency_path}")
     topology = Topology.from_dict(json.loads(Path(args.topology).read_text(encoding="utf-8")))
 
-    samples = []
+    samples = SeriesColumns()  # series in order of first appearance across the files
     skipped = 0
     for path in prom_files:
         try:

@@ -46,7 +46,7 @@ class ServiceCapacity:
     def __post_init__(self):
         if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
             raise SchemaError(f"capacity fields must be finite: {self}")
-        if self.pods < 1 or self.service_rate <= 0:
+        if self.pods < 1 or self.pods != int(self.pods) or self.service_rate <= 0:
             raise SchemaError(f"invalid capacity: pods={self.pods}, service_rate={self.service_rate}")
 
 
@@ -555,6 +555,17 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(raw)
 
 
+def _count(raw: dict, key: str, default: int) -> int:
+    """A scenario field that must be an integer >= 0 (2.0 is one; 1.9, -1 and "3" are not)."""
+    value = raw.get(key, default)
+    try:
+        if int(value) == value and value >= 0:
+            return int(value)
+    except (OverflowError, TypeError, ValueError):
+        pass
+    raise SchemaError(f"scenario {key} must be an integer >= 0, got {value!r}")
+
+
 def scenario_from_dict(raw: dict) -> Scenario:
     presets = preset_topologies()
     if "preset" in raw:
@@ -600,12 +611,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if not (math.isfinite(duration) and duration > 0):
         raise SchemaError(f"scenario duration must be finite and > 0, got {duration}")
     noise_sigma = float(raw.get("noise_sigma", 0.01))
-    if not math.isfinite(noise_sigma):
-        raise SchemaError(f"scenario noise_sigma must be finite, got {noise_sigma}")
-    try:
-        seed, queue_cap = int(raw.get("seed", 0)), int(raw.get("queue_cap", 500))
-    except (OverflowError, ValueError) as exc:
-        raise SchemaError(f"scenario seed and queue_cap must be integers: {exc}") from exc
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise SchemaError(f"scenario noise_sigma must be finite and >= 0, got {noise_sigma}")
+    seed, queue_cap = _count(raw, "seed", 0), _count(raw, "queue_cap", 500)
 
     cluster = ClusterSpec(topology=topology, capacities=capacities, request_types=request_types)
     cluster.validate()

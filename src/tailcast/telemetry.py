@@ -1,25 +1,27 @@
 """Turn raw metric streams into supervised snapshots.
 
-The ingestion path: parse exposition-format text into samples, group them
-into per-series time sequences, slide a 30 s window every 5 s, convert
-cumulative counters to rates, average gauges, attach the window's P95
-latency label, and emit a :class:`~tailcast.statgraph.Dataset`.
+The ingestion path: parse exposition-format text straight into per-series
+columns, slide a 30 s window every 5 s, convert cumulative counters to
+rates, average gauges, attach the window's P95 latency label, and emit a
+:class:`~tailcast.statgraph.Dataset`.
+
+The parser fills a :class:`SeriesColumns`, one pair of ``array('d')``
+buffers (timestamps, values) per series. Its exact character grammar runs
+once per distinct ``name{labels}`` head text, which is then mapped to its
+series: no per-sample object, label dict or series key is made.
 
 Assembly is one loop over the series in order of first appearance: each
-series is classified from its metric and labels, windowed once, and written
-into its node, edge or resource cell, so its contribution is computed apart
-from every other series. :class:`IngestStats` reports what was kept and
+series is sorted by time with one stable ``argsort``, classified from its
+metric and labels, windowed once, and written into its node, edge or
+resource cell, so its contribution is computed apart from every other
+series. Windowing finds every window's sample range in a series with one
+``searchsorted`` and computes each feature for all windows at once; a
+window holding a counter reset goes through :func:`counter_to_rate`, the
+one definition of the reset rule. The features equal the per-window
+definitions bit for bit. :class:`IngestStats` reports what was kept and
 dropped: window counts, unlabelled and under-covered windows, series with
-unknown labels, skipped malformed lines, and per series the labelled windows
-it left under-covered.
-
-Both hot paths do per-series work. The parser runs its exact character
-grammar once per distinct ``name{labels}`` head and reuses the result for
-later lines with the same head. Windowing finds every window's sample range
-in a series with one ``searchsorted`` and computes each feature for all
-windows at once; a window holding a counter reset goes through
-:func:`counter_to_rate`, the one definition of the reset rule. The
-features equal the per-window definitions bit for bit.
+unknown labels, skipped malformed lines, and per series the labelled
+windows it left under-covered.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
@@ -58,16 +61,6 @@ RESOURCE_METRICS = (
 )
 
 
-@dataclass
-class MetricSample:
-    """One parsed exposition line."""
-
-    name: str
-    labels: dict[str, str]
-    value: float
-    timestamp: float | None = None
-
-
 @dataclass(frozen=True)
 class WindowSpec:
     """Sliding-window geometry: 30 s windows emitted every 5 s by default."""
@@ -80,9 +73,39 @@ class WindowSpec:
             raise ValueError(f"need 0 < stride <= length, got stride={self.stride} length={self.length}")
 
 
+SeriesKey = tuple[str, tuple[tuple[str, str], ...]]
+
+
+@dataclass
+class SeriesColumns:
+    """Parsed samples by series: one pair of float64 buffers per series.
+
+    ``series`` maps ``(name, sorted label items)`` to its (timestamps,
+    values) ``array('d')`` buffers, in order of first appearance; a series
+    keeps its samples in line order. A sample without a timestamp is held
+    with a NaN timestamp, and ``untimed`` is the metric name of the first
+    such sample in line order. ``len()`` is the number of samples.
+    """
+
+    series: dict[SeriesKey, tuple[array, array]] = field(default_factory=dict)
+    untimed: str | None = None
+
+    def __len__(self) -> int:
+        return sum(len(ts) for ts, _ in self.series.values())
+
+    def extend(self, other: SeriesColumns) -> None:
+        """Append ``other``'s samples after these, as if its lines came next."""
+        for key, (ts, vs) in other.series.items():
+            mine_ts, mine_vs = self.series.setdefault(key, (array("d"), array("d")))
+            mine_ts.extend(ts)
+            mine_vs.extend(vs)
+        if self.untimed is None:
+            self.untimed = other.untimed
+
+
 @dataclass
 class ParseResult:
-    samples: list[MetricSample]
+    samples: SeriesColumns
     skipped: list[tuple[int, str]] = field(default_factory=list)
 
 
@@ -157,86 +180,67 @@ def _parse_head(line: str, line_no: int) -> tuple[str, dict[str, str], int]:
     return name, labels, i
 
 
-def _parse_line(line: str, line_no: int, heads: dict[str, tuple[str, dict[str, str]]]) -> MetricSample:
-    """Parse one line, reusing a head that ``heads`` holds from an earlier line.
-
-    The lookup key is the line up to its last '}', where a labelled head ends
-    (a value or timestamp holds none). A key is stored only as the exact text
-    :func:`_parse_head` consumed, and that parse reads nothing past the
-    closing '}', so a hit would parse the same way again; a miss, and every
-    head error, goes through :func:`_parse_head`. Heads without labels are
-    stored but never found: a key ends with '}' or is empty.
-    """
-    end = line.rfind("}") + 1
-    head = heads.get(line[:end])
-    if head is None:
-        name, labels, end = _parse_head(line, line_no)
-        head = heads[line[:end]] = (name, labels)
-    name, labels = head[0], dict(head[1])
-    rest = line[end:].split()
-    if len(rest) not in (1, 2):
-        raise ParseError("expected 'value [timestamp]' after metric", line_number=line_no, line=line)
-    try:
-        value = float(rest[0])
-    except ValueError:
-        raise ParseError(f"bad sample value {rest[0]!r}", line_number=line_no, line=line) from None
-    timestamp = None
-    if len(rest) == 2:
-        try:
-            timestamp = float(rest[1])
-        except ValueError:
-            raise ParseError(f"bad timestamp {rest[1]!r}", line_number=line_no, line=line) from None
-        if not math.isfinite(timestamp):
-            raise ParseError("non-finite timestamp", line_number=line_no, line=line)
-    if math.isnan(value):
-        raise ParseError("NaN sample value", line_number=line_no, line=line)
-    return MetricSample(name=name, labels=labels, value=value, timestamp=timestamp)
-
-
 def parse_exposition(text: str, strict: bool = True) -> ParseResult:
-    """Parse exposition-format text (timestamps are seconds).
+    """Parse exposition-format text (timestamps are seconds) into columns.
 
     Comment (``#``) and blank lines are skipped. In strict mode a malformed
     line raises :class:`ParseError` carrying the line number; in lenient mode
-    it is skipped and recorded in ``result.skipped``. Samples never share a
-    label dict.
+    it is skipped and recorded in ``result.skipped``.
+
+    A line's head is looked up by the line up to its last '}', where a
+    labelled head ends (a value or timestamp holds none). A head text is
+    stored only as the exact text :func:`_parse_head` consumed, from a line
+    that parsed, and that parse reads nothing past the closing '}', so a hit
+    would parse the same way again; a miss, and every head error, goes
+    through :func:`_parse_head`. Heads without labels are stored but never
+    found: a lookup key ends with '}' or is empty.
     """
-    result = ParseResult(samples=[])
-    heads: dict[str, tuple[str, dict[str, str]]] = {}
+    columns = SeriesColumns()
+    result = ParseResult(samples=columns)
+    # head text -> (metric name, timestamp buffer, value buffer) of its series
+    heads: dict[str, tuple[str, array, array]] = {}
     # split on newlines only: splitlines() would also break on exotic
     # separators (\x1c..\x1e etc.) that are legal inside label values
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
+        end = line.rfind("}") + 1
+        head = heads.get(line[:end])
         try:
-            result.samples.append(_parse_line(line, line_no, heads))
+            if head is None:
+                name, labels, end = _parse_head(line, line_no)
+            rest = line[end:].split()
+            if not 0 < len(rest) < 3:
+                raise ParseError("expected 'value [timestamp]' after metric", line_number=line_no, line=line)
+            try:
+                value = float(rest[0])
+            except ValueError:
+                raise ParseError(f"bad sample value {rest[0]!r}", line_number=line_no, line=line) from None
+            timestamp = math.nan
+            if len(rest) == 2:
+                try:
+                    timestamp = float(rest[1])
+                except ValueError:
+                    raise ParseError(f"bad timestamp {rest[1]!r}", line_number=line_no, line=line) from None
+                if not math.isfinite(timestamp):
+                    raise ParseError("non-finite timestamp", line_number=line_no, line=line)
+            if value != value:
+                raise ParseError("NaN sample value", line_number=line_no, line=line)
         except ParseError as exc:
             if strict:
                 raise
             result.skipped.append((line_no, str(exc)))
             logger.warning("skipping malformed line %d: %s", line_no, exc)
+            continue
+        if head is None:
+            key = (name, tuple(sorted(labels.items())))
+            head = heads[line[:end]] = (name, *columns.series.setdefault(key, (array("d"), array("d"))))
+        head[1].append(timestamp)
+        head[2].append(value)
+        if len(rest) == 1 and columns.untimed is None:
+            columns.untimed = head[0]
     return result
-
-
-def _escape(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def format_sample(sample: MetricSample) -> str:
-    """Inverse of the parser: format one sample as an exposition line."""
-    label_part = ""
-    if sample.labels:
-        inner = ",".join(f'{k}="{_escape(v)}"' for k, v in sample.labels.items())
-        label_part = "{" + inner + "}"
-    line = f"{sample.name}{label_part} {sample.value!r}"
-    if sample.timestamp is not None:
-        line += f" {sample.timestamp!r}"
-    return line
-
-
-def format_exposition(samples: list[MetricSample]) -> str:
-    return "\n".join(format_sample(s) for s in samples) + ("\n" if samples else "")
 
 
 # ---------------------------------------------------------------------------
@@ -353,60 +357,37 @@ class IngestStats:
     parse_skipped: int = 0  # malformed lines a lenient parse skipped; set by the caller
 
 
-SeriesKey = tuple[str, tuple[tuple[str, str], ...]]
-
-
-def _series_key(sample: MetricSample) -> SeriesKey:
-    return sample.name, tuple(sorted(sample.labels.items()))
-
-
-def group_series(samples: list[MetricSample]) -> dict[SeriesKey, list[tuple[float, float]]]:
-    """Group samples into per-series (timestamp, value) sequences, time-sorted."""
-    series: dict[SeriesKey, list[tuple[float, float]]] = {}
-    for s in samples:
-        if s.timestamp is None:
-            raise SchemaError(f"sample of {s.name!r} lacks a timestamp; cannot window it")
-        series.setdefault(_series_key(s), []).append((s.timestamp, s.value))
-    for values in series.values():
-        values.sort(key=lambda tv: tv[0])
-    return series
-
-
-def _window_bounds(series, starts, ends):
-    """Values of a time-sorted series, and per window the [lo, hi) index range
-    of its samples with start <= timestamp <= end."""
-    ts, vs = np.array(series, dtype=np.float64).T.copy()
-    return vs, np.searchsorted(ts, starts, side="left"), np.searchsorted(ts, ends, side="right")
-
-
-def _counter_rates(series, starts, ends) -> tuple[np.ndarray, np.ndarray]:
+def _counter_rates(ts, vs, starts, ends) -> tuple[np.ndarray, np.ndarray]:
     """:func:`counter_to_rate` over every window at once, bit for bit.
 
     Returns the rates and the mask of windows with at least two samples
     (rates elsewhere are 0). A window without a decrease is one monotone run,
     whose telescoped increase is last - first; a window with a reset goes
-    through :func:`counter_to_rate`.
+    through :func:`counter_to_rate`, given that window's (t, v) pairs.
     """
-    vs, lo, hi = _window_bounds(series, starts, ends)
+    # per window, the [lo, hi) range of samples with start <= t <= end
+    lo, hi = np.searchsorted(ts, starts, side="left"), np.searchsorted(ts, ends, side="right")
     covered = hi - lo >= 2
     decreases = np.concatenate(([0], np.cumsum(vs[1:] < vs[:-1])))
-    lo, last = lo[covered], hi[covered] - 1
+    first, last = lo[covered], hi[covered] - 1
     rates = np.zeros(len(starts))
     # + 0.0 as the loop's 0.0 + increase: a -0.0 difference becomes 0.0
-    rates[covered] = (vs[last] - vs[lo] + 0.0) / (ends[covered] - starts[covered])
-    for w in np.flatnonzero(covered)[decreases[last] > decreases[lo]]:
-        rates[w] = counter_to_rate(series, (float(starts[w]), float(ends[w])))
+    rates[covered] = (vs[last] - vs[first] + 0.0) / (ends[covered] - starts[covered])
+    for w in np.flatnonzero(covered)[decreases[last] > decreases[first]]:
+        window = slice(lo[w], hi[w])
+        pairs = list(zip(ts[window].tolist(), vs[window].tolist()))
+        rates[w] = counter_to_rate(pairs, (float(starts[w]), float(ends[w])))
     return rates, covered
 
 
-def _gauge_means(series, starts, ends) -> tuple[np.ndarray, np.ndarray]:
+def _gauge_means(ts, vs, starts, ends) -> tuple[np.ndarray, np.ndarray]:
     """Mean of each window's samples, and the mask of windows with any.
 
     Windows are grouped by sample count n and each group's (windows, n)
     block is reduced along its rows, which numpy sums as it does the 1-D
     ``np.mean`` of one window's samples.
     """
-    vs, lo, hi = _window_bounds(series, starts, ends)
+    lo, hi = np.searchsorted(ts, starts, side="left"), np.searchsorted(ts, ends, side="right")
     counts = hi - lo
     means = np.zeros(len(starts))
     for n in np.unique(counts[counts > 0]):
@@ -416,13 +397,13 @@ def _gauge_means(series, starts, ends) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_snapshots(
-    samples: list[MetricSample],
+    samples: SeriesColumns,
     topology: Topology,
     spec: WindowSpec,
     latency_samples: list[tuple[float, float]],
     strict: bool = True,
 ) -> tuple[Dataset, IngestStats]:
-    """Assemble windowed snapshots from parsed metric samples.
+    """Assemble windowed snapshots from parsed per-series columns.
 
     Per window: node rows carry the request rate and request-byte rate a
     service receives and the response-byte rate of the calls it makes; edge
@@ -431,23 +412,30 @@ def build_snapshots(
     rate). The label is the window's nearest-rank P95 over latency samples
     completing inside it.
 
-    One pass over the series, in order of first appearance, classifies each
-    series by its metric and labels, computes its window values once and
-    writes them into its cells: a node cell sums its series in that order,
-    and a later duplicate of an edge row or resource cell replaces the
-    earlier one. A series naming an unknown service or metric raises
+    Each series is sorted by time with one stable ``argsort`` (equal
+    timestamps keep line order). One pass over the series, in order of
+    first appearance, classifies each series by its metric and labels,
+    computes its window values once and writes them into its cells: a node
+    cell sums its series in that order, and a later duplicate of an edge row
+    or resource cell replaces the earlier one. A series naming an unknown service or metric raises
     :class:`SchemaError` (strict) or is counted in ``unknown_label_series``.
     Windows with no label or with an under-covered series are dropped and
     counted, never imputed; a resource slot without a series under-covers
     every window.
     """
     stats = IngestStats()
-    series = group_series(samples)
-    if not series:
+    if samples.untimed is not None:
+        raise SchemaError(f"sample of {samples.untimed!r} lacks a timestamp; cannot window it")
+    if not samples.series:
         return Dataset(topology=topology, snapshots=()), stats
+    series = {}
+    for key, (ts, vs) in samples.series.items():
+        ts, vs = np.frombuffer(ts), np.frombuffer(vs)
+        order = np.argsort(ts, kind="stable")
+        series[key] = ts[order], vs[order]
     # each series is time-sorted, so its first and last samples bound it
-    t0 = min(values[0][0] for values in series.values())
-    duration = max(values[-1][0] for values in series.values()) - t0
+    t0 = float(min(ts[0] for ts, _ in series.values()))
+    duration = float(max(ts[-1] for ts, _ in series.values())) - t0
 
     windows = np.array(sliding_windows(duration, spec), dtype=np.float64).reshape(-1, 2)
     starts, ends = t0 + windows[:, 0], t0 + windows[:, 1]
@@ -479,7 +467,7 @@ def build_snapshots(
             raise SchemaError(message)
         stats.unknown_label_series += 1
 
-    for (name, label_items), values in series.items():
+    for (name, label_items), (ts, vs) in series.items():
         labels = dict(label_items)
         if name in EDGE_METRICS:
             src_name = labels.get("source_workload")
@@ -499,7 +487,7 @@ def build_snapshots(
             if row is None:
                 continue
             col = EDGE_METRICS.index(name)
-            rates, covered = _counter_rates(values, starts, ends)
+            rates, covered = _counter_rates(ts, vs, starts, ends)
             key = f"{name}{{{src_name}->{dst_name}}}"
             short[key] = short.get(key, False) | ~covered
             # node sums add series in order, as a running total from 0.0
@@ -513,7 +501,7 @@ def build_snapshots(
                 unknown(f"{name}: unknown workload {workload!r}")
                 continue
             col, window_values = resource_cols[name]
-            res[:, svc, col], covered = window_values(values, starts, ends)
+            res[:, svc, col], covered = window_values(ts, vs, starts, ends)
             short[f"{name}{{{workload}}}"] = ~covered  # a later duplicate wins
         else:
             unknown(f"unknown metric {name!r}")

@@ -8,11 +8,13 @@ paths it is used to verify beyond the public entry points under test.
 import heapq
 import math
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
-from tailcast.errors import SchemaError
+from tailcast.errors import ParseError, SchemaError
 from tailcast.simulator import CLIENT, CPU_PERIOD_US, SimRequest, SimulationResult, Workload
+from tailcast.telemetry import _parse_head
 
 
 def fd_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -69,6 +71,93 @@ def gauge_mean(series, window) -> float | None:
     if not in_win:
         return None
     return float(np.mean(in_win))
+
+
+@dataclass
+class MetricSample:
+    """One parsed exposition line."""
+
+    name: str
+    labels: dict[str, str]
+    value: float
+    timestamp: float | None = None
+
+
+def _parse_line(line: str, line_no: int) -> MetricSample:
+    name, labels, end = _parse_head(line, line_no)
+    rest = line[end:].split()
+    if len(rest) not in (1, 2):
+        raise ParseError("expected 'value [timestamp]' after metric", line_number=line_no, line=line)
+    try:
+        value = float(rest[0])
+    except ValueError:
+        raise ParseError(f"bad sample value {rest[0]!r}", line_number=line_no, line=line) from None
+    timestamp = None
+    if len(rest) == 2:
+        try:
+            timestamp = float(rest[1])
+        except ValueError:
+            raise ParseError(f"bad timestamp {rest[1]!r}", line_number=line_no, line=line) from None
+        if not math.isfinite(timestamp):
+            raise ParseError("non-finite timestamp", line_number=line_no, line=line)
+    if math.isnan(value):
+        raise ParseError("NaN sample value", line_number=line_no, line=line)
+    return MetricSample(name=name, labels=labels, value=value, timestamp=timestamp)
+
+
+def parse_lines(text: str, strict: bool = True) -> tuple[list[MetricSample], list[tuple[int, str]]]:
+    """One sample object per exposition line, in line order, and the skipped
+    (line number, message) entries of a lenient parse.
+
+    Every line's head goes through the package's own head grammar
+    (``telemetry._parse_head``), which the print-parse round trips pin; this
+    oracle is the per-line plumbing the columnar parse must equal.
+    """
+    samples, skipped = [], []
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            samples.append(_parse_line(line, line_no))
+        except ParseError as exc:
+            if strict:
+                raise
+            skipped.append((line_no, str(exc)))
+    return samples, skipped
+
+
+def group_series(samples: list[MetricSample]) -> dict[tuple, list[tuple[float, float]]]:
+    """Per-series (timestamp, value) lists, keyed by (name, sorted label
+    items) in order of first appearance, each stably sorted by time."""
+    series: dict[tuple, list[tuple[float, float]]] = {}
+    for s in samples:
+        if s.timestamp is None:
+            raise SchemaError(f"sample of {s.name!r} lacks a timestamp; cannot window it")
+        series.setdefault((s.name, tuple(sorted(s.labels.items()))), []).append((s.timestamp, s.value))
+    for values in series.values():
+        values.sort(key=lambda tv: tv[0])
+    return series
+
+
+def _escape(value: str) -> str:
+    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
+def format_sample(sample: MetricSample) -> str:
+    """Inverse of the parser: format one sample as an exposition line."""
+    label_part = ""
+    if sample.labels:
+        inner = ",".join(f'{k}="{_escape(v)}"' for k, v in sample.labels.items())
+        label_part = "{" + inner + "}"
+    line = f"{sample.name}{label_part} {sample.value!r}"
+    if sample.timestamp is not None:
+        line += f" {sample.timestamp!r}"
+    return line
+
+
+def format_exposition(samples: list[MetricSample]) -> str:
+    return "\n".join(format_sample(s) for s in samples) + ("\n" if samples else "")
 
 
 def dense_graph_attention(

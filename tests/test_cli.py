@@ -72,6 +72,19 @@ class TestSimulate:
         assert "duration must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_out_of_range_scenario_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        scenario = {"preset": "online_boutique_like", "seed": 1.9,
+                    "profile": [{"kind": "plateau", "duration_s": 5.0, "start_rate": 1.0}]}
+        bad.write_text(json.dumps(scenario))
+        assert main(["simulate", "--scenario", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "seed must be an integer >= 0, got 1.9" in capsys.readouterr().err
+        scenario["seed"] = 1
+        bad.write_text(json.dumps(scenario))
+        assert main(["simulate", "--scenario", str(bad), "--seed", "-1",
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["simulate", "--scenario", str(tmp_path / "nope.json"),
                      "--out-dir", str(tmp_path / "o")]) == 2
@@ -189,6 +202,30 @@ class TestIngest:
         err = capsys.readouterr().err
         assert f"{tel / 'b.prom'}: line 5: bad sample value 'here'" in err
         assert main(args + ["--no-strict"]) == 0
+
+    def test_split_across_files_equals_one_file(self, tmp_path, pipeline):
+        """a.prom + b.prom, cut inside a scrape, ingest to the one file's bytes."""
+        import shutil
+        tel = tmp_path / "tel"
+        shutil.copytree(pipeline["sim"], tel)
+        lines = (tel / "telemetry.prom").read_text().splitlines(keepends=True)
+        (tel / "telemetry.prom").unlink()
+        cut = len(lines) // 2 + 7
+        # inside one scrape, and every series has samples in both files
+        assert lines[cut - 1].split()[-1] == lines[cut].split()[-1]
+        heads = [{line.split()[0] for line in part} for part in (lines[:cut], lines[cut:])]
+        assert heads[0] == heads[1]
+        (tel / "a.prom").write_text("".join(lines[:cut]))
+        (tel / "b.prom").write_text("".join(lines[cut:]))
+        outputs = []
+        for i, directory in enumerate((pipeline["sim"], tel)):
+            out = tmp_path / f"out{i}"
+            out.mkdir()
+            assert main(["ingest", "--telemetry", str(directory),
+                         "--topology", str(directory / "topology.json"),
+                         "--dataset", str(out / "d.jsonl"), "--report", str(out / "report.json")]) == 0
+            outputs.append(((out / "d.jsonl").read_bytes(), (out / "report.json").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_no_windows_exit_3(self, tmp_path, scenario_file):
         short = json.loads(scenario_file.read_text())

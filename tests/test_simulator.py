@@ -35,7 +35,7 @@ from tailcast.simulator import (
     scenario_from_dict,
 )
 from tailcast.statgraph import Topology
-from tailcast.telemetry import WindowSpec, group_series, parse_exposition, window_p95
+from tailcast.telemetry import WindowSpec, parse_exposition, window_p95
 
 
 def single_service_spec(pods=1, rate=2.0):
@@ -167,9 +167,9 @@ class TestQueueing:
                                    np.random.default_rng(0))
         result = run_simulation(spec, workload, 100.0, rng=np.random.default_rng(1))
         assert result.latency_records == []
-        series = group_series(parse_exposition(result.exposition_text).samples)
-        for key, values in series.items():
-            vals = {v for _, v in values}
+        series = parse_exposition(result.exposition_text).samples.series
+        for key, (_, values) in series.items():
+            vals = set(values)
             assert len(vals) == 1, f"series {key} moved with zero arrivals"
 
     def test_doubling_load_increases_p95(self):
@@ -364,7 +364,7 @@ class TestConservation:
         workload = sample_workload(plateau(20.0, 120.0), spec.request_types,
                                    np.random.default_rng(61))
         result = run_simulation(spec, workload, 120.0, rng=np.random.default_rng(62))
-        series = group_series(parse_exposition(result.exposition_text).samples)
+        series = parse_exposition(result.exposition_text).samples.series
         topo = spec.topology
 
         # oracle: count hop arrivals from the request records
@@ -380,7 +380,7 @@ class TestConservation:
             for (src, dst), expected in counts.items():
                 key = ("istio_requests_total",
                        (("destination_workload", dst), ("source_workload", src)))
-                values = dict(series[key])
+                values = dict(zip(*series[key]))
                 assert values[check_t] == float(expected)
 
     def test_telemetry_p95_matches_simulator_p95(self):
@@ -519,3 +519,28 @@ class TestNonFiniteScenario:
     def test_finite_values_still_load(self):
         scenario = scenario_from_dict(_scenario_with(("noise_sigma",), 0.0))
         assert scenario.duration_s == 10.0 and scenario.noise_sigma == 0.0
+
+
+class TestOutOfRangeScenario:
+    """Finite values outside a field's range are rejected, not rounded or ignored."""
+
+    @pytest.mark.parametrize("path,value", [
+        (("capacities", "frontend", "pods"), 2.5),  # would run 3 servers (busy < pods)
+        (("queue_cap",), -3),
+        (("queue_cap",), 2.5),
+        (("noise_sigma",), -0.5),
+        (("seed",), 1.9),  # would run as seed 1
+        (("seed",), -1),  # would fail later, in SeedSequence
+        (("seed",), "3"),
+    ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v))
+    def test_rejected(self, path, value):
+        with pytest.raises(SchemaError):
+            scenario_from_dict(_scenario_with(path, value))
+
+    def test_integral_values_load_as_integers(self):
+        raw = _scenario_with(("seed",), 7.0)
+        raw["queue_cap"] = 0
+        raw["capacities"]["frontend"]["pods"] = 3
+        scenario = scenario_from_dict(raw)
+        assert (scenario.seed, scenario.queue_cap) == (7, 0)
+        assert type(scenario.seed) is int and scenario.cluster.capacities["frontend"].pods == 3

@@ -7,17 +7,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import gauge_mean, nearest_rank_p95
+from oracles import (
+    MetricSample,
+    format_exposition,
+    format_sample,
+    gauge_mean,
+    group_series,
+    nearest_rank_p95,
+    parse_lines,
+)
 
 from tailcast.errors import ParseError, SchemaError
 from tailcast.statgraph import Topology
 from tailcast.telemetry import (
-    MetricSample,
     WindowSpec,
     build_snapshots,
     counter_to_rate,
-    format_exposition,
-    format_sample,
     parse_exposition,
     read_latency_csv,
     sliding_windows,
@@ -26,12 +31,23 @@ from tailcast.telemetry import (
 )
 
 
+def _samples(columns):
+    """Parsed columns as sample objects, series by series, each in line order."""
+    return [MetricSample(name, dict(items), v, None if math.isnan(t) else t)
+            for (name, items), (ts, vs) in columns.series.items() for t, v in zip(ts, vs)]
+
+
+def _columns(samples):
+    """Hand-built samples, written as exposition text and parsed."""
+    return parse_exposition(format_exposition(samples)).samples
+
+
 class TestParser:
     def test_basic_line(self):
         text = 'istio_requests_total{source_workload="frontend",destination_workload="cart"} 42 1700000000'
         result = parse_exposition(text)
         assert len(result.samples) == 1
-        s = result.samples[0]
+        [s] = _samples(result.samples)
         assert s.name == "istio_requests_total"
         assert s.labels == {"source_workload": "frontend", "destination_workload": "cart"}
         assert s.value == 42.0
@@ -39,22 +55,23 @@ class TestParser:
 
     def test_comments_and_blanks_skipped(self):
         text = "# HELP istio_requests_total count\n# TYPE istio_requests_total counter\n\n"
-        assert parse_exposition(text).samples == []
+        samples = parse_exposition(text).samples
+        assert len(samples) == 0 and samples.series == {}
 
     def test_no_labels_no_timestamp(self):
         result = parse_exposition("up 1")
-        assert result.samples[0].labels == {}
-        assert result.samples[0].timestamp is None
+        assert _samples(result.samples) == [MetricSample("up", {}, 1.0, None)]
+        assert result.samples.untimed == "up"
 
     def test_escaped_quote_roundtrips(self):
         sample = MetricSample("m", {"k": 'a"b'}, 1.5, 2.0)
         line = format_sample(sample)
-        parsed = parse_exposition(line).samples[0]
+        [parsed] = _samples(parse_exposition(line).samples)
         assert parsed == sample
 
     def test_escapes_backslash_and_newline(self):
         sample = MetricSample("m", {"k": 'a\\b\nc"d'}, 1.0, None)
-        parsed = parse_exposition(format_sample(sample)).samples[0]
+        [parsed] = _samples(parse_exposition(format_sample(sample)).samples)
         assert parsed == sample
 
     def test_malformed_line_strict_raises_with_line_number(self):
@@ -95,17 +112,18 @@ class TestParser:
         # the second line reuses the head parsed on the first
         sample = MetricSample("some_metric", labels, value, timestamp)
         line = format_sample(sample)
-        parsed = parse_exposition(line + "\n" + line).samples
-        assert parsed == [sample, sample]
-        assert parsed[0].labels is not parsed[1].labels
+        assert _samples(parse_exposition(line + "\n" + line).samples) == [sample, sample]
 
-    def test_samples_sharing_a_head_get_independent_labels(self):
-        text = "".join(f'm{{a="b",c="d"}} {i} {i}\n' for i in range(3))
-        samples = parse_exposition(text).samples
-        samples[0].labels["a"] = "changed"
-        samples[1].labels.clear()
-        assert samples[2].labels == {"a": "b", "c": "d"}
-        assert parse_exposition(text).samples[0].labels == {"a": "b", "c": "d"}
+    def test_samples_sharing_a_head_share_one_series(self):
+        # one label set in either order is one series; parses share no buffer
+        text = "".join(f'm{{a="b",c="d"}} {i} {i}\n' for i in range(3)) + 'm{c="d",a="b"} 3 3\n'
+        first, second = parse_exposition(text).samples, parse_exposition(text).samples
+        key = ("m", (("a", "b"), ("c", "d")))
+        assert list(first.series) == [key]
+        ts, vs = first.series[key]
+        assert ts.tolist() == vs.tolist() == [0.0, 1.0, 2.0, 3.0]
+        vs[0] = -1.0
+        assert second.series[key][1].tolist() == [0.0, 1.0, 2.0, 3.0]
 
     @pytest.mark.parametrize("bad", ['m{a="b"} 1 2 3', 'm{a="b"} x', 'm{a="b"} 1 nan',
                                      'm{a="b"} nan 1', 'm{a="b"}} 1', 'm{a="b"}x 1'])
@@ -124,8 +142,88 @@ class TestParser:
 
     def test_format_exposition_multiline(self):
         samples = [MetricSample("a", {}, 1.0, 0.0), MetricSample("b", {"x": "y"}, 2.0, 5.0)]
-        text = format_exposition(samples)
-        assert parse_exposition(text).samples == samples
+        assert _samples(_columns(samples)) == samples
+
+
+_LABEL_VALUES = st.sampled_from(["", "x", 'a"b', "a\\b", "l\nm", "}", "{,=}", " sp "])
+_MALFORMED = ['m{a="b"} 1 2 3', 'm{a="b"} x', "bad metric line", "m{a=b} 1", 'm{a="b"} 1 nan',
+              "m nan", '{a="b"} 1', 'm{a="b"}} 1', 'm{a="b"} 1 inf', 'm{a="b\\q"} 1', 'm{a="b',
+              "9m 1", 'm{a="b"} 1 }', 'm{a="b"} 1 2}', "m"]
+
+
+@st.composite
+def _exposition(draw):
+    """Lines of a few series (each label set written in drawn orders, values
+    and timestamps with duplicates, -0.0 and disorder, some lines without a
+    timestamp when drawn) mixed with comment, blank and malformed lines."""
+    series = draw(st.lists(st.tuples(
+        st.sampled_from(["m", "node_cpu:rate"]),
+        st.dictionaries(st.sampled_from("abc"), _LABEL_VALUES, max_size=3)), min_size=1, max_size=4))
+    stamps = st.one_of(st.sampled_from([-0.0, 0.0, 1.5, 2.0, 1e9]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    if draw(st.booleans()):
+        stamps = st.one_of(st.none(), stamps)
+    values = st.one_of(st.just(-0.0), st.floats(allow_nan=False))
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(["sample"] * 4 + ["comment", "blank", "malformed"]),
+                              max_size=40)):
+        if kind == "sample":
+            name, labels = draw(st.sampled_from(series))
+            order = draw(st.permutations(list(labels)))
+            lines.append(format_sample(MetricSample(
+                name, {k: labels[k] for k in order}, draw(values), draw(stamps))))
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(["# HELP m help", "# TYPE m counter", "#"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+        else:
+            lines.append(draw(st.sampled_from(_MALFORMED)))
+    return "\n".join(lines)
+
+
+def _hex_pairs(pairs):
+    return [(None if t is None or math.isnan(t) else t.hex(), v.hex()) for t, v in pairs]
+
+
+def _error(parse, text):
+    try:
+        parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line_number
+    return None
+
+
+class TestColumnarParse:
+    """parse_exposition against the per-line oracle (parse_lines + group_series)."""
+
+    @given(_exposition())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_line_oracle(self, text):
+        samples, skipped = parse_lines(text, strict=False)
+        result = parse_exposition(text, strict=False)
+        columns = result.samples
+        assert result.skipped == skipped
+        assert len(columns) == len(samples)
+        in_line_order = {}
+        for s in samples:
+            in_line_order.setdefault((s.name, tuple(sorted(s.labels.items()))), []).append(
+                (s.timestamp, s.value))
+        assert list(columns.series) == list(in_line_order)
+        assert {key: _hex_pairs(zip(ts, vs)) for key, (ts, vs) in columns.series.items()} == {
+            key: _hex_pairs(pairs) for key, pairs in in_line_order.items()}
+        untimed = next((s.name for s in samples if s.timestamp is None), None)
+        assert columns.untimed == untimed
+        if untimed is None:
+            by_time = {key: _hex_pairs(sorted(zip(ts, vs), key=lambda tv: tv[0]))
+                       for key, (ts, vs) in columns.series.items()}
+            assert by_time == {key: _hex_pairs(pairs) for key, pairs in group_series(samples).items()}
+        else:
+            with pytest.raises(SchemaError) as want:
+                group_series(samples)
+            with pytest.raises(SchemaError) as got:
+                build_snapshots(columns, _mini_topology(), WindowSpec(), [(1.0, 0.1)])
+            assert str(got.value) == str(want.value)
+        assert _error(parse_exposition, text) == _error(parse_lines, text)
 
 
 class TestCounterToRate:
@@ -288,7 +386,7 @@ def _mini_samples(duration=40.0, step=5.0):
             lines.append(f'container_network_receive_bytes_total{{workload="{svc}"}} {200.0 * t!r} {t!r}')
             lines.append(f'container_network_transmit_bytes_total{{workload="{svc}"}} {1000.0 * t!r} {t!r}')
         t += step
-    return parse_exposition("\n".join(lines)).samples
+    return parse_lines("\n".join(lines))[0]
 
 
 class TestBuildSnapshots:
@@ -296,7 +394,7 @@ class TestBuildSnapshots:
         topo = _mini_topology()
         samples = _mini_samples()
         latency = [(float(t), 0.05 + 0.001 * (t % 7)) for t in range(1, 41)]
-        ds, stats = build_snapshots(samples, topo, WindowSpec(30.0, 5.0), latency)
+        ds, stats = build_snapshots(_columns(samples), topo, WindowSpec(30.0, 5.0), latency)
         assert stats.windows_total == 3
         assert stats.windows_built == 3
         snap = ds.snapshots[0]
@@ -323,15 +421,15 @@ class TestBuildSnapshots:
         extra = []
         t = 0.0
         while t <= 40.0:
-            extra.extend(parse_exposition(
+            extra.extend(parse_lines(
                 f'container_cpu_usage_seconds_total{{workload="idle"}} 0.0 {t!r}\n'
                 f'container_memory_usage_bytes{{workload="idle"}} 1.0 {t!r}\n'
                 f'container_spec_cpu_period{{workload="idle"}} 100000.0 {t!r}\n'
                 f'container_network_receive_bytes_total{{workload="idle"}} 0.0 {t!r}\n'
-                f'container_network_transmit_bytes_total{{workload="idle"}} 0.0 {t!r}').samples)
+                f'container_network_transmit_bytes_total{{workload="idle"}} 0.0 {t!r}')[0])
             t += 5.0
         latency = [(float(t), 0.05) for t in range(1, 41)]
-        ds, _ = build_snapshots(samples + extra, topo, WindowSpec(30.0, 5.0), latency)
+        ds, _ = build_snapshots(_columns(samples + extra), topo, WindowSpec(30.0, 5.0), latency)
         idle_edge = topo.edge_index()[(topo.index_of("front"), topo.index_of("idle"))]
         assert np.array_equal(ds.snapshots[0].edge_features[idle_edge], np.zeros(3))
 
@@ -339,7 +437,7 @@ class TestBuildSnapshots:
         topo = _mini_topology()
         samples = _mini_samples()
         latency = [(t, 0.05) for t in (31.0, 32.0, 40.0)]  # nothing in (0, 30]
-        ds, stats = build_snapshots(samples, topo, WindowSpec(30.0, 5.0), latency)
+        ds, stats = build_snapshots(_columns(samples), topo, WindowSpec(30.0, 5.0), latency)
         assert stats.dropped_no_label == 1
         assert stats.windows_built == 2
         assert len(ds.snapshots) == 2
@@ -347,12 +445,13 @@ class TestBuildSnapshots:
     def test_unknown_service_strict_vs_lenient(self):
         topo = _mini_topology()
         samples = _mini_samples()
-        rogue = parse_exposition(
-            'istio_requests_total{source_workload="front",destination_workload="ghost"} 1 0.0').samples
+        rogue = parse_lines(
+            'istio_requests_total{source_workload="front",destination_workload="ghost"} 1 0.0')[0]
+        columns = _columns(samples + rogue)
         latency = [(float(t), 0.05) for t in range(1, 41)]
         with pytest.raises(SchemaError):
-            build_snapshots(samples + rogue, topo, WindowSpec(30.0, 5.0), latency, strict=True)
-        ds, stats = build_snapshots(samples + rogue, topo, WindowSpec(30.0, 5.0), latency, strict=False)
+            build_snapshots(columns, topo, WindowSpec(30.0, 5.0), latency, strict=True)
+        ds, stats = build_snapshots(columns, topo, WindowSpec(30.0, 5.0), latency, strict=False)
         assert stats.unknown_label_series == 1
         assert len(ds.snapshots) == 3
 
@@ -361,7 +460,7 @@ class TestBuildSnapshots:
         samples = [s for s in _mini_samples() if not (
             s.name == "container_memory_usage_bytes" and s.labels.get("workload") == "back")]
         latency = [(float(t), 0.05) for t in range(1, 41)]
-        ds, stats = build_snapshots(samples, topo, WindowSpec(30.0, 5.0), latency)
+        ds, stats = build_snapshots(_columns(samples), topo, WindowSpec(30.0, 5.0), latency)
         assert len(ds.snapshots) == 0
         assert stats.dropped_missing_data == 3
         assert stats.dropped_missing_by_series == {"container_memory_usage_bytes{back}": 3}
@@ -373,7 +472,7 @@ class TestBuildSnapshots:
                    for s in _mini_samples()]
         latency = [(float(t), 0.05) for t in range(1, 41)]
         with pytest.raises(SchemaError):
-            build_snapshots(samples, _mini_topology(), WindowSpec(30.0, 5.0), latency)
+            build_snapshots(_columns(samples), _mini_topology(), WindowSpec(30.0, 5.0), latency)
 
 
 _SPAN = 80.0  # the dense mini streams cover [0, 80]: eleven 30 s windows
@@ -421,13 +520,13 @@ class TestVectorisedWindowing:
         add("container_cpu_usage_seconds_total", {"workload": "back"}, cpu)
         add("container_memory_usage_bytes", {"workload": "back"}, mem)
         latency = [(t + 0.5, 0.05) for t in range(int(_SPAN))]
-        return build_snapshots(samples, _mini_topology(), WindowSpec(30.0, 5.0), latency)
+        return build_snapshots(_columns(samples), _mini_topology(), WindowSpec(30.0, 5.0), latency)
 
     def _check(self, a, b, cpu, mem):
         ds, stats = self._ingest(a, b, cpu, mem)
         front, back = _mini_topology().index_of("front"), _mini_topology().index_of("back")
 
-        def by_time(points):  # what group_series hands the oracles
+        def by_time(points):  # the stable time sort build_snapshots windows
             return sorted(points, key=lambda tv: tv[0])
 
         oracles = {
