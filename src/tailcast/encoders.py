@@ -23,38 +23,6 @@ from .statgraph import Snapshot
 from .tensor import Tensor
 
 
-@dataclass(frozen=True)
-class TrafficEncoderConfig:
-    num_layers: int = 4
-    d_node: int = 3
-    d_edge: int = 3
-    d_emb: int = 16
-    num_heads: int = 4
-    dropout: float = 0.1
-
-    def __post_init__(self):
-        if self.num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
-        if self.d_emb % self.num_heads != 0:
-            raise ValueError(f"d_emb={self.d_emb} not divisible by num_heads={self.num_heads}")
-
-
-@dataclass(frozen=True)
-class ResourceEncoderConfig:
-    num_blocks: int = 4
-    d_resource: int = 5
-    d_emb: int = 16
-    expansion: int = 4
-    num_positions: int = 1  # number of service positions |V|; part of the data contract
-    dropout: float = 0.1
-
-    def __post_init__(self):
-        if self.num_blocks < 1:
-            raise ValueError("num_blocks must be >= 1")
-        if self.num_positions < 1:
-            raise ValueError("num_positions must be >= 1")
-
-
 class MessageRouting:
     """Where messages flow over one static topology; built once per model.
 
@@ -77,13 +45,12 @@ class MessageRouting:
             self.in_messages[node, :in_degree[node]] = np.flatnonzero(self.dst == node)
 
     @classmethod
-    def from_edges(cls, num_nodes: int, edges, reverse: bool = False) -> "MessageRouting":
+    def from_edges(cls, num_nodes: int, edges) -> "MessageRouting":
         """The edges, in edge order, then one self loop for each node without
         in-edges, so every node receives an update. Messages follow call
-        direction (caller -> callee) unless ``reverse``, which lets callee
-        state propagate upstream."""
+        direction (caller -> callee)."""
         pairs = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-        src, dst = (pairs[:, 1], pairs[:, 0]) if reverse else (pairs[:, 0], pairs[:, 1])
+        src, dst = pairs[:, 0], pairs[:, 1]
         loops = np.setdiff1d(np.arange(num_nodes), dst)
         return cls(num_nodes, np.concatenate([src, loops]), np.concatenate([dst, loops]),
                    len(loops))
@@ -171,15 +138,19 @@ class AttentionPool(Module):
 class TrafficEncoder(Module):
     """Input projection, stacked graph attention layers, attention pooling."""
 
-    def __init__(self, config: TrafficEncoderConfig, rng: np.random.Generator):
+    def __init__(self, *, num_layers: int, d_node: int, d_edge: int, d_emb: int,
+                 num_heads: int, dropout: float, rng: np.random.Generator):
         super().__init__()
-        self.config = config
-        self.input_proj = Linear(config.d_node, config.d_emb, rng)
+        if num_layers < 1:
+            raise ValueError("num_layers must be >= 1")
+        if d_emb % num_heads != 0:
+            raise ValueError(f"d_emb={d_emb} not divisible by num_heads={num_heads}")
+        self.input_proj = Linear(d_node, d_emb, rng)
         self.layers = [
-            GraphTransformerLayer(config.d_emb, config.d_edge, config.num_heads, config.dropout, rng)
-            for _ in range(config.num_layers)
+            GraphTransformerLayer(d_emb, d_edge, num_heads, dropout, rng)
+            for _ in range(num_layers)
         ]
-        self.pool = AttentionPool(config.d_emb, rng)
+        self.pool = AttentionPool(d_emb, rng)
 
     def __call__(self, batch: SnapshotBatch, rng: np.random.Generator | None = None,
                  node_features: Tensor | None = None,
@@ -233,22 +204,27 @@ class ResourceEncoder(Module):
     over service positions projected to the embedding width.
     """
 
-    def __init__(self, config: ResourceEncoderConfig, rng: np.random.Generator):
+    def __init__(self, *, num_blocks: int, d_resource: int, d_emb: int, expansion: int,
+                 num_positions: int, dropout: float, rng: np.random.Generator):
+        """``num_positions`` is the number of service positions |V|; it is
+        part of the data contract."""
         super().__init__()
-        self.config = config
-        d_model = config.d_emb
-        self.input_proj = Linear(config.d_resource, d_model, rng)
+        if num_blocks < 1:
+            raise ValueError("num_blocks must be >= 1")
+        if num_positions < 1:
+            raise ValueError("num_positions must be >= 1")
+        self.num_positions = num_positions
+        self.input_proj = Linear(d_resource, d_emb, rng)
         self.blocks = [
-            GmlpBlock(d_model, config.expansion * d_model, config.num_positions,
-                      config.dropout, rng)
-            for _ in range(config.num_blocks)
+            GmlpBlock(d_emb, expansion * d_emb, num_positions, dropout, rng)
+            for _ in range(num_blocks)
         ]
-        self.output_proj = Linear(d_model, config.d_emb, rng)
+        self.output_proj = Linear(d_emb, d_emb, rng)
 
     def __call__(self, resources: Tensor, rng: np.random.Generator | None = None) -> Tensor:
-        if resources.shape[1] != self.config.num_positions:
+        if resources.shape[1] != self.num_positions:
             raise ShapeError(
-                f"got {resources.shape[1]} service positions, encoder expects {self.config.num_positions}")
+                f"got {resources.shape[1]} service positions, encoder expects {self.num_positions}")
         z = self.input_proj(resources)
         for block in self.blocks:
             z = block(z, rng)

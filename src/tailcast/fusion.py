@@ -26,10 +26,8 @@ from . import tensor as T
 from .encoders import (
     MessageRouting,
     ResourceEncoder,
-    ResourceEncoderConfig,
     SnapshotBatch,
     TrafficEncoder,
-    TrafficEncoderConfig,
     collate_snapshots,
 )
 from .errors import CheckpointError, SchemaError
@@ -76,7 +74,6 @@ class ModelConfig:
     head_hidden: int = 16
     dropout_traffic: float = 0.1
     dropout_resource: float = 0.1
-    reverse_messages: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -91,6 +88,15 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """The config from its JSON form. Messages always follow call
+        direction: a ``reverse_messages`` field, which older checkpoints
+        carry, is accepted as ``false`` and refused otherwise."""
+        if not isinstance(d, dict):
+            raise SchemaError(f"bad model config: expected an object, got {type(d).__name__}")
+        d = dict(d)
+        if d.pop("reverse_messages", False) is not False:
+            raise CheckpointError("model_config.reverse_messages must be false: messages "
+                                  "follow call direction")
         try:
             return cls(**d)
         except TypeError as exc:
@@ -190,8 +196,7 @@ class LatencyModel(Predictor):
         super().__init__()
         self.config = config
         self.topology = topology
-        self.routing = MessageRouting.from_edges(
-            topology.num_services, topology.edges, config.reverse_messages)
+        self.routing = MessageRouting.from_edges(topology.num_services, topology.edges)
         entropy = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         streams = entropy.spawn(2)
         rng = np.random.default_rng(streams[0])
@@ -207,33 +212,33 @@ class LatencyModel(Predictor):
         self.fusion = None
 
         if spec.demand is not None:
-            self.traffic = TrafficEncoder(TrafficEncoderConfig(
+            self.traffic = TrafficEncoder(
                 num_layers=config.traffic_layers,
                 d_node=d_node,
                 d_edge=config.d_edge,
                 d_emb=config.d_emb,
                 num_heads=config.num_heads,
                 dropout=config.dropout_traffic,
-            ), rng)
+                rng=rng)
         if spec.capacity == "gmlp":
-            self.resource = ResourceEncoder(ResourceEncoderConfig(
+            self.resource = ResourceEncoder(
                 num_blocks=config.resource_blocks,
                 d_resource=config.d_resource,
                 d_emb=config.d_emb,
                 expansion=config.gmlp_expansion,
                 num_positions=topology.num_services,
                 dropout=config.dropout_resource,
-            ), rng)
+                rng=rng)
         if spec.capacity == "graph":
             # the ablation that imposes the call graph on resource state
-            self.resource_graph = TrafficEncoder(TrafficEncoderConfig(
+            self.resource_graph = TrafficEncoder(
                 num_layers=config.traffic_layers,
                 d_node=config.d_resource,
                 d_edge=config.d_edge,
                 d_emb=config.d_emb,
                 num_heads=config.num_heads,
                 dropout=config.dropout_resource,
-            ), rng)
+                rng=rng)
         if spec.combine == "fusion":
             self.fusion = DemandCapacityFusion(
                 config.d_emb, config.fusion_tokens, config.fusion_rank,
@@ -314,14 +319,18 @@ def save_model(path, model: LatencyModel, norm_stats: NormStats) -> None:
 
 
 def load_model(path) -> tuple[LatencyModel, NormStats]:
+    """Rebuild a saved model; every defect of the file is a :class:`CheckpointError`."""
     arrays, meta = load_checkpoint(path)
     try:
         config = ModelConfig.from_dict(meta["model_config"])
         topology = Topology.from_dict(meta["topology"])
-        stats = NormStats.from_dict(meta["normalization"])
+        stats = NormStats.from_dict(meta["normalization"],
+                                    (config.d_node, config.d_edge, config.d_resource))
+        model = LatencyModel(config, topology)
     except KeyError as exc:
         raise CheckpointError(f"checkpoint meta missing {exc}") from exc
-    model = LatencyModel(config, topology)
+    except (SchemaError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint meta: {exc}") from exc
     load_params_into(model.parameters(), arrays)
     model.eval()
     return model, stats
@@ -365,17 +374,3 @@ def write_embeddings_csv(path, embeddings: list[SystemEmbedding]) -> None:
         writer.writerow(["window_start"] + [f"z_f_{i:02d}" for i in range(width)])
         for emb in embeddings:
             writer.writerow([repr(float(emb.window_start))] + [repr(float(x)) for x in emb.fused])
-
-
-def read_embeddings_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`write_embeddings_csv`: (window_starts, matrix)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "window_start":
-            raise SchemaError("not an embedding export file")
-        starts, rows = [], []
-        for row in reader:
-            starts.append(float(row[0]))
-            rows.append([float(x) for x in row[1:]])
-    return np.asarray(starts), np.asarray(rows)

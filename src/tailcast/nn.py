@@ -100,12 +100,10 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape: tuple[int, ...] | None = None) -> Tensor:
-    """Glorot/Xavier uniform initialization."""
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
+    """Glorot/Xavier uniform initialization of a ``(fan_in, fan_out)`` weight."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    if shape is None:
-        shape = (fan_in, fan_out)
-    return parameter(rng.uniform(-limit, limit, size=shape))
+    return parameter(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
 
 
 class Linear(Module):

@@ -3,7 +3,7 @@
 Each service is a multi-server FIFO queue (pod count servers, exponential
 service times). A request walks its call path one hop at a time; end-to-end
 latency is the sum of per-hop queueing and service times. The simulator
-emits exposition-format telemetry every scrape interval plus a latency CSV,
+emits exposition-format telemetry every 5 s plus a latency CSV,
 so the ingestion pipeline consumes synthetic clusters and real scrapes
 identically.
 """
@@ -27,6 +27,7 @@ from .statgraph import Topology
 
 CLIENT = "client"  # pseudo-source for external arrivals
 CPU_PERIOD_US = 100000.0
+SCRAPE_INTERVAL = 5.0  # seconds between telemetry scrapes
 
 _DRAW_BLOCK = 4096  # service times drawn per rng call
 
@@ -216,8 +217,6 @@ class SimRequest:
 @dataclass
 class SimulationResult:
     topology: Topology
-    duration: float
-    scrape_interval: float
     arrivals_total: int
     completed_total: int
     requests: list[SimRequest]
@@ -233,10 +232,9 @@ def run_simulation(
     rng: np.random.Generator,
     noise_rng: np.random.Generator | None = None,
     noise_sigma: float = 0.0,
-    scrape_interval: float = 5.0,
     queue_cap: int = 500,
 ) -> SimulationResult:
-    """Run the event loop and scrape telemetry every ``scrape_interval``.
+    """Run the event loop and scrape telemetry every ``SCRAPE_INTERVAL`` seconds.
 
     Overload does not stop the run: scrapes where any service backlog
     exceeds ``queue_cap`` are flagged as saturated (those are the tail
@@ -359,10 +357,10 @@ def run_simulation(
         if overloaded:
             saturated.append(now)
 
-    num_scrapes = int(math.floor(duration / scrape_interval)) + 1
+    num_scrapes = int(math.floor(duration / SCRAPE_INTERVAL)) + 1
     for k in range(num_scrapes + 1):
         # run every event up to the scrape instant; after the last scrape, drain
-        until = k * scrape_interval if k < num_scrapes else math.inf
+        until = k * SCRAPE_INTERVAL if k < num_scrapes else math.inf
         while True:
             if next_arrival < num_arrivals and (not heap or arrivals[next_arrival][0] <= heap[0][0]):
                 now, kind = arrivals[next_arrival]
@@ -414,8 +412,6 @@ def run_simulation(
 
     return SimulationResult(
         topology=topo,
-        duration=duration,
-        scrape_interval=scrape_interval,
         arrivals_total=len(workload.arrivals),
         completed_total=len(completed),
         requests=completed,
@@ -534,6 +530,8 @@ class Scenario:
 
 
 def _segment_from_dict(d: dict) -> Segment:
+    if not isinstance(d, dict):
+        raise SchemaError(f"profile segment must be an object, got {d!r}")
     try:
         return Segment(
             kind=str(d["kind"]),
@@ -543,6 +541,32 @@ def _segment_from_dict(d: dict) -> Segment:
         )
     except KeyError as exc:
         raise SchemaError(f"profile segment missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"profile segment {d!r}: {exc}") from exc
+
+
+def _request_type_from_dict(d: dict) -> RequestType:
+    if not isinstance(d, dict):
+        raise SchemaError(f"request_mix entry must be an object, got {d!r}")
+    try:
+        name, path, weight = str(d["name"]), d["path"], float(d["weight"])
+    except KeyError as exc:
+        raise SchemaError(f"request_mix entry missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"request_mix entry {d!r}: bad weight: {exc}") from exc
+    if not (isinstance(path, list) and all(isinstance(s, str) for s in path)):
+        raise SchemaError(f"request_mix entry {name!r}: path must be a list of service names, "
+                          f"got {path!r}")
+    return RequestType(name=name, path=tuple(path), weight=weight)
+
+
+def _json_field(raw: dict, key: str, kind: type, default):
+    """A scenario field that must be a JSON object (``dict``) or list."""
+    value = raw.get(key, default)
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "a list"
+        raise SchemaError(f"scenario {key} must be {what}, got {value!r}")
+    return value
 
 
 def load_scenario(path) -> Scenario:
@@ -567,6 +591,8 @@ def _count(raw: dict, key: str, default: int) -> int:
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
+    if not isinstance(raw, dict):
+        raise SchemaError(f"scenario must be a JSON object, got {type(raw).__name__}")
     presets = preset_topologies()
     if "preset" in raw:
         name = raw["preset"]
@@ -587,7 +613,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     else:
         raise SchemaError("scenario needs either 'preset' or 'topology'")
 
-    for name, overrides in raw.get("capacities", {}).items():
+    for name, overrides in _json_field(raw, "capacities", dict, {}).items():
         if name not in topology.services:
             raise SchemaError(f"capacity override for unknown service {name!r}")
         try:
@@ -597,15 +623,14 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
     if "request_mix" in raw:
         request_types = tuple(
-            RequestType(name=str(r["name"]), path=tuple(r["path"]), weight=float(r["weight"]))
-            for r in raw["request_mix"]
-        )
+            _request_type_from_dict(r) for r in _json_field(raw, "request_mix", list, None))
     if not request_types:
         raise SchemaError("scenario has no request mix")
 
     if "profile" not in raw or not raw["profile"]:
         raise SchemaError("scenario needs a non-empty intensity profile")
-    profile = IntensityProfile(tuple(_segment_from_dict(s) for s in raw["profile"]))
+    profile = IntensityProfile(
+        tuple(_segment_from_dict(s) for s in _json_field(raw, "profile", list, None)))
 
     duration = float(raw.get("duration_s", profile.total_duration))
     if not (math.isfinite(duration) and duration > 0):

@@ -9,14 +9,11 @@ P95 latency in seconds.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ParseError, SchemaError
-
-logger = logging.getLogger(__name__)
 
 DATASET_FORMAT = "tailcast-dataset"
 DATASET_VERSION = 1
@@ -147,13 +144,24 @@ class NormStats:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "NormStats":
-        try:
-            return cls(**{k: np.asarray(d[k], dtype=np.float64) for k in (
-                "node_mean", "node_std", "edge_mean", "edge_std",
-                "resource_mean", "resource_std")})
-        except KeyError as exc:
-            raise SchemaError(f"normalization stats missing field {exc}") from exc
+    def from_dict(cls, d: dict, widths: tuple[int, int, int]) -> "NormStats":
+        """Stats from their JSON form; each mean and std must be a vector of
+        the node, edge or resource feature width given in ``widths``."""
+        if not isinstance(d, dict):
+            raise SchemaError(f"normalization must be an object, got {type(d).__name__}")
+        vectors = {}
+        for block, width in zip(("node", "edge", "resource"), widths):
+            for key in (f"{block}_mean", f"{block}_std"):
+                if key not in d:
+                    raise SchemaError(f"normalization stats missing field {key!r}")
+                try:
+                    vectors[key] = np.asarray(d[key], dtype=np.float64)
+                except (TypeError, ValueError) as exc:
+                    raise SchemaError(f"normalization {key}: {exc}") from exc
+                if vectors[key].shape != (width,):
+                    raise SchemaError(f"normalization {key} has shape {vectors[key].shape}, "
+                                      f"expected ({width},)")
+        return cls(**vectors)
 
 
 @dataclass
@@ -208,23 +216,20 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
-def chronological_split(
-    dataset: Dataset, fractions: tuple[float, float, float] = (0.70, 0.10, 0.20)
-) -> tuple[Dataset, Dataset, Dataset]:
-    """Split into contiguous (train, val, test) partitions, oldest first.
+SPLIT_FRACTIONS = (0.70, 0.10, 0.20)  # train, val, test
+
+
+def chronological_split(dataset: Dataset) -> tuple[Dataset, Dataset, Dataset]:
+    """Split 70/10/20 into contiguous (train, val, test) partitions, oldest first.
 
     Sizes are floor(fraction * T) for train and val; the remainder goes to
     test, so the unseen-future side never shrinks from rounding.
     """
-    if any(f <= 0 for f in fractions):
-        raise ValueError(f"fractions must be positive, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {fractions}")
     t = len(dataset.snapshots)
     if t < 10:
         raise ValueError(f"need at least 10 snapshots to split, got {t}")
-    n_train = int(np.floor(fractions[0] * t))
-    n_val = int(np.floor(fractions[1] * t))
+    n_train = int(np.floor(SPLIT_FRACTIONS[0] * t))
+    n_val = int(np.floor(SPLIT_FRACTIONS[1] * t))
     parts = (
         dataset.snapshots[:n_train],
         dataset.snapshots[n_train:n_train + n_val],
@@ -318,17 +323,16 @@ def save_dataset(dataset: Dataset, path) -> None:
             fh.write(json.dumps(row) + "\n")
 
 
-def _check_unknown(fields: set[str], allowed: set[str], line_no: int, strict: bool) -> None:
+def _check_unknown(fields: set[str], allowed: set[str], line_no: int) -> None:
     unknown = fields - allowed
     if unknown:
-        if strict:
-            raise SchemaError(f"line {line_no}: unknown fields {sorted(unknown)}")
-        logger.warning("line %d: ignoring unknown fields %s", line_no, sorted(unknown))
+        raise SchemaError(f"line {line_no}: unknown fields {sorted(unknown)}")
 
 
-def load_dataset(path, strict: bool = True) -> Dataset:
+def load_dataset(path) -> Dataset:
     """Load a dataset file; raises :class:`ParseError` with the line number
-    on malformed JSON and :class:`SchemaError` on structural problems."""
+    on malformed JSON and :class:`SchemaError` on structural problems and
+    unknown fields."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -344,7 +348,7 @@ def load_dataset(path, strict: bool = True) -> Dataset:
         return obj
 
     header = parse_json(1)
-    _check_unknown(set(header), _HEADER_FIELDS, 1, strict)
+    _check_unknown(set(header), _HEADER_FIELDS, 1)
     if header.get("format") != DATASET_FORMAT:
         raise SchemaError(f"unexpected dataset format {header.get('format')!r}")
     if header.get("version") != DATASET_VERSION:
@@ -358,14 +362,18 @@ def load_dataset(path, strict: bool = True) -> Dataset:
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed dims in header: {exc}") from exc
     norm = header.get("normalization")
-    norm_stats = NormStats.from_dict(norm) if norm else None
+    try:
+        norm_stats = None if norm is None else NormStats.from_dict(
+            norm, (node_dim, edge_dim, resource_dim))
+    except SchemaError as exc:
+        raise SchemaError(f"line 1: {exc}") from exc
 
     snapshots = []
     for line_no in range(2, len(lines) + 1):
         if not lines[line_no - 1].strip():
             continue
         row = parse_json(line_no)
-        _check_unknown(set(row), _SNAPSHOT_FIELDS, line_no, strict)
+        _check_unknown(set(row), _SNAPSHOT_FIELDS, line_no)
         try:
             snap = Snapshot(
                 window_start=float(row["window_start"]),

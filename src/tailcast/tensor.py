@@ -278,19 +278,19 @@ def softplus(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    data = a.data.sum(axis=axis)
 
     def backward(g):
         g_exp = g
-        if axis is not None and not keepdims:
+        if axis is not None:
             g_exp = np.expand_dims(g, axis)
         return (np.broadcast_to(g_exp, a.shape).copy(),)
 
     return _from_op(data, (a,), backward)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a: Tensor, axis=None) -> Tensor:
     if axis is None:
         count = a.size
     else:
@@ -298,7 +298,7 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         count = 1
         for ax in axes:
             count *= a.shape[ax]
-    return scale(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    return scale(tsum(a, axis=axis), 1.0 / count)
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +312,9 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _from_op(data, (a,), lambda g: (g.reshape(a.shape),))
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
-    if axes is None:
-        inv = None
-    else:
-        axes = tuple(axes)
-        inv = tuple(int(i) for i in np.argsort(axes))
+def transpose(a: Tensor, axes) -> Tensor:
+    axes = tuple(axes)
+    inv = tuple(int(i) for i in np.argsort(axes))
 
     def backward(g):
         return (np.transpose(g, inv),)
@@ -533,39 +530,27 @@ class Adam:
     ``p.data`` to a reshaped view of it, so a step is a handful of
     whole-vector ops. Rebinding a parameter's ``data`` afterwards detaches it
     from the optimizer; restores must write in place (``p.data[...] = ...``).
-    ``m`` and ``v`` map each name to a view of the flat moment vectors.
+    ``_m`` and ``_v`` are the flat moment vectors, in the same layout.
 
     Missing gradients are treated as exact zeros (the moments still decay).
-    ``clip_norm`` enables global-norm gradient clipping; it is off by default.
-    ``grad_norm`` is the global norm of the last step's gradient, before
-    clipping.
+    ``grad_norm`` is the global norm of the last step's gradient.
     """
 
-    def __init__(
-        self,
-        params: Mapping[str, Tensor],
-        learning_rate: float = 1e-3,
-        clip_norm: float | None = None,
-    ):
+    def __init__(self, params: Mapping[str, Tensor], learning_rate: float = 1e-3):
         self.params = dict(params)
         self.learning_rate = learning_rate
-        self.clip_norm = clip_norm
         self.step_count = 0
         self.grad_norm: float | None = None
         total = sum(p.data.size for p in self.params.values())
         self.flat = np.empty(total)
         self._m = np.zeros(total)
         self._v = np.zeros(total)
-        self.m: dict[str, Array] = {}
-        self.v: dict[str, Array] = {}
         start = 0
-        for name, p in self.params.items():
+        for p in self.params.values():
             stop = start + p.data.size
             shape = p.data.shape
             self.flat[start:stop] = p.data.reshape(-1)
             p.data = self.flat[start:stop].reshape(shape)
-            self.m[name] = self._m[start:stop].reshape(shape)
-            self.v[name] = self._v[start:stop].reshape(shape)
             start = stop
 
     def zero_grad(self) -> None:
@@ -580,10 +565,7 @@ class Adam:
             for name, p in self.params.items():
                 if not np.isfinite(p.grad_array()).all():
                     raise TrainingError(f"NaN/Inf gradient for parameter {name!r} at step {t}")
-        norm = math.sqrt(float(np.dot(grad, grad)))
-        self.grad_norm = norm
-        if self.clip_norm is not None and norm > self.clip_norm and norm != 0.0:
-            grad *= self.clip_norm / norm
+        self.grad_norm = math.sqrt(float(np.dot(grad, grad)))
         bc1 = 1.0 - ADAM_BETA1**t
         bc2 = 1.0 - ADAM_BETA2**t
         m, v = self._m, self._v
@@ -631,15 +613,26 @@ def load_checkpoint(path) -> tuple[dict[str, Array], dict]:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CheckpointError(f"not a valid checkpoint file: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"checkpoint must be a JSON object, got {type(payload).__name__}")
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"unexpected checkpoint format {payload.get('format')!r}")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {payload.get('version')!r}")
+    entries, meta = payload.get("params"), payload.get("meta", {})
+    if not isinstance(entries, dict):
+        raise CheckpointError("checkpoint field 'params' is missing or not an object")
+    if not isinstance(meta, dict):
+        raise CheckpointError("checkpoint field 'meta' is not an object")
     params = {}
-    for name, entry in payload["params"].items():
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        params[name] = arr
-    return params, payload.get("meta", {})
+    for name, entry in entries.items():
+        try:
+            params[name] = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        except KeyError as exc:
+            raise CheckpointError(f"checkpoint param {name!r} missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint param {name!r} is malformed: {exc}") from exc
+    return params, meta
 
 
 def load_params_into(params: Mapping[str, Tensor], arrays: Mapping[str, Array]) -> None:

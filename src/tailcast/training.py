@@ -55,16 +55,6 @@ class LossParams:
         if self.eps <= 0:
             raise ValueError("eps must be > 0")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def percentage_error(pred: float, truth: float, eps: float = 1e-8) -> float:
-    """Relative error e_p = (pred - truth) / (truth + eps)."""
-    if truth < 0:
-        raise ValueError(f"truth must be >= 0, got {truth}")
-    return (pred - truth) / (truth + eps)
-
 
 def aph_loss(e_p: float, params: LossParams = LossParams()) -> float:
     """Scalar asymmetric percentage Huber loss (reference implementation)."""
@@ -108,9 +98,6 @@ class Metrics:
     mae: float    # seconds
     rmse: float   # seconds
     mape: float   # percent
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def metrics(preds, labels) -> Metrics:
@@ -159,7 +146,6 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 1e-3
     seed: int = 0
-    clip_norm: float | None = None
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
@@ -171,7 +157,7 @@ class EpochRecord:
     epoch: int
     train_loss: float
     val_loss: float
-    grad_norm_max: float  # largest pre-clip global gradient norm over the epoch's steps
+    grad_norm_max: float  # largest global gradient norm over the epoch's steps
 
 
 @dataclass
@@ -247,8 +233,7 @@ def run_training(
         val_snapshots=len(val_snaps),
         test_snapshots=len(test_snaps),
     )
-    optimizer = Adam(model.parameters(), learning_rate=config.learning_rate,
-                     clip_norm=config.clip_norm)
+    optimizer = Adam(model.parameters(), learning_rate=config.learning_rate)
     best_val = math.inf
     best_params: np.ndarray | None = None
 

@@ -5,6 +5,7 @@ full sorts, dense masks, finite differences) and never imports the code
 paths it is used to verify beyond the public entry points under test.
 """
 
+import csv
 import heapq
 import math
 from collections import deque
@@ -13,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from tailcast.errors import ParseError, SchemaError
-from tailcast.simulator import CLIENT, CPU_PERIOD_US, SimRequest, SimulationResult, Workload
+from tailcast.simulator import (
+    CLIENT,
+    CPU_PERIOD_US,
+    SCRAPE_INTERVAL,
+    SimRequest,
+    SimulationResult,
+    Workload,
+)
 from tailcast.telemetry import _parse_head
 
 
@@ -250,18 +258,15 @@ def assert_gradients_match(build_loss, leaves, tol: float = 1e-4, h: float = 1e-
 
 
 def reference_adam_step(params, grads, m, v, t, learning_rate=1e-3, beta1=0.9, beta2=0.999,
-                        eps=1e-8, clip_norm=None) -> float:
+                        eps=1e-8) -> float:
     """One Adam step, parameter by parameter, on dicts of arrays in place.
 
     This is the per-parameter arithmetic ``tensor.Adam`` ran before it kept
     one flat buffer: the global norm is a sum of per-parameter sums, and
     every update is the same elementwise sequence. ``t`` is the 1-based
-    step number. Returns the pre-clip global gradient norm.
+    step number. Returns the global gradient norm.
     """
     total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if clip_norm is not None and total > clip_norm and total != 0.0:
-        factor = clip_norm / total
-        grads = {name: g * factor for name, g in grads.items()}
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     for name, p in params.items():
@@ -334,7 +339,6 @@ def reference_run_simulation(
     rng: np.random.Generator,
     noise_rng: np.random.Generator | None = None,
     noise_sigma: float = 0.0,
-    scrape_interval: float = 5.0,
     queue_cap: int = 500,
 ) -> SimulationResult:
     """One heap of every arrival and completion, processed by closures that
@@ -501,9 +505,9 @@ def reference_run_simulation(
         if overloaded:
             saturated.append(now)
 
-    num_scrapes = int(math.floor(duration / scrape_interval)) + 1
+    num_scrapes = int(math.floor(duration / SCRAPE_INTERVAL)) + 1
     for k in range(num_scrapes):
-        scrape_t = k * scrape_interval
+        scrape_t = k * SCRAPE_INTERVAL
         while heap and heap[0][0] <= scrape_t:
             process(heapq.heappop(heap))
         scrape(scrape_t)
@@ -512,8 +516,6 @@ def reference_run_simulation(
 
     return SimulationResult(
         topology=topo,
-        duration=duration,
-        scrape_interval=scrape_interval,
         arrivals_total=len(workload.arrivals),
         completed_total=len(completed),
         requests=completed,
@@ -521,3 +523,17 @@ def reference_run_simulation(
         exposition_text="\n".join(lines) + ("\n" if lines else ""),
         saturated_scrape_times=saturated,
     )
+
+
+def read_embeddings_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of ``fusion.write_embeddings_csv``: (window_starts, matrix)."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if not header or header[0] != "window_start":
+            raise SchemaError("not an embedding export file")
+        starts, rows = [], []
+        for row in reader:
+            starts.append(float(row[0]))
+            rows.append([float(x) for x in row[1:]])
+    return np.asarray(starts), np.asarray(rows)

@@ -41,6 +41,25 @@ def pipeline(tmp_path_factory, scenario_file):
     return {"root": root, "sim": sim_dir, "dataset": dataset, "train": train_dir}
 
 
+def _break_checkpoint(payload: dict, defect: str):
+    """A saved checkpoint's JSON with one defect."""
+    meta = payload["meta"]
+    if defect == "top_level_list":
+        return [payload]
+    if defect == "no_params":
+        del payload["params"]
+    elif defect == "param_without_shape":
+        del next(iter(payload["params"].values()))["shape"]
+    elif defect == "normalization_list":
+        meta["normalization"] = [1.0, 2.0]
+    elif defect == "one_element_node_stats":
+        for key in ("node_mean", "node_std"):
+            meta["normalization"][key] = meta["normalization"][key][:1]
+    elif defect == "unknown_variant":
+        meta["model_config"] = {"variant": "bogus"}
+    return payload
+
+
 class TestSimulate:
     def test_outputs_exist(self, pipeline):
         sim = pipeline["sim"]
@@ -88,6 +107,28 @@ class TestSimulate:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["simulate", "--scenario", str(tmp_path / "nope.json"),
                      "--out-dir", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("field, edit", [
+        ("request_mix entry missing field 'name'",
+         {"request_mix": [{"path": ["frontend"], "weight": 1.0}]}),
+        ("capacities must be an object", {"capacities": [{"pods": 2}]}),
+        ("profile must be a list",
+         {"profile": {"kind": "plateau", "duration_s": 5.0, "start_rate": 1.0}}),
+        ("profile segment must be an object", {"profile": [["plateau", 5.0, 1.0]]}),
+        ("path must be a list of service names",
+         {"preset": None, "topology": {"services": ["a", "b"], "edges": [["a", "b"]]},
+          "request_mix": [{"name": "r", "path": "ab", "weight": 1.0}]}),
+    ], ids=["mix_without_name", "capacities_list", "profile_object", "segment_list",
+            "path_string"])
+    def test_malformed_scenario_exit_2(self, tmp_path, capsys, field, edit):
+        scenario = {"preset": "online_boutique_like",
+                    "profile": [{"kind": "plateau", "duration_s": 5.0, "start_rate": 1.0}]}
+        scenario = {k: v for k, v in {**scenario, **edit}.items() if v is not None}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scenario))
+        assert main(["simulate", "--scenario", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestIngest:
@@ -320,6 +361,39 @@ class TestEvalPredictExport:
         assert main([command, data_flag, str(normalized),
                      "--checkpoint", str(pipeline["train"] / "checkpoint.json")] + out_flag) == 5
 
+    @pytest.mark.parametrize("defect, field", [
+        ("top_level_list", "checkpoint must be a JSON object"),
+        ("no_params", "'params'"),
+        ("param_without_shape", "missing field 'shape'"),
+        ("normalization_list", "normalization must be an object"),
+        ("one_element_node_stats", "node_mean has shape (1,), expected (3,)"),
+        ("unknown_variant", "unknown variant"),
+    ])
+    def test_malformed_checkpoint_exit_5(self, tmp_path, capsys, pipeline, defect, field):
+        payload = json.loads((pipeline["train"] / "checkpoint.json").read_text())
+        bad = tmp_path / "checkpoint.json"
+        bad.write_text(json.dumps(_break_checkpoint(payload, defect)))
+        assert main(["predict", "--snapshots", str(pipeline["dataset"]),
+                     "--checkpoint", str(bad)]) == 5
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("normalization", [
+        [1],
+        {"node_mean": [0.0], "node_std": [1.0], "edge_mean": [0.0] * 3, "edge_std": [1.0] * 3,
+         "resource_mean": [0.0] * 5, "resource_std": [1.0] * 5},
+    ], ids=["list", "one_element_node_stats"])
+    def test_malformed_dataset_header_exit_2(self, tmp_path, capsys, pipeline, normalization):
+        lines = pipeline["dataset"].read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        header["normalization"] = normalization
+        bad = tmp_path / "data.jsonl"
+        bad.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        assert main(["eval", "--dataset", str(bad),
+                     "--checkpoint", str(pipeline["train"] / "checkpoint.json"),
+                     "--out-dir", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert "line 1: normalization" in err
+
     def test_predict_prints_positive_numbers(self, capsys, pipeline):
         assert main(["predict", "--snapshots", str(pipeline["dataset"]),
                      "--checkpoint", str(pipeline["train"] / "checkpoint.json")]) == 0
@@ -343,7 +417,7 @@ class TestEvalPredictExport:
         assert main(["export-embedding", "--dataset", str(pipeline["dataset"]),
                      "--checkpoint", str(pipeline["train"] / "checkpoint.json"),
                      "--out", str(out)]) == 0
-        from tailcast.fusion import read_embeddings_csv
+        from oracles import read_embeddings_csv
         from tailcast.statgraph import load_dataset
         starts, matrix = read_embeddings_csv(out)
         assert len(starts) == len(load_dataset(pipeline["dataset"]))

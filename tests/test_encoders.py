@@ -12,11 +12,10 @@ from tailcast.encoders import (
     GraphTransformerLayer,
     MessageRouting,
     ResourceEncoder,
-    ResourceEncoderConfig,
     TrafficEncoder,
-    TrafficEncoderConfig,
     collate_snapshots,
 )
+from tailcast.fusion import ModelConfig
 from tailcast.statgraph import Snapshot, Topology
 from tailcast.tensor import Tensor
 
@@ -50,8 +49,25 @@ def run_layer(layer, h, edge_feats, edges, n):
     return layer(Tensor(h[None]), Tensor(edge_feats[None]), routing).data[0], iso
 
 
-def routing_for(topo, reverse=False):
-    return MessageRouting.from_edges(topo.num_services, topo.edges, reverse)
+def routing_for(topo):
+    return MessageRouting.from_edges(topo.num_services, topo.edges)
+
+
+def traffic_encoder(rng, **sizes):
+    """A traffic encoder with ``ModelConfig``'s default sizes unless overridden."""
+    c = ModelConfig()
+    return TrafficEncoder(**{"num_layers": c.traffic_layers, "d_node": c.d_node,
+                             "d_edge": c.d_edge, "d_emb": c.d_emb, "num_heads": c.num_heads,
+                             "dropout": c.dropout_traffic, **sizes}, rng=rng)
+
+
+def resource_encoder(rng, num_positions, **sizes):
+    """A resource encoder with ``ModelConfig``'s default sizes unless overridden."""
+    c = ModelConfig()
+    return ResourceEncoder(**{"num_blocks": c.resource_blocks, "d_resource": c.d_resource,
+                              "d_emb": c.d_emb, "expansion": c.gmlp_expansion,
+                              "dropout": c.dropout_resource, **sizes},
+                           num_positions=num_positions, rng=rng)
 
 
 class TestSegmentSoftmax:
@@ -231,7 +247,7 @@ class TestTrafficEncoder:
     def test_output_shape_is_d_emb(self):
         topo = Topology.create(["a", "b", "c"], [("a", "b"), ("b", "c")])
         rng = np.random.default_rng(14)
-        enc = TrafficEncoder(TrafficEncoderConfig(num_layers=2, d_emb=16), rng)
+        enc = traffic_encoder(rng, num_layers=2, d_emb=16)
         enc.eval()
         batch = collate_snapshots(snapshots_for(topo, rng), routing_for(topo))
         out = enc(batch)
@@ -240,7 +256,7 @@ class TestTrafficEncoder:
     def test_zero_features_finite_output(self):
         topo = Topology.create(["a", "b"], [("a", "b")])
         rng = np.random.default_rng(15)
-        enc = TrafficEncoder(TrafficEncoderConfig(num_layers=2), rng)
+        enc = traffic_encoder(rng, num_layers=2)
         enc.eval()
         snap = Snapshot(0.0, np.zeros((2, 3)), np.zeros((1, 3)), np.zeros((2, 5)), 0.1)
         out = enc(collate_snapshots([snap], routing_for(topo)))
@@ -253,7 +269,7 @@ class TestTrafficEncoder:
         perm = [4, 2, 0, 3, 1]
         topo2 = Topology.create(names, [edges[i] for i in perm])
         rng = np.random.default_rng(16)
-        enc = TrafficEncoder(TrafficEncoderConfig(num_layers=2), rng)
+        enc = traffic_encoder(rng, num_layers=2)
         enc.eval()
         feats = np.random.default_rng(17).random((5, 3))
         x = np.random.default_rng(18).random((4, 3))
@@ -267,42 +283,33 @@ class TestTrafficEncoder:
     def test_batched_equals_per_snapshot(self):
         topo = Topology.create(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
         rng = np.random.default_rng(19)
-        enc = TrafficEncoder(TrafficEncoderConfig(num_layers=2), rng)
+        enc = traffic_encoder(rng, num_layers=2)
         enc.eval()
         snaps = snapshots_for(topo, rng, count=3)
         batched = enc(collate_snapshots(snaps, routing_for(topo))).data
         singles = np.vstack([enc(collate_snapshots([s], routing_for(topo))).data for s in snaps])
         assert np.allclose(batched, singles, atol=1e-12)
 
-    def test_reverse_direction_changes_messages(self):
-        topo = Topology.create(["a", "b"], [("a", "b")])
-        rng = np.random.default_rng(20)
-        enc = TrafficEncoder(TrafficEncoderConfig(num_layers=1), rng)
-        enc.eval()
-        snaps = snapshots_for(topo, rng, count=1)
-        fwd = enc(collate_snapshots(snaps, routing_for(topo, reverse=False))).data
-        rev = enc(collate_snapshots(snaps, routing_for(topo, reverse=True))).data
-        assert not np.allclose(fwd, rev)
 
 
 class TestResourceEncoder:
     def test_single_service_pooling_is_identity_path(self):
         rng = np.random.default_rng(21)
-        enc = ResourceEncoder(ResourceEncoderConfig(num_blocks=1, num_positions=1), rng)
+        enc = resource_encoder(rng, 1, num_blocks=1)
         enc.eval()
         out = enc(Tensor(rng.random((1, 1, 5))))
         assert out.shape == (1, 16)
 
     def test_zero_input_finite(self):
         rng = np.random.default_rng(22)
-        enc = ResourceEncoder(ResourceEncoderConfig(num_blocks=2, num_positions=3), rng)
+        enc = resource_encoder(rng, 3, num_blocks=2)
         enc.eval()
         out = enc(Tensor(np.zeros((2, 3, 5))))
         assert np.all(np.isfinite(out.data))
 
     def test_not_permutation_invariant_with_generic_weights(self):
         rng = np.random.default_rng(23)
-        enc = ResourceEncoder(ResourceEncoderConfig(num_blocks=2, num_positions=5), rng)
+        enc = resource_encoder(rng, 5, num_blocks=2)
         enc.eval()
         for block in enc.blocks:
             block.w_spatial.data[:] = rng.normal(size=(5, 5))
@@ -314,7 +321,7 @@ class TestResourceEncoder:
 
     def test_wrong_position_count_rejected(self):
         rng = np.random.default_rng(24)
-        enc = ResourceEncoder(ResourceEncoderConfig(num_positions=4), rng)
+        enc = resource_encoder(rng, 4)
         from tailcast.errors import ShapeError
         with pytest.raises(ShapeError):
             enc(Tensor(np.zeros((1, 3, 5))))
@@ -372,7 +379,7 @@ class TestEncoderGradients:
     def test_traffic_encoder_end_to_end_gradients(self, seed):
         topo = Topology.create(["a", "b", "c"], [("a", "b"), ("b", "c")])
         rng = np.random.default_rng(seed)
-        enc = TrafficEncoder(TrafficEncoderConfig(num_layers=1, d_emb=8, num_heads=2), rng)
+        enc = traffic_encoder(rng, num_layers=1, d_emb=8, num_heads=2)
         enc.eval()
         snaps = snapshots_for(topo, rng, count=1)
         batch = collate_snapshots(snaps, routing_for(topo))
@@ -388,8 +395,7 @@ class TestEncoderGradients:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_resource_encoder_end_to_end_gradients(self, seed):
         rng = np.random.default_rng(seed)
-        enc = ResourceEncoder(ResourceEncoderConfig(
-            num_blocks=1, d_emb=8, expansion=2, num_positions=3), rng)
+        enc = resource_encoder(rng, 3, num_blocks=1, d_emb=8, expansion=2)
         enc.eval()
         r = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
         probe = Tensor(rng.normal(size=(2, 8)))

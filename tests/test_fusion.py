@@ -1,11 +1,12 @@
 """Cross-attention, multiplicative fusion, model variants, export, checkpoints."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from oracles import max_rel_error
+from oracles import max_rel_error, read_embeddings_csv
 
 from tailcast import tensor as T
 from tailcast.errors import CheckpointError
@@ -20,7 +21,6 @@ from tailcast.fusion import (
     export_embeddings,
     load_model,
     predict_latency,
-    read_embeddings_csv,
     save_model,
     write_embeddings_csv,
 )
@@ -174,6 +174,15 @@ class TestVariants:
         with pytest.raises(ValueError):
             build_variant("bogus", ModelConfig(), small_topology())
 
+    def test_encoder_sizes_checked_only_where_the_encoder_is_built(self):
+        config = ModelConfig(traffic_layers=0, resource_blocks=0)
+        with pytest.raises(ValueError, match="num_layers must be >= 1"):
+            build_variant("traffic_only", config, small_topology())
+        with pytest.raises(ValueError, match="num_blocks must be >= 1"):
+            build_variant("resource_only", config, small_topology())
+        assert build_variant("resource_only", ModelConfig(traffic_layers=0), small_topology())
+        assert build_variant("traffic_only", ModelConfig(resource_blocks=0), small_topology())
+
     def test_traffic_only_ignores_resources_exactly(self):
         topo = small_topology()
         snaps = make_snapshots(topo)
@@ -298,12 +307,11 @@ class TestVariants:
 
 class TestBatchInvariance:
     @pytest.mark.parametrize("preset", ["online_boutique_like", "sockshop_like"])
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_batched_equals_per_snapshot_on_presets(self, preset, reverse):
+    def test_batched_equals_per_snapshot_on_presets(self, preset):
         topo = preset_topologies()[preset].topology
         snaps = make_snapshots(topo, count=5, seed=17)
         for variant in VARIANTS:
-            model = build_variant(variant, ModelConfig(reverse_messages=reverse), topo, seed=18)
+            model = build_variant(variant, ModelConfig(), topo, seed=18)
             batched = model.predict(snaps)
             singles = np.concatenate([model.predict([s]) for s in snaps])
             assert np.max(np.abs(batched - singles)) < 1e-12, variant
@@ -425,8 +433,28 @@ class TestModelCheckpoint:
         assert loaded.topology == topo
 
     def test_config_json_roundtrip(self):
-        config = ModelConfig(variant="gnn_fused", fusion_rank=8, reverse_messages=True)
+        config = ModelConfig(variant="gnn_fused", fusion_rank=8)
         assert ModelConfig.from_dict(config.to_dict()) == config
+
+    def test_old_reverse_messages_field(self, tmp_path):
+        # checkpoints written before messages were fixed to call direction
+        # carry "reverse_messages": false; true named a model that no longer exists
+        topo = small_topology()
+        snaps = make_snapshots(topo, count=3)
+        path = tmp_path / "ckpt.json"
+        save_model(path, build_variant("full", ModelConfig(), topo, seed=15), self._stats(topo))
+        payload = json.loads(path.read_text())
+        assert "reverse_messages" not in payload["meta"]["model_config"]
+        expected = load_model(path)[0].predict(snaps)
+        for value in (False, True):
+            payload["meta"]["model_config"]["reverse_messages"] = value
+            old = tmp_path / f"old_{value}.json"
+            old.write_text(json.dumps(payload))
+            if value:
+                with pytest.raises(CheckpointError, match="reverse_messages"):
+                    load_model(old)
+            else:
+                assert np.array_equal(load_model(old)[0].predict(snaps), expected)
 
     def test_missing_meta_rejected(self, tmp_path):
         from tailcast.tensor import save_checkpoint

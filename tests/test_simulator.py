@@ -19,6 +19,7 @@ from oracles import (
 
 from tailcast.errors import SchemaError
 from tailcast.simulator import (
+    SCRAPE_INTERVAL,
     ClusterSpec,
     IntensityProfile,
     RequestType,
@@ -282,9 +283,8 @@ def small_specs(draw):
                 draw(st.sampled_from([0.0, 2.0, 15.0])),
                 draw(st.sampled_from([0.0, 10.0, 40.0])))
         for _ in range(draw(st.integers(1, 3))))
-    interval = draw(st.sampled_from([1.0, 2.5, 5.0]))
-    duration = draw(st.integers(1, 8)) * interval + draw(st.sampled_from([0.1, 0.5, 0.9])) * interval
-    return spec, IntensityProfile(segments), duration, interval
+    duration = (draw(st.integers(1, 8)) + draw(st.sampled_from([0.1, 0.5, 0.9]))) * SCRAPE_INTERVAL
+    return spec, IntensityProfile(segments), duration
 
 
 class TestReferenceEquivalence:
@@ -353,9 +353,9 @@ class TestReferenceEquivalence:
            st.sampled_from([3, 500]))
     @settings(max_examples=40, deadline=None)
     def test_small_random_specs(self, case, seed, noise_sigma, queue_cap):
-        spec, profile, duration, interval = case
+        spec, profile, duration = case
         assert_matches_reference(spec, duration, seed, profile, noise_sigma=noise_sigma,
-                                 scrape_interval=interval, queue_cap=queue_cap)
+                                 queue_cap=queue_cap)
 
 
 class TestConservation:

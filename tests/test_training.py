@@ -26,29 +26,11 @@ from tailcast.training import (
     linear_regression,
     metrics,
     mlp_baseline,
-    percentage_error,
     tail_metrics,
     train,
 )
 
 DEFAULTS = LossParams()
-
-
-class TestPercentageError:
-    def test_zero_when_exact(self):
-        assert percentage_error(0.5, 0.5, eps=1e-12) == 0.0
-
-    def test_direct_substitution(self):
-        assert percentage_error(0.220, 0.200, eps=1e-15) == pytest.approx(0.1, abs=1e-12)
-
-    def test_scale_invariance_with_negligible_eps(self):
-        e1 = percentage_error(1.2, 1.0, eps=1e-300)
-        e2 = percentage_error(120.0, 100.0, eps=1e-300)
-        assert e1 == pytest.approx(e2, abs=1e-12)
-
-    def test_negative_truth_rejected(self):
-        with pytest.raises(ValueError):
-            percentage_error(1.0, -0.1)
 
 
 class TestAphLoss:
@@ -307,7 +289,7 @@ class TestFlatAdam:
     """The flat-buffer ``Adam`` against the per-parameter oracle on real steps."""
 
     @staticmethod
-    def _steps(preset, variant, clip_norm):
+    def _steps(preset, variant):
         topo = preset_topologies()[preset].topology
         snaps = preset_snapshots(topo, 40, seed=3)
         model = build_variant(variant, ModelConfig(), topo, seed=4)
@@ -315,7 +297,7 @@ class TestFlatAdam:
         ref = {name: p.data.copy() for name, p in params.items()}
         m = {name: np.zeros_like(a) for name, a in ref.items()}
         v = {name: np.zeros_like(a) for name, a in ref.items()}
-        opt = Adam(params, clip_norm=clip_norm)
+        opt = Adam(params)
         for t in range(1, 11):
             chunk = [snaps[(8 * t + i) % len(snaps)] for i in range(16)]
             loss = batch_loss(model.forward_snapshots(chunk),
@@ -324,29 +306,17 @@ class TestFlatAdam:
             grads = {name: p.grad_array().copy() for name, p in params.items()}
             opt.step()
             opt.zero_grad()
-            norm = reference_adam_step(ref, grads, m, v, t, clip_norm=clip_norm)
+            norm = reference_adam_step(ref, grads, m, v, t)
             yield opt, params, ref, norm
 
     @pytest.mark.parametrize("preset", ["online_boutique_like", "sockshop_like"])
     @pytest.mark.parametrize("variant", ["full", "resource_only"])
     def test_trajectory_equals_the_oracle(self, preset, variant):
-        for opt, params, ref, norm in self._steps(preset, variant, None):
+        for opt, params, ref, norm in self._steps(preset, variant):
             assert abs(opt.grad_norm - norm) <= 1e-12 * norm
             for name, p in params.items():
                 assert np.array_equal(p.data, ref[name]), name
                 assert np.shares_memory(p.data, opt.flat)
-
-    @pytest.mark.parametrize("preset", ["online_boutique_like", "sockshop_like"])
-    @pytest.mark.parametrize("variant", ["full", "resource_only"])
-    def test_clipped_trajectory_within_one_reduction_order(self, preset, variant):
-        # the global norm is one flat reduction, summed in another order, so
-        # each parameter tensor may move by rounding: 1e-15 of its norm
-        clipped = 0
-        for opt, params, ref, norm in self._steps(preset, variant, 0.05):
-            clipped += norm > 0.05
-            for name, p in params.items():
-                assert np.linalg.norm(p.data - ref[name]) <= 1e-15 * np.linalg.norm(ref[name]), name
-        assert clipped == 10
 
     def test_best_epoch_restore_writes_in_place(self, monkeypatch):
         monkeypatch.setattr(RecordingAdam, "made", [])
