@@ -23,7 +23,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import SchemaError
-from .statgraph import Topology
+from .statgraph import Topology, refuse_unknown_fields, topology_lists
 
 CLIENT = "client"  # pseudo-source for external arrivals
 CPU_PERIOD_US = 100000.0
@@ -529,9 +529,16 @@ class Scenario:
     queue_cap: int = 500
 
 
+_SCENARIO_FIELDS = {"preset", "topology", "capacities", "request_mix", "profile", "duration_s",
+                    "noise_sigma", "seed", "queue_cap"}
+_SEGMENT_FIELDS = {"kind", "duration_s", "start_rate", "end_rate"}
+_REQUEST_TYPE_FIELDS = {"name", "path", "weight"}
+
+
 def _segment_from_dict(d: dict) -> Segment:
     if not isinstance(d, dict):
         raise SchemaError(f"profile segment must be an object, got {d!r}")
+    refuse_unknown_fields(d, _SEGMENT_FIELDS, "profile segment")
     try:
         return Segment(
             kind=str(d["kind"]),
@@ -548,6 +555,7 @@ def _segment_from_dict(d: dict) -> Segment:
 def _request_type_from_dict(d: dict) -> RequestType:
     if not isinstance(d, dict):
         raise SchemaError(f"request_mix entry must be an object, got {d!r}")
+    refuse_unknown_fields(d, _REQUEST_TYPE_FIELDS, "request_mix entry")
     try:
         name, path, weight = str(d["name"]), d["path"], float(d["weight"])
     except KeyError as exc:
@@ -593,6 +601,7 @@ def _count(raw: dict, key: str, default: int) -> int:
 def scenario_from_dict(raw: dict) -> Scenario:
     if not isinstance(raw, dict):
         raise SchemaError(f"scenario must be a JSON object, got {type(raw).__name__}")
+    refuse_unknown_fields(raw, _SCENARIO_FIELDS, "scenario")
     presets = preset_topologies()
     if "preset" in raw:
         name = raw["preset"]
@@ -603,11 +612,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
         capacities = dict(base.capacities)
         request_types = base.request_types
     elif "topology" in raw:
-        t = raw["topology"]
-        try:
-            topology = Topology.create(t["services"], [tuple(e) for e in t["edges"]])
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"malformed scenario topology: {exc}") from exc
+        services, edges = topology_lists(raw["topology"], endpoint=str)
+        topology = Topology.create(services, [tuple(e) for e in edges])
         capacities = _uniform_capacities(topology.services)
         request_types = ()
     else:

@@ -103,12 +103,28 @@ class Topology:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Topology":
-        try:
-            services = tuple(str(s) for s in d["services"])
-            edges = tuple((int(a), int(b)) for a, b in d["edges"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed topology: {exc}") from exc
-        return cls(services=services, edges=edges)
+        """A topology from its JSON form: ``services`` a list of names and
+        ``edges`` a list of (source index, destination index) pairs."""
+        services, edges = topology_lists(d, endpoint=int)
+        return cls(services=tuple(services), edges=tuple(tuple(e) for e in edges))
+
+
+def topology_lists(d, endpoint: type) -> tuple[list[str], list]:
+    """The ``services`` and ``edges`` of a JSON topology object, checked:
+    services must be a list of strings and edges a list of pairs, each a
+    list of two ``endpoint`` values (service indices or names)."""
+    if not isinstance(d, dict):
+        raise SchemaError(f"malformed topology: expected an object, got {type(d).__name__}")
+    services, edges = d.get("services"), d.get("edges")
+    if not (isinstance(services, list) and all(isinstance(s, str) for s in services)):
+        raise SchemaError(f"malformed topology: services must be a list of strings, got {services!r}")
+    if not (isinstance(edges, list) and all(
+            isinstance(e, list) and len(e) == 2
+            and all(isinstance(x, endpoint) and not isinstance(x, bool) for x in e)
+            for e in edges)):
+        raise SchemaError(f"malformed topology: edges must be a list of "
+                          f"[{endpoint.__name__}, {endpoint.__name__}] pairs, got {edges!r}")
+    return services, edges
 
 
 @dataclass
@@ -146,12 +162,13 @@ class NormStats:
     @classmethod
     def from_dict(cls, d: dict, widths: tuple[int, int, int]) -> "NormStats":
         """Stats from their JSON form; each mean and std must be a vector of
-        the node, edge or resource feature width given in ``widths``."""
+        the node, edge or resource feature width given in ``widths``, each
+        mean finite and each std finite and > 0."""
         if not isinstance(d, dict):
             raise SchemaError(f"normalization must be an object, got {type(d).__name__}")
         vectors = {}
         for block, width in zip(("node", "edge", "resource"), widths):
-            for key in (f"{block}_mean", f"{block}_std"):
+            for key, rule in ((f"{block}_mean", "finite"), (f"{block}_std", "finite and > 0")):
                 if key not in d:
                     raise SchemaError(f"normalization stats missing field {key!r}")
                 try:
@@ -161,7 +178,23 @@ class NormStats:
                 if vectors[key].shape != (width,):
                     raise SchemaError(f"normalization {key} has shape {vectors[key].shape}, "
                                       f"expected ({width},)")
+                values = vectors[key]
+                if not (np.isfinite(values).all() and (rule == "finite" or (values > 0).all())):
+                    raise SchemaError(f"normalization {key} must be {rule}, got {values.tolist()}")
         return cls(**vectors)
+
+
+# Dataset.validate's checks in order, formatted with the snapshot index i,
+# the snapshot and the expected (node, edge, resource) shapes
+_CHECK_MESSAGES = (
+    "snapshot {i} out of chronological order",
+    "snapshot {i}: node features {snap.node_features.shape}, expected {expected[0]}",
+    "snapshot {i}: edge features {snap.edge_features.shape}, expected {expected[1]}",
+    "snapshot {i}: resource features {snap.resource_features.shape}, expected {expected[2]}",
+    "snapshot {i}: non-finite feature values",
+    "snapshot {i}: negative raw feature values",
+    "snapshot {i}: label must be finite and > 0, got {snap.label}",
+)
 
 
 @dataclass
@@ -183,29 +216,45 @@ class Dataset:
         return len(self.snapshots)
 
     def validate(self) -> None:
+        """Raise :class:`SchemaError` for the first bad snapshot, naming the
+        first check it fails.
+
+        The checks, in order: strictly increasing ``window_start``, the node,
+        edge and resource block shapes, finite feature values, non-negative
+        raw feature values (skipped once normalised), and a label that is
+        None or finite and > 0. Shapes are compared per snapshot; the blocks
+        of every snapshot before the first shape mismatch are then stacked,
+        and each check is one mask over the snapshots.
+        """
         v, e = self.topology.num_services, self.topology.num_edges
-        prev = -np.inf
-        for i, snap in enumerate(self.snapshots):
-            if snap.window_start <= prev:
-                raise SchemaError(f"snapshot {i} out of chronological order")
-            prev = snap.window_start
-            if snap.node_features.shape != (v, self.node_dim):
-                raise SchemaError(
-                    f"snapshot {i}: node features {snap.node_features.shape}, expected {(v, self.node_dim)}")
-            if snap.edge_features.shape != (e, self.edge_dim):
-                raise SchemaError(
-                    f"snapshot {i}: edge features {snap.edge_features.shape}, expected {(e, self.edge_dim)}")
-            if snap.resource_features.shape != (v, self.resource_dim):
-                raise SchemaError(
-                    f"snapshot {i}: resource features {snap.resource_features.shape}, "
-                    f"expected {(v, self.resource_dim)}")
-            blocks = (snap.node_features, snap.edge_features, snap.resource_features)
-            if not all(np.all(np.isfinite(b)) for b in blocks):
-                raise SchemaError(f"snapshot {i}: non-finite feature values")
-            if self.norm_stats is None and not all(np.all(b >= 0) for b in blocks):
-                raise SchemaError(f"snapshot {i}: negative raw feature values")
-            if snap.label is not None and not (np.isfinite(snap.label) and snap.label > 0):
-                raise SchemaError(f"snapshot {i}: label must be finite and > 0, got {snap.label}")
+        expected = ((v, self.node_dim), (e, self.edge_dim), (v, self.resource_dim))
+        snaps = self.snapshots
+        n = len(snaps)
+        shapes = [(s.node_features.shape, s.edge_features.shape, s.resource_features.shape)
+                  for s in snaps]
+        # snapshots [0, shaped) have the expected shapes
+        shaped = next((i for i, got in enumerate(shapes) if got != expected), n)
+        # row c is check c of _CHECK_MESSAGES; column i is snapshot i
+        bad = np.zeros((len(_CHECK_MESSAGES), n), dtype=bool)
+        starts = np.array([s.window_start for s in snaps], dtype=np.float64)
+        bad[0] = starts <= np.concatenate(([-np.inf], starts[:-1]))
+        if shaped < n:
+            bad[1:4, shaped] = [got != want for got, want in zip(shapes[shaped], expected)]
+        if shaped:
+            values = np.concatenate([
+                np.stack([getattr(s, block) for s in snaps[:shaped]]).reshape(shaped, -1)
+                for block in ("node_features", "edge_features", "resource_features")], axis=1)
+            bad[4, :shaped] = ~np.isfinite(values).all(axis=1)
+            if self.norm_stats is None:
+                bad[5, :shaped] = ~(values >= 0).all(axis=1)
+        # an unlabelled snapshot passes as the label 1.0
+        labels = np.array([1.0 if s.label is None else s.label for s in snaps], dtype=np.float64)
+        bad[6] = ~(np.isfinite(labels) & (labels > 0))
+        failing = np.flatnonzero(bad.any(axis=0))
+        if failing.size:
+            i = int(failing[0])
+            message = _CHECK_MESSAGES[int(np.argmax(bad[:, i]))]
+            raise SchemaError(message.format(i=i, snap=snaps[i], expected=expected))
 
     def labels(self) -> np.ndarray:
         return np.asarray([s.label for s in self.snapshots], dtype=np.float64)
@@ -323,10 +372,11 @@ def save_dataset(dataset: Dataset, path) -> None:
             fh.write(json.dumps(row) + "\n")
 
 
-def _check_unknown(fields: set[str], allowed: set[str], line_no: int) -> None:
-    unknown = fields - allowed
+def refuse_unknown_fields(obj: dict, allowed: set[str], where: str) -> None:
+    """Raise :class:`SchemaError` naming, sorted, the keys of ``obj`` not in ``allowed``."""
+    unknown = obj.keys() - allowed
     if unknown:
-        raise SchemaError(f"line {line_no}: unknown fields {sorted(unknown)}")
+        raise SchemaError(f"{where}: unknown fields {sorted(unknown)}")
 
 
 def load_dataset(path) -> Dataset:
@@ -348,7 +398,7 @@ def load_dataset(path) -> Dataset:
         return obj
 
     header = parse_json(1)
-    _check_unknown(set(header), _HEADER_FIELDS, 1)
+    refuse_unknown_fields(header, _HEADER_FIELDS, "line 1")
     if header.get("format") != DATASET_FORMAT:
         raise SchemaError(f"unexpected dataset format {header.get('format')!r}")
     if header.get("version") != DATASET_VERSION:
@@ -373,7 +423,7 @@ def load_dataset(path) -> Dataset:
         if not lines[line_no - 1].strip():
             continue
         row = parse_json(line_no)
-        _check_unknown(set(row), _SNAPSHOT_FIELDS, line_no)
+        refuse_unknown_fields(row, _SNAPSHOT_FIELDS, f"line {line_no}")
         try:
             snap = Snapshot(
                 window_start=float(row["window_start"]),

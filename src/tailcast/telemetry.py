@@ -22,6 +22,15 @@ definitions bit for bit. :class:`IngestStats` reports what was kept and
 dropped: window counts, unlabelled and under-covered windows, series with
 unknown labels, skipped malformed lines, and per series the labelled
 windows it left under-covered.
+
+The ground-truth latency arrives as one ``(N, 2)`` float64 array of
+(completion time, latency) rows: :func:`read_latency_csv` returns it, and
+:func:`build_snapshots` takes that array or a list of pairs through one
+``np.asarray``. The latency column is sorted by time once, each window's
+samples are one ``searchsorted`` range of it, and each label is
+:func:`window_p95` of that float64 slice, the nearest-rank order statistic
+found by ``np.partition``. The finished dataset is checked by
+:meth:`~tailcast.statgraph.Dataset.validate` in whole-array passes.
 """
 
 from __future__ import annotations
@@ -290,12 +299,16 @@ def counter_to_rate(
 
 
 def window_p95(latency_samples) -> float:
-    """Nearest-rank 95th percentile: the ceil(0.95*n)-th order statistic."""
-    values = sorted(latency_samples)
-    if not values:
+    """Nearest-rank 95th percentile: the ceil(0.95*n)-th order statistic.
+
+    ``np.partition`` (introselect) puts that order statistic where a full
+    sort would, so the value is the sorted one's without a sort.
+    """
+    values = np.asarray(latency_samples, dtype=np.float64)
+    if not values.size:
         raise ValueError("cannot take the P95 of an empty window")
-    rank = math.ceil(0.95 * len(values))
-    return values[rank - 1]
+    k = math.ceil(0.95 * values.size) - 1
+    return float(np.partition(values, k)[k])
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +318,15 @@ def window_p95(latency_samples) -> float:
 LATENCY_CSV_HEADER = ("timestamp", "latency_seconds")
 
 
-def read_latency_csv(path) -> list[tuple[float, float]]:
-    """Read the ground-truth sidecar: one (timestamp, latency_seconds) row each."""
-    rows: list[tuple[float, float]] = []
+def read_latency_csv(path) -> np.ndarray:
+    """Read the ground-truth sidecar as an ``(N, 2)`` float64 array of
+    (timestamp, latency_seconds) rows, in file order.
+
+    Rows are checked one at a time, so the first bad row in the file raises
+    :class:`ParseError` with its line number.
+    """
+    ts: list[float] = []
+    vs: list[float] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -326,14 +345,17 @@ def read_latency_csv(path) -> list[tuple[float, float]]:
                 raise ParseError(f"timestamp must be finite, got {t}", line_number=line_no)
             if not (math.isfinite(v) and v > 0):
                 raise ParseError(f"latency must be finite and > 0, got {v}", line_number=line_no)
-            rows.append((t, v))
-    return rows
+            ts.append(t)
+            vs.append(v)
+    return np.column_stack((np.array(ts, dtype=np.float64), np.array(vs, dtype=np.float64)))
 
 
-def write_latency_csv(path, records: list[tuple[float, float]]) -> None:
+def write_latency_csv(path, records) -> None:
+    """Write (timestamp, latency_seconds) rows, a list of pairs or an ``(N, 2)``
+    array, each float as its shortest ``repr``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(LATENCY_CSV_HEADER) + "\n")
-        for t, v in records:
+        for t, v in np.asarray(records, dtype=np.float64).reshape(-1, 2).tolist():
             fh.write(f"{t!r},{v!r}\n")
 
 
@@ -400,7 +422,7 @@ def build_snapshots(
     samples: SeriesColumns,
     topology: Topology,
     spec: WindowSpec,
-    latency_samples: list[tuple[float, float]],
+    latency_samples,
     strict: bool = True,
 ) -> tuple[Dataset, IngestStats]:
     """Assemble windowed snapshots from parsed per-series columns.
@@ -409,8 +431,13 @@ def build_snapshots(
     service receives and the response-byte rate of the calls it makes; edge
     rows carry the three rates per declared dependency; resource rows carry
     (cpu rate, memory bytes, cpu period, net receive rate, net transmit
-    rate). The label is the window's nearest-rank P95 over latency samples
-    completing inside it.
+    rate). The label is the window's nearest-rank P95 (:func:`window_p95`)
+    over the latency samples completing inside it.
+
+    ``latency_samples`` holds (completion time, latency) pairs, as a list of
+    pairs or as the ``(N, 2)`` array :func:`read_latency_csv` returns. A
+    pair whose time is not finite, or whose latency is not finite and > 0,
+    raises :class:`SchemaError` before any window is labelled.
 
     Each series is sorted by time with one stable ``argsort`` (equal
     timestamps keep line order). One pass over the series, in order of
@@ -426,6 +453,15 @@ def build_snapshots(
     stats = IngestStats()
     if samples.untimed is not None:
         raise SchemaError(f"sample of {samples.untimed!r} lacks a timestamp; cannot window it")
+    latency = np.asarray(latency_samples, dtype=np.float64).reshape(-1, 2)
+    finite = np.isfinite(latency)
+    bad = ~(finite.all(axis=1) & (latency[:, 1] > 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        t, v = latency[i].tolist()
+        what = (f"timestamp must be finite, got {t}" if not finite[i, 0]
+                else f"latency must be finite and > 0, got {v}")
+        raise SchemaError(f"latency sample {i}: {what}")
     if not samples.series:
         return Dataset(topology=topology, snapshots=()), stats
     series = {}
@@ -443,9 +479,8 @@ def build_snapshots(
 
     # Label samples attach to the window (start, end]: a request whose
     # completion time equals the window start belongs to the previous one.
-    latency = np.array(latency_samples, dtype=np.float64).reshape(-1, 2)
     order = np.argsort(latency[:, 0], kind="stable")
-    latency_t, latency_v = latency[order, 0], latency[order, 1].tolist()
+    latency_t, latency_v = latency[order, 0], latency[order, 1]
     label_lo = np.searchsorted(latency_t, starts, side="right")
     label_hi = np.searchsorted(latency_t, ends, side="right")
     labelled = label_hi > label_lo

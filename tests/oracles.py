@@ -71,6 +71,34 @@ def nearest_rank_p95(values) -> float:
     return float(arr[rank - 1])
 
 
+def validate_snapshots(dataset) -> None:
+    """One snapshot at a time, every check in order: raise SchemaError for
+    the first check the first bad snapshot fails, as Dataset.validate must."""
+    v, e = dataset.topology.num_services, dataset.topology.num_edges
+    prev = -np.inf
+    for i, snap in enumerate(dataset.snapshots):
+        if snap.window_start <= prev:
+            raise SchemaError(f"snapshot {i} out of chronological order")
+        prev = snap.window_start
+        if snap.node_features.shape != (v, dataset.node_dim):
+            raise SchemaError(
+                f"snapshot {i}: node features {snap.node_features.shape}, expected {(v, dataset.node_dim)}")
+        if snap.edge_features.shape != (e, dataset.edge_dim):
+            raise SchemaError(
+                f"snapshot {i}: edge features {snap.edge_features.shape}, expected {(e, dataset.edge_dim)}")
+        if snap.resource_features.shape != (v, dataset.resource_dim):
+            raise SchemaError(
+                f"snapshot {i}: resource features {snap.resource_features.shape}, "
+                f"expected {(v, dataset.resource_dim)}")
+        blocks = (snap.node_features, snap.edge_features, snap.resource_features)
+        if not all(np.all(np.isfinite(b)) for b in blocks):
+            raise SchemaError(f"snapshot {i}: non-finite feature values")
+        if dataset.norm_stats is None and not all(np.all(b >= 0) for b in blocks):
+            raise SchemaError(f"snapshot {i}: negative raw feature values")
+        if snap.label is not None and not (np.isfinite(snap.label) and snap.label > 0):
+            raise SchemaError(f"snapshot {i}: label must be finite and > 0, got {snap.label}")
+
+
 def gauge_mean(series, window) -> float | None:
     """One window at a time: np.mean of the samples with start <= t <= end,
     or None when the window holds none."""

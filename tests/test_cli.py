@@ -57,6 +57,13 @@ def _break_checkpoint(payload: dict, defect: str):
             meta["normalization"][key] = meta["normalization"][key][:1]
     elif defect == "unknown_variant":
         meta["model_config"] = {"variant": "bogus"}
+    elif defect == "zero_node_std":
+        meta["normalization"]["node_std"] = [0.0, 0.0, 0.0]
+    elif defect == "nan_edge_mean":
+        meta["normalization"]["edge_mean"][1] = math.nan
+    elif defect == "string_topology":
+        meta["topology"]["services"] = "".join(
+            chr(ord("a") + i) for i in range(len(meta["topology"]["services"])))
     return payload
 
 
@@ -118,8 +125,20 @@ class TestSimulate:
         ("path must be a list of service names",
          {"preset": None, "topology": {"services": ["a", "b"], "edges": [["a", "b"]]},
           "request_mix": [{"name": "r", "path": "ab", "weight": 1.0}]}),
+        ("scenario: unknown fields ['duraton_s', 'zeta']", {"duraton_s": 20.0, "zeta": 1}),
+        ("profile segment: unknown fields ['peak_rate']",
+         {"profile": [{"kind": "plateau", "duration_s": 5.0, "start_rate": 1.0, "peak_rate": 50}]}),
+        ("request_mix entry: unknown fields ['weigth']",
+         {"request_mix": [{"name": "r", "path": ["frontend"], "weight": 1.0, "weigth": 2.0}]}),
+        ("services must be a list of strings",
+         {"preset": None, "topology": {"services": "ab", "edges": [["a", "b"]]},
+          "request_mix": [{"name": "r", "path": ["a", "b"], "weight": 1.0}]}),
+        ("edges must be a list of [str, str] pairs",
+         {"preset": None, "topology": {"services": ["a", "b"], "edges": ["ab"]},
+          "request_mix": [{"name": "r", "path": ["a", "b"], "weight": 1.0}]}),
     ], ids=["mix_without_name", "capacities_list", "profile_object", "segment_list",
-            "path_string"])
+            "path_string", "unknown_field", "unknown_segment_field", "unknown_mix_field",
+            "topology_services_string", "topology_edge_string"])
     def test_malformed_scenario_exit_2(self, tmp_path, capsys, field, edit):
         scenario = {"preset": "online_boutique_like",
                     "profile": [{"kind": "plateau", "duration_s": 5.0, "start_rate": 1.0}]}
@@ -368,6 +387,9 @@ class TestEvalPredictExport:
         ("normalization_list", "normalization must be an object"),
         ("one_element_node_stats", "node_mean has shape (1,), expected (3,)"),
         ("unknown_variant", "unknown variant"),
+        ("zero_node_std", "normalization node_std must be finite and > 0, got [0.0, 0.0, 0.0]"),
+        ("nan_edge_mean", "normalization edge_mean must be finite"),
+        ("string_topology", "services must be a list of strings"),
     ])
     def test_malformed_checkpoint_exit_5(self, tmp_path, capsys, pipeline, defect, field):
         payload = json.loads((pipeline["train"] / "checkpoint.json").read_text())
@@ -377,12 +399,22 @@ class TestEvalPredictExport:
                      "--checkpoint", str(bad)]) == 5
         assert field in capsys.readouterr().err
 
-    @pytest.mark.parametrize("normalization", [
-        [1],
-        {"node_mean": [0.0], "node_std": [1.0], "edge_mean": [0.0] * 3, "edge_std": [1.0] * 3,
-         "resource_mean": [0.0] * 5, "resource_std": [1.0] * 5},
-    ], ids=["list", "one_element_node_stats"])
-    def test_malformed_dataset_header_exit_2(self, tmp_path, capsys, pipeline, normalization):
+    @pytest.mark.parametrize("normalization, field", [
+        ([1], "normalization must be an object"),
+        ({"node_mean": [0.0], "node_std": [1.0], "edge_mean": [0.0] * 3, "edge_std": [1.0] * 3,
+          "resource_mean": [0.0] * 5, "resource_std": [1.0] * 5}, "normalization node_mean has shape"),
+        ({"node_mean": [0.0] * 3, "node_std": [0.0] * 3, "edge_mean": [0.0] * 3,
+          "edge_std": [1.0] * 3, "resource_mean": [0.0] * 5, "resource_std": [1.0] * 5},
+         "normalization node_std must be finite and > 0"),
+        ({"node_mean": [0.0] * 3, "node_std": [1.0] * 3, "edge_mean": [0.0] * 3,
+          "edge_std": [1.0] * 3, "resource_mean": [0.0] * 5, "resource_std": [1.0] * 4 + [-1.0]},
+         "normalization resource_std must be finite and > 0"),
+        ({"node_mean": [0.0] * 2 + [math.inf], "node_std": [1.0] * 3, "edge_mean": [0.0] * 3,
+          "edge_std": [1.0] * 3, "resource_mean": [0.0] * 5, "resource_std": [1.0] * 5},
+         "normalization node_mean must be finite"),
+    ], ids=["list", "one_element_node_stats", "zero_std", "negative_std", "infinite_mean"])
+    def test_malformed_dataset_header_exit_2(self, tmp_path, capsys, pipeline, normalization,
+                                             field):
         lines = pipeline["dataset"].read_text().splitlines(keepends=True)
         header = json.loads(lines[0])
         header["normalization"] = normalization
@@ -392,7 +424,29 @@ class TestEvalPredictExport:
                      "--checkpoint", str(pipeline["train"] / "checkpoint.json"),
                      "--out-dir", str(tmp_path / "e")]) == 2
         err = capsys.readouterr().err
-        assert "line 1: normalization" in err
+        assert f"line 1: {field}" in err
+
+    @pytest.mark.parametrize("topology, field", [
+        ({"services": "abcdefghijk", "edges": []}, "services must be a list of strings"),
+        ({"services": [1, 2], "edges": [[0, 1]]}, "services must be a list of strings"),
+        ({"services": ["a", "b"], "edges": ["01"]}, "edges must be a list of [int, int] pairs"),
+    ], ids=["services_string", "services_numbers", "edge_string"])
+    def test_malformed_topology_exit_2(self, tmp_path, capsys, pipeline, topology, field):
+        import shutil
+        tel = tmp_path / "tel"
+        shutil.copytree(pipeline["sim"], tel)
+        (tel / "topology.json").write_text(json.dumps(topology))
+        assert main(["ingest", "--telemetry", str(tel), "--topology", str(tel / "topology.json"),
+                     "--dataset", str(tmp_path / "d.jsonl")]) == 2
+        assert field in capsys.readouterr().err
+        lines = pipeline["dataset"].read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        header["topology"] = topology
+        bad = tmp_path / "data.jsonl"
+        bad.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        assert main(["predict", "--snapshots", str(bad),
+                     "--checkpoint", str(pipeline["train"] / "checkpoint.json")]) == 2
+        assert field in capsys.readouterr().err
 
     def test_predict_prints_positive_numbers(self, capsys, pipeline):
         assert main(["predict", "--snapshots", str(pipeline["dataset"]),

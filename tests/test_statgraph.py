@@ -1,13 +1,18 @@
 """Topology, splitting, normalization, and dataset file round-trips."""
 
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import validate_snapshots
 from tailcast.errors import ParseError, SchemaError
 from tailcast.statgraph import (
     Dataset,
+    NormStats,
     Snapshot,
     Topology,
     apply_normalizer,
@@ -67,6 +72,20 @@ class TestTopology:
     def test_unknown_service_in_edge(self):
         with pytest.raises(SchemaError):
             Topology.create(["a", "b"], [("a", "zzz")])
+
+    @pytest.mark.parametrize("d", [
+        {"services": "ab", "edges": [[0, 1]]},
+        {"services": ["a", 2], "edges": [[0, 1]]},
+        {"services": ["a", "b"], "edges": "01"},
+        {"services": ["a", "b"], "edges": [[0, 1, 1]]},
+        {"services": ["a", "b"], "edges": [[0, "1"]]},
+        {"services": ["a", "b"], "edges": [[0, True]]},
+        {"services": ["a", "b"]},
+        ["a", "b"],
+    ])
+    def test_from_dict_requires_lists_of_names_and_index_pairs(self, d):
+        with pytest.raises(SchemaError, match="malformed topology"):
+            Topology.from_dict(d)
 
     def test_dict_roundtrip(self):
         topo = make_topology()
@@ -262,3 +281,74 @@ class TestSerialization:
         save_dataset(ds, path)
         loaded = load_dataset(path)
         assert loaded.snapshots[0].label is None
+
+
+# Dataset.validate's checks, in its order
+CHECKS = ("order", "node_shape", "edge_shape", "resource_shape", "non_finite", "negative", "label")
+BLOCKS = ("node_features", "edge_features", "resource_features")
+
+
+def _with_fault(snaps, i, kind, draw):
+    """``snaps`` (a list) with snapshot i given one fault of ``kind``."""
+    snap = snaps[i]
+    if kind == "order":
+        prev = snaps[i - 1].window_start if i else -np.inf
+        change = {"window_start": prev - draw(st.sampled_from([0.0, 0.5, 100.0]))}
+    elif kind.endswith("_shape"):
+        block = BLOCKS[CHECKS.index(kind) - 1]
+        rows, cols = getattr(snap, block).shape
+        shape = draw(st.sampled_from([(rows + 1, cols), (rows, cols - 1), (rows * cols,)]))
+        change = {block: np.ones(shape)}
+    elif kind in ("non_finite", "negative"):
+        block = draw(st.sampled_from([b for b in BLOCKS if getattr(snap, b).size]))
+        values = getattr(snap, block).copy()
+        at = draw(st.integers(0, values.size - 1))
+        values.flat[at] = (draw(st.sampled_from([np.nan, np.inf, -np.inf])) if kind == "non_finite"
+                           else -draw(st.floats(min_value=1e-300, max_value=1e300)))
+        change = {block: values}
+    else:
+        change = {"label": draw(st.sampled_from([0.0, -0.5, np.nan, np.inf, -np.inf]))}
+    snaps[i] = dataclasses.replace(snap, **change)
+
+
+def _first_error(check, dataset):
+    try:
+        check(dataset)
+    except SchemaError as exc:
+        return str(exc)
+    return None
+
+
+class TestValidateAgainstOracle:
+    """Dataset.validate names the snapshot and check the per-snapshot loop names."""
+
+    @pytest.mark.parametrize("normalised", [False, True], ids=["raw", "normalised"])
+    @pytest.mark.parametrize("first, second", list(itertools.product(CHECKS, repeat=2)))
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_two_faults_first_message_matches(self, first, second, normalised, data):
+        topo = make_topology()
+        n = data.draw(st.integers(2, 6), label="n")
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True),
+                         label="faulty snapshots")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        draw_values = rng.standard_normal if normalised else rng.random
+        snaps = [Snapshot(window_start=5.0 * k,
+                          node_features=draw_values((topo.num_services, 3)),
+                          edge_features=draw_values((topo.num_edges, 3)),
+                          resource_features=draw_values((topo.num_services, 5)),
+                          label=None if rng.random() < 0.2 else 0.1 + rng.random())
+                 for k in range(n)]
+        _with_fault(snaps, i, first, data.draw)
+        _with_fault(snaps, j, second, data.draw)
+        stats = NormStats(np.zeros(3), np.ones(3), np.zeros(3), np.ones(3), np.zeros(5),
+                          np.ones(5)) if normalised else None
+        dataset = Dataset(topology=topo, snapshots=tuple(snaps), norm_stats=stats)
+        want = _first_error(validate_snapshots, dataset)
+        if not (normalised and first == second == "negative"):
+            assert want is not None
+        assert _first_error(Dataset.validate, dataset) == want
+
+    def test_empty_and_clean_datasets_pass(self):
+        Dataset(topology=make_topology(), snapshots=()).validate()
+        make_dataset(5).validate()

@@ -315,13 +315,31 @@ class TestWindowP95:
             values = rng.exponential(0.2, size=n)
             assert window_p95(values) == nearest_rank_p95(values)
 
+    def test_matches_sort_oracle_on_windows_with_many_ties(self):
+        # a few distinct values, so the order statistic sits inside a run of
+        # equal values, at its edges, or on a value held once
+        rng = np.random.default_rng(34)
+        for _ in range(300):
+            n = int(rng.integers(1, 500))
+            distinct = rng.exponential(0.2, size=int(rng.integers(1, 5)))
+            values = rng.choice(distinct, size=n)
+            assert window_p95(values) == nearest_rank_p95(values)
+            assert window_p95(values.tolist()) == nearest_rank_p95(values)
+
 
 class TestLatencyCsv:
     def test_roundtrip(self, tmp_path):
         records = [(1.5, 0.25), (2.0, 0.1 + 0.2)]
         path = tmp_path / "latency.csv"
         write_latency_csv(path, records)
-        assert read_latency_csv(path) == records
+        assert read_latency_csv(path).tolist() == [list(r) for r in records]
+
+    def test_nan_row_before_a_three_field_row_names_the_nan_row(self, tmp_path):
+        path = tmp_path / "latency.csv"
+        path.write_text("timestamp,latency_seconds\n0.5,0.25\n1.0,nan\n1.0,0.5,junk\n")
+        with pytest.raises(ParseError, match="latency must be finite and > 0, got nan") as err:
+            read_latency_csv(path)
+        assert err.value.line_number == 3
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "latency.csv"
@@ -354,7 +372,14 @@ class TestLatencyCsv:
     def test_roundtrip_fuzz(self, tmp_path, records):
         path = tmp_path / "latency.csv"
         write_latency_csv(path, records)
-        assert read_latency_csv(path) == records
+        rows = read_latency_csv(path)
+        assert (rows.shape, rows.dtype) == ((len(records), 2), np.float64)
+        assert rows.tolist() == [list(r) for r in records]
+        # written back from the array, each float64 prints as its Python
+        # float repr, never as numpy's "np.float64(...)": the same bytes
+        again = tmp_path / "again.csv"
+        write_latency_csv(again, rows)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_nonpositive_latency_rejected(self, tmp_path):
         path = tmp_path / "latency.csv"
@@ -432,6 +457,33 @@ class TestBuildSnapshots:
         ds, _ = build_snapshots(_columns(samples + extra), topo, WindowSpec(30.0, 5.0), latency)
         idle_edge = topo.edge_index()[(topo.index_of("front"), topo.index_of("idle"))]
         assert np.array_equal(ds.snapshots[0].edge_features[idle_edge], np.zeros(3))
+
+    def test_latency_array_and_list_of_pairs_build_the_same_dataset(self):
+        columns = _columns(_mini_samples())
+        latency = [(float(t), 0.05 + 0.001 * (t % 7)) for t in range(40, 0, -1)]
+        from_list, _ = build_snapshots(columns, _mini_topology(), WindowSpec(30.0, 5.0), latency)
+        from_array, _ = build_snapshots(columns, _mini_topology(), WindowSpec(30.0, 5.0),
+                                        np.array(latency))
+        assert [s.label for s in from_array.snapshots] == [s.label for s in from_list.snapshots]
+        assert all(type(s.label) is float for s in from_array.snapshots)
+
+    @pytest.mark.parametrize("pair, message", [
+        ((math.nan, 0.05), "latency sample 3: timestamp must be finite, got nan"),
+        ((-math.inf, 0.05), "latency sample 3: timestamp must be finite, got -inf"),
+        ((4.0, math.nan), "latency sample 3: latency must be finite and > 0, got nan"),
+        ((4.0, math.inf), "latency sample 3: latency must be finite and > 0, got inf"),
+        ((4.0, 0.0), "latency sample 3: latency must be finite and > 0, got 0.0"),
+        ((4.0, -0.5), "latency sample 3: latency must be finite and > 0, got -0.5"),
+    ])
+    def test_bad_latency_refused_before_labelling(self, pair, message):
+        latency = [(float(t), 0.05) for t in range(1, 41)]
+        latency[3] = pair
+        latency[7] = (8.0, -1.0)  # a later bad pair is not the one named
+        for given_as in (latency, np.array(latency)):
+            with pytest.raises(SchemaError) as err:
+                build_snapshots(_columns(_mini_samples()), _mini_topology(),
+                                WindowSpec(30.0, 5.0), given_as)
+            assert str(err.value) == message
 
     def test_windows_without_labels_are_dropped_and_counted(self):
         topo = _mini_topology()
