@@ -214,12 +214,12 @@ def _write_report(out_dir: Path, report) -> None:
 
 
 def cmd_train(args) -> int:
-    dataset = load_dataset(args.dataset)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     config = TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size,
         learning_rate=args.learning_rate, seed=args.seed)
+    dataset = load_dataset(args.dataset)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     model_config = ModelConfig(
         d_node=dataset.node_dim, d_edge=dataset.edge_dim, d_resource=dataset.resource_dim,
         traffic_layers=args.traffic_layers, resource_blocks=args.resource_blocks,

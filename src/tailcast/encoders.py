@@ -152,13 +152,10 @@ class TrafficEncoder(Module):
         ]
         self.pool = AttentionPool(d_emb, rng)
 
-    def __call__(self, batch: SnapshotBatch, rng: np.random.Generator | None = None,
-                 node_features: Tensor | None = None,
-                 edge_features: Tensor | None = None) -> Tensor:
-        h = self.input_proj(batch.node_features if node_features is None else node_features)
-        edges = batch.edge_features if edge_features is None else edge_features
+    def __call__(self, batch: SnapshotBatch, rng: np.random.Generator | None = None) -> Tensor:
+        h = self.input_proj(batch.node_features)
         for layer in self.layers:
-            h = layer(h, edges, batch.routing, rng)
+            h = layer(h, batch.edge_features, batch.routing, rng)
         return self.pool(h)
 
 

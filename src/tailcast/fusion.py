@@ -31,7 +31,7 @@ from .encoders import (
     collate_snapshots,
 )
 from .errors import CheckpointError, SchemaError
-from .nn import EVAL_BATCH, MLP, Linear, Module, Predictor, _eval_mode
+from .nn import MLP, Linear, Module, Predictor
 from .statgraph import NormStats, Snapshot, Topology
 from .tensor import Tensor, load_checkpoint, load_params_into, save_checkpoint
 
@@ -105,14 +105,10 @@ class ModelConfig:
 
 @dataclass
 class SystemEmbedding:
-    """Fused system state plus the stream embeddings it came from."""
+    """The unified system embedding of one window: the head input."""
 
     window_start: float
     fused: np.ndarray
-    demand: np.ndarray | None = None
-    capacity: np.ndarray | None = None
-    demand_enhanced: np.ndarray | None = None
-    capacity_enhanced: np.ndarray | None = None
 
 
 class CrossTokenAttention(Module):
@@ -133,9 +129,9 @@ class CrossTokenAttention(Module):
         self.wk = Linear(self.d_token, self.d_token, rng)
         self.wv = Linear(self.d_token, self.d_token, rng)
 
-    def __call__(self, q_emb: Tensor, kv_emb: Tensor) -> tuple[Tensor, Tensor]:
-        """The attended values ``(B, d_emb)`` and the attention weights
-        ``(B, tokens, tokens)``, each row a distribution over context tokens."""
+    def __call__(self, q_emb: Tensor, kv_emb: Tensor) -> Tensor:
+        """The attended values ``(B, d_emb)``; each query token weighs the
+        context tokens by a softmax over them."""
         b = q_emb.shape[0]
         shape = (b, self.num_tokens, self.d_token)
         q = self.wq(T.reshape(q_emb, shape))
@@ -143,7 +139,7 @@ class CrossTokenAttention(Module):
         v = self.wv(T.reshape(kv_emb, shape))
         scores = T.scale(T.matmul(q, T.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(self.d_token))
         attn = T.softmax(scores, axis=-1)
-        return T.reshape(T.matmul(attn, v), (b, self.d_emb)), attn
+        return T.reshape(T.matmul(attn, v), (b, self.d_emb))
 
 
 class DemandCapacityFusion(Module):
@@ -171,18 +167,17 @@ class DemandCapacityFusion(Module):
         self.mix = MLP([rank, fused_width, fused_width], rng)
 
     def enhance(self, z_t: Tensor, z_r: Tensor) -> tuple[Tensor, Tensor]:
-        zt_e = T.add(z_t, self.attend_demand(z_t, z_r)[0])
-        zr_e = T.add(z_r, self.attend_capacity(z_r, z_t)[0])
+        zt_e = T.add(z_t, self.attend_demand(z_t, z_r))
+        zr_e = T.add(z_r, self.attend_capacity(z_r, z_t))
         return zt_e, zr_e
 
     def factors(self, zt_e: Tensor, zr_e: Tensor) -> tuple[Tensor, Tensor]:
         return self.project_demand(zt_e), self.project_capacity(zr_e)
 
-    def __call__(self, z_t: Tensor, z_r: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """The two enhanced stream embeddings and the fused embedding."""
-        zt_e, zr_e = self.enhance(z_t, z_r)
-        f_t, f_r = self.factors(zt_e, zr_e)
-        return zt_e, zr_e, self.mix(T.mul(f_t, f_r))
+    def __call__(self, z_t: Tensor, z_r: Tensor) -> Tensor:
+        """The fused embedding ``(B, fused_width)``."""
+        f_t, f_r = self.factors(*self.enhance(z_t, z_r))
+        return self.mix(T.mul(f_t, f_r))
 
 
 class LatencyModel(Predictor):
@@ -250,40 +245,33 @@ class LatencyModel(Predictor):
 
     # -- forward -----------------------------------------------------------
 
-    def _streams(self, batch: SnapshotBatch) -> dict[str, Tensor | None]:
+    def embed(self, batch: SnapshotBatch) -> Tensor:
+        """The head input: the fused embedding, the sum of the two streams,
+        or the one stream the variant passes on."""
         rng = self._dropout_rng if self.training else None
         spec = VARIANT_TABLE[self.config.variant]
         z_t = None
         z_r = None
         if spec.demand == "merged":
             merged = T.concat([batch.node_features, batch.resources], axis=2)
-            z_t = self.traffic(batch, rng, node_features=merged)
+            z_t = self.traffic(replace(batch, node_features=merged), rng)
         elif spec.demand == "traffic":
             z_t = self.traffic(batch, rng)
         if spec.capacity == "gmlp":
             z_r = self.resource(batch.resources, rng)
         elif spec.capacity == "graph":
             zero_edges = Tensor(np.zeros_like(batch.edge_features.data))
-            z_r = self.resource_graph(batch, rng, node_features=batch.resources,
-                                      edge_features=zero_edges)
-        return {"demand": z_t, "capacity": z_r}
-
-    def embed(self, batch: SnapshotBatch) -> dict[str, Tensor | None]:
-        """All intermediate embeddings plus the head input ("embedding")."""
-        parts = self._streams(batch)
-        combine = VARIANT_TABLE[self.config.variant].combine
-        if combine == "fusion":
-            zt_e, zr_e, fused = self.fusion(parts["demand"], parts["capacity"])
-            parts.update(demand_enhanced=zt_e, capacity_enhanced=zr_e, embedding=fused)
-        elif combine == "sum":
-            parts["embedding"] = T.add(parts["demand"], parts["capacity"])
-        else:
-            parts["embedding"] = parts[combine]
-        return parts
+            z_r = self.resource_graph(
+                replace(batch, node_features=batch.resources, edge_features=zero_edges), rng)
+        if spec.combine == "fusion":
+            return self.fusion(z_t, z_r)
+        if spec.combine == "sum":
+            return T.add(z_t, z_r)
+        return z_t if spec.combine == "demand" else z_r
 
     def forward(self, batch: SnapshotBatch) -> Tensor:
         """Predicted P95 latency in seconds, shape (B, 1)."""
-        return T.softplus(self.head(self.embed(batch)["embedding"]))
+        return T.softplus(self.head(self.embed(batch)))
 
     def forward_snapshots(self, snapshots: list[Snapshot]) -> Tensor:
         return self.forward(self.collate(snapshots))
@@ -342,26 +330,9 @@ def load_model(path) -> tuple[LatencyModel, NormStats]:
 
 
 def export_embeddings(snapshots: list[Snapshot], model: LatencyModel) -> list[SystemEmbedding]:
-    with _eval_mode(model), T.no_grad():
-        out: list[SystemEmbedding] = []
-        for i in range(0, len(snapshots), EVAL_BATCH):
-            chunk = snapshots[i:i + EVAL_BATCH]
-            parts = model.embed(model.collate(chunk))
-
-            def row(name: str, j: int) -> np.ndarray | None:
-                t = parts.get(name)
-                return None if t is None else t.data[j].copy()
-
-            for j, snap in enumerate(chunk):
-                out.append(SystemEmbedding(
-                    window_start=snap.window_start,
-                    fused=parts["embedding"].data[j].copy(),
-                    demand=row("demand", j),
-                    capacity=row("capacity", j),
-                    demand_enhanced=row("demand_enhanced", j),
-                    capacity_enhanced=row("capacity_enhanced", j),
-                ))
-        return out
+    slices = model.infer(snapshots, lambda chunk: model.embed(model.collate(chunk)).data)
+    rows = (row.copy() for fused in slices for row in fused)
+    return [SystemEmbedding(snap.window_start, row) for snap, row in zip(snapshots, rows)]
 
 
 def write_embeddings_csv(path, embeddings: list[SystemEmbedding]) -> None:

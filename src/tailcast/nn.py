@@ -3,13 +3,13 @@
 A :class:`Module` collects named parameter tensors by walking its attributes;
 construction order gives stable, checkpoint-friendly names. There is no
 autograd magic here; modules are just containers for parameters plus a
-``__call__`` that builds the op graph. A :class:`Predictor` adds the one
-batched inference loop that every snapshot model shares.
+``__call__`` that builds the op graph. :meth:`Predictor.infer` is the one
+batched inference loop: ``predict``, embedding export and the validation
+loss each hand it a function of one slice of snapshots.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Iterator
 
 import numpy as np
@@ -55,34 +55,32 @@ class Module:
 EVAL_BATCH = 256  # snapshots per forward pass when nothing is trained
 
 
-@contextmanager
-def _eval_mode(model: Module):
-    """Run the body in eval mode, then restore the mode; the two module-tree
-    walks are skipped when the model is in eval mode already."""
-    if not model.training:
-        yield
-        return
-    model.eval()
-    try:
-        yield
-    finally:
-        model.train()
-
-
 class Predictor(Module):
     """A module mapping a list of snapshots to (B, 1) predictions."""
 
     def forward_snapshots(self, snapshots: list) -> Tensor:  # pragma: no cover
         raise NotImplementedError
 
+    def infer(self, snapshots: list, fn) -> list:
+        """``fn`` of each successive ``EVAL_BATCH`` slice of ``snapshots``, in
+        order, run in eval mode with no graph recorded; the training mode is
+        restored afterwards (the module-tree walks are skipped when the model
+        is in eval mode already)."""
+        training = self.training
+        if training:
+            self.eval()
+        try:
+            with T.no_grad():
+                return [fn(snapshots[i:i + EVAL_BATCH])
+                        for i in range(0, len(snapshots), EVAL_BATCH)]
+        finally:
+            if training:
+                self.train()
+
     def predict(self, snapshots: list) -> np.ndarray:
-        """Inference over many snapshots; dropout off, no graph recorded."""
-        with _eval_mode(self), T.no_grad():
-            preds = []
-            for i in range(0, len(snapshots), EVAL_BATCH):
-                out = self.forward_snapshots(snapshots[i:i + EVAL_BATCH])
-                preds.append(out.data.reshape(-1))
-            return np.concatenate(preds) if preds else np.zeros(0)
+        """Predictions over many snapshots; dropout off, no graph recorded."""
+        preds = self.infer(snapshots, lambda chunk: self.forward_snapshots(chunk).data.reshape(-1))
+        return np.concatenate(preds) if preds else np.zeros(0)
 
 
 def _walk(name: str, val) -> Iterator[tuple[str, Tensor]]:

@@ -209,10 +209,6 @@ class SimRequest:
     hop_services: tuple[int, ...]
     hop_arrival_times: tuple[float, ...]
 
-    @property
-    def latency(self) -> float:
-        return self.completion_time - self.arrival_time
-
 
 @dataclass
 class SimulationResult:

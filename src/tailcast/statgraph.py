@@ -187,6 +187,7 @@ class NormStats:
 # Dataset.validate's checks in order, formatted with the snapshot index i,
 # the snapshot and the expected (node, edge, resource) shapes
 _CHECK_MESSAGES = (
+    "snapshot {i}: window_start must be finite, got {snap.window_start}",
     "snapshot {i} out of chronological order",
     "snapshot {i}: node features {snap.node_features.shape}, expected {expected[0]}",
     "snapshot {i}: edge features {snap.edge_features.shape}, expected {expected[1]}",
@@ -219,12 +220,13 @@ class Dataset:
         """Raise :class:`SchemaError` for the first bad snapshot, naming the
         first check it fails.
 
-        The checks, in order: strictly increasing ``window_start``, the node,
-        edge and resource block shapes, finite feature values, non-negative
-        raw feature values (skipped once normalised), and a label that is
-        None or finite and > 0. Shapes are compared per snapshot; the blocks
-        of every snapshot before the first shape mismatch are then stacked,
-        and each check is one mask over the snapshots.
+        The checks, in order: a finite ``window_start``, strictly increasing
+        ``window_start``, the node, edge and resource block shapes, finite
+        feature values, non-negative raw feature values (skipped once
+        normalised), and a label that is None or finite and > 0. Shapes are
+        compared per snapshot; the blocks of every snapshot before the first
+        shape mismatch are then stacked, and each check is one mask over the
+        snapshots.
         """
         v, e = self.topology.num_services, self.topology.num_edges
         expected = ((v, self.node_dim), (e, self.edge_dim), (v, self.resource_dim))
@@ -237,19 +239,20 @@ class Dataset:
         # row c is check c of _CHECK_MESSAGES; column i is snapshot i
         bad = np.zeros((len(_CHECK_MESSAGES), n), dtype=bool)
         starts = np.array([s.window_start for s in snaps], dtype=np.float64)
-        bad[0] = starts <= np.concatenate(([-np.inf], starts[:-1]))
+        bad[0] = ~np.isfinite(starts)
+        bad[1] = starts <= np.concatenate(([-np.inf], starts[:-1]))
         if shaped < n:
-            bad[1:4, shaped] = [got != want for got, want in zip(shapes[shaped], expected)]
+            bad[2:5, shaped] = [got != want for got, want in zip(shapes[shaped], expected)]
         if shaped:
             values = np.concatenate([
                 np.stack([getattr(s, block) for s in snaps[:shaped]]).reshape(shaped, -1)
                 for block in ("node_features", "edge_features", "resource_features")], axis=1)
-            bad[4, :shaped] = ~np.isfinite(values).all(axis=1)
+            bad[5, :shaped] = ~np.isfinite(values).all(axis=1)
             if self.norm_stats is None:
-                bad[5, :shaped] = ~(values >= 0).all(axis=1)
+                bad[6, :shaped] = ~(values >= 0).all(axis=1)
         # an unlabelled snapshot passes as the label 1.0
         labels = np.array([1.0 if s.label is None else s.label for s in snaps], dtype=np.float64)
-        bad[6] = ~(np.isfinite(labels) & (labels > 0))
+        bad[7] = ~(np.isfinite(labels) & (labels > 0))
         failing = np.flatnonzero(bad.any(axis=0))
         if failing.size:
             i = int(failing[0])

@@ -21,7 +21,7 @@ import numpy as np
 from . import tensor as T
 from .errors import SchemaError, TrainingError
 from .fusion import LatencyModel, ModelConfig
-from .nn import EVAL_BATCH, MLP, Predictor
+from .nn import MLP, Predictor
 from .statgraph import (
     Dataset,
     NormStats,
@@ -148,8 +148,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
-            raise ValueError("epochs, batch_size and learning_rate must be positive")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 @dataclass
@@ -199,14 +201,14 @@ def _param_norms(model) -> str:
     return ", ".join(f"{k}={v:.3g}" for k, v in worst)
 
 
-def _split_loss(model, snapshots, params: LossParams) -> float:
+def _split_loss(model: Predictor, snapshots, params: LossParams) -> float:
+    def slice_loss(chunk):
+        labels = np.asarray([s.label for s in chunk])
+        return batch_loss(model.forward_snapshots(chunk), labels, params).item() * len(chunk)
+
     total = 0.0
-    with T.no_grad():
-        for i in range(0, len(snapshots), EVAL_BATCH):
-            chunk = snapshots[i:i + EVAL_BATCH]
-            pred = model.forward_snapshots(chunk)
-            labels = np.asarray([s.label for s in chunk])
-            total += batch_loss(pred, labels, params).item() * len(chunk)
+    for loss in model.infer(snapshots, slice_loss):
+        total += loss
     return total / len(snapshots)
 
 
@@ -298,7 +300,6 @@ def center_output_bias(model, train_snaps: list[Snapshot]) -> None:
 class TrainedModel:
     model: LatencyModel
     norm_stats: NormStats
-    config: ModelConfig
 
 
 def _prepare_splits(dataset: Dataset):
@@ -338,7 +339,7 @@ def train(
         model, train_snaps, val_snaps, test_snaps, config, loss_params,
         shuffle_rng=np.random.default_rng(seed_shuffle), variant=variant,
     )
-    return report, TrainedModel(model=model, norm_stats=stats, config=base)
+    return report, TrainedModel(model=model, norm_stats=stats)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,8 @@ def validate_snapshots(dataset) -> None:
     v, e = dataset.topology.num_services, dataset.topology.num_edges
     prev = -np.inf
     for i, snap in enumerate(dataset.snapshots):
+        if not np.isfinite(snap.window_start):
+            raise SchemaError(f"snapshot {i}: window_start must be finite, got {snap.window_start}")
         if snap.window_start <= prev:
             raise SchemaError(f"snapshot {i} out of chronological order")
         prev = snap.window_start

@@ -105,7 +105,7 @@ def _grad_cross_attention(seed):
     kv = Tensor(rng.normal(size=(2, 8)), requires_grad=True)
     probe = Tensor(rng.normal(size=(2, 8)))
     leaves = [q, kv] + list(attn.parameters().values())
-    return lambda: T.tsum(T.mul(attn(q, kv)[0], probe)), leaves
+    return lambda: T.tsum(T.mul(attn(q, kv), probe)), leaves
 
 
 def _grad_low_rank_fusion(seed):
@@ -115,7 +115,7 @@ def _grad_low_rank_fusion(seed):
     z_r = Tensor(rng.normal(size=(2, 8)), requires_grad=True)
     probe = Tensor(rng.normal(size=(2, 4)))
     leaves = [z_t, z_r] + list(fusion.parameters().values())
-    return lambda: T.tsum(T.mul(fusion(z_t, z_r)[2], probe)), leaves
+    return lambda: T.tsum(T.mul(fusion(z_t, z_r), probe)), leaves
 
 
 def _grad_head(seed):

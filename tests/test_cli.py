@@ -313,6 +313,14 @@ class TestTrainCli:
         for line, record in zip(csv_lines[1:], report["epochs"]):
             assert float(line.split(",")[3]) == record["grad_norm_max"] > 0.0
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "0", "-1e-3"])
+    def test_bad_learning_rate_exit_2_before_training(self, tmp_path, capsys, pipeline, rate):
+        out = tmp_path / "train"
+        assert main(["train", "--dataset", str(pipeline["dataset"]), "--out-dir", str(out),
+                     "--epochs", "1", f"--learning-rate={rate}"]) == 2
+        assert "learning_rate must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_reports_and_checkpoints(self, tmp_path, pipeline):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["train", "--dataset", str(pipeline["dataset"]), "--variant", "traffic_only",
@@ -447,6 +455,20 @@ class TestEvalPredictExport:
         assert main(["predict", "--snapshots", str(bad),
                      "--checkpoint", str(pipeline["train"] / "checkpoint.json")]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, start", [(1, math.nan), (-1, math.inf)],
+                             ids=["nan_second", "inf_last"])
+    def test_non_finite_window_start_exit_2(self, tmp_path, capsys, pipeline, row, start):
+        lines = pipeline["dataset"].read_text().splitlines()
+        snapshot = json.loads(lines[row])
+        snapshot["window_start"] = start
+        lines[row] = json.dumps(snapshot)
+        bad = tmp_path / "data.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["predict", "--snapshots", str(bad),
+                     "--checkpoint", str(pipeline["train"] / "checkpoint.json")]) == 2
+        index = row - 1 if row > 0 else len(lines) - 2
+        assert f"snapshot {index}: window_start must be finite" in capsys.readouterr().err
 
     def test_predict_prints_positive_numbers(self, capsys, pipeline):
         assert main(["predict", "--snapshots", str(pipeline["dataset"]),

@@ -24,10 +24,11 @@ from tailcast.fusion import (
     save_model,
     write_embeddings_csv,
 )
+from tailcast.nn import EVAL_BATCH
 from tailcast.simulator import preset_topologies
 from tailcast.statgraph import NormStats, Snapshot, Topology
 from tailcast.tensor import Tape, Tensor
-from tailcast.training import LossParams, _split_loss
+from tailcast.training import LossParams, _split_loss, batch_loss
 
 
 def small_topology():
@@ -54,8 +55,8 @@ class TestCrossTokenAttention:
         attn = CrossTokenAttention(8, 4, rng)
         token = rng.normal(size=2)
         kv = Tensor(np.tile(token, 4).reshape(1, 8))
-        out1, _ = attn(Tensor(rng.normal(size=(1, 8))), kv)
-        out2, _ = attn(Tensor(rng.normal(size=(1, 8))), kv)
+        out1 = attn(Tensor(rng.normal(size=(1, 8))), kv)
+        out2 = attn(Tensor(rng.normal(size=(1, 8))), kv)
         assert np.allclose(out1.data, out2.data, atol=1e-12)
         expected = token @ attn.wv.w.data + attn.wv.b.data
         assert np.allclose(out1.data.reshape(4, 2), np.tile(expected, (4, 1)), atol=1e-12)
@@ -65,16 +66,9 @@ class TestCrossTokenAttention:
         attn = CrossTokenAttention(8, 1, rng)
         q = Tensor(rng.normal(size=(2, 8)))
         kv_arr = rng.normal(size=(2, 8))
-        out, _ = attn(q, Tensor(kv_arr))
+        out = attn(q, Tensor(kv_arr))
         expected = kv_arr @ attn.wv.w.data + attn.wv.b.data
         assert np.allclose(out.data, expected, atol=1e-12)
-
-    def test_attention_rows_sum_to_one(self):
-        rng = np.random.default_rng(2)
-        attn = CrossTokenAttention(16, 4, rng)
-        _, mat = attn(Tensor(rng.normal(size=(3, 16))), Tensor(rng.normal(size=(3, 16))))
-        assert np.allclose(mat.data.sum(axis=-1), 1.0, atol=1e-9)
-        assert np.all(mat.data >= 0)
 
 
 class TestDemandCapacityFusion:
@@ -108,7 +102,7 @@ class TestDemandCapacityFusion:
             layer.w.data[:] = 0.0
             layer.b.data[:] = 0.0
         z = Tensor(rng.normal(size=(3, 8)))
-        _, _, out = fusion(z, Tensor(rng.normal(size=(3, 8))))
+        out = fusion(z, Tensor(rng.normal(size=(3, 8))))
         bias_path = fusion.mix(Tensor(np.zeros((3, 4))))
         assert np.allclose(out.data, bias_path.data, atol=1e-12)
 
@@ -121,7 +115,7 @@ class TestDemandCapacityFusion:
         # so the fused product is the all-ones rank vector
         for project in (fusion.project_demand, fusion.project_capacity):
             project.layers[-1].w.data[:] = 0.0
-        _, _, out = fusion(Tensor(rng.normal(size=(3, 8))), Tensor(rng.normal(size=(3, 8))))
+        out = fusion(Tensor(rng.normal(size=(3, 8))), Tensor(rng.normal(size=(3, 8))))
         ones_path = fusion.mix(Tensor(np.ones((3, 4))))
         assert np.allclose(out.data, ones_path.data, rtol=0.0, atol=1e-12)
 
@@ -130,7 +124,7 @@ class TestDemandCapacityFusion:
         fusion = DemandCapacityFusion(8, 4, 4, 8, rng)
         z_t = Tensor(rng.normal(size=(1, 8)), requires_grad=True)
         z_r = Tensor(rng.normal(size=(1, 8)), requires_grad=True)
-        T.tsum(fusion(z_t, z_r)[2]).backward()
+        T.tsum(fusion(z_t, z_r)).backward()
         assert np.any(z_t.grad != 0)
         assert np.any(z_r.grad != 0)
 
@@ -142,7 +136,7 @@ class TestDemandCapacityFusion:
         probe = Tensor(rng.normal(size=(1, 4)))
 
         def build():
-            return T.tsum(T.mul(fusion(z_t, z_r)[2], probe))
+            return T.tsum(T.mul(fusion(z_t, z_r), probe))
 
         build().backward()
         ad_t = z_t.grad_array().copy()
@@ -332,7 +326,6 @@ class TestBatchInvariance:
 # benchmark's tensor.tape_nodes.b1 probe counts them (either preset)
 EVAL_TAPE_NODES = {"full": 279, "traffic_only": 130, "resource_only": 97,
                    "simple_fused": 220, "gnn_fused": 312, "single_stream": 130}
-PARTS = ("demand", "capacity", "demand_enhanced", "capacity_enhanced")
 
 
 class TestNoGradInference:
@@ -343,14 +336,11 @@ class TestNoGradInference:
         for variant in VARIANTS:
             model = build_variant(variant, ModelConfig(), topo, seed=24).eval()
             recorded = model.forward_snapshots(snaps)
-            parts = model.embed(model.collate(snaps))
+            fused = model.embed(model.collate(snaps))
             assert recorded.requires_grad
             assert np.array_equal(model.predict(snaps), recorded.data.reshape(-1)), variant
             for j, emb in enumerate(export_embeddings(snaps, model)):
-                assert np.array_equal(emb.fused, parts["embedding"].data[j]), variant
-                for name in PARTS:
-                    got, want = getattr(emb, name), parts.get(name)
-                    assert got is None if want is None else np.array_equal(got, want.data[j])
+                assert np.array_equal(emb.fused, fused.data[j]), variant
 
     def test_inference_records_no_graph(self):
         topo = small_topology()
@@ -360,15 +350,14 @@ class TestNoGradInference:
         embed = model.embed
 
         def recording_embed(batch):
-            parts = embed(batch)
-            outputs.extend(t for t in parts.values() if t is not None)
-            return parts
+            outputs.append(embed(batch))
+            return outputs[-1]
 
         model.embed = recording_embed
         model.predict(snaps)
         export_embeddings(snaps, model)
         _split_loss(model, snaps, LossParams())
-        assert len(outputs) == 3 * (len(PARTS) + 1)
+        assert len(outputs) == 3
         assert all(not t.requires_grad and t._parents == () for t in outputs)
         assert model.forward_snapshots(snaps).requires_grad
 
@@ -382,6 +371,44 @@ class TestNoGradInference:
             assert len(Tape(model.forward_snapshots(snaps[:1])).nodes) == nodes, variant
 
 
+class TestInferenceSlices:
+    def test_each_path_runs_two_slices_across_the_boundary(self):
+        topo = small_topology()
+        snaps = make_snapshots(topo, count=EVAL_BATCH + 1, seed=27)
+        parts = (snaps[:EVAL_BATCH], snaps[EVAL_BATCH:])
+        model = build_variant("full", ModelConfig(), topo, seed=28).eval()
+        recorded = [model.forward_snapshots(part) for part in parts]
+        params = LossParams()
+        total = 0.0
+        for part, pred in zip(parts, recorded):
+            total += batch_loss(pred, np.asarray([s.label for s in part]), params).item() * len(part)
+        want = {
+            "predict": np.concatenate([pred.data.reshape(-1) for pred in recorded]),
+            "export": np.concatenate([model.embed(model.collate(part)).data for part in parts]),
+            "split_loss": total / len(snaps),
+        }
+        runs = {
+            "predict": lambda: model.predict(snaps),
+            "export": lambda: np.stack([e.fused for e in export_embeddings(snaps, model)]),
+            "split_loss": lambda: _split_loss(model, snaps, params),
+        }
+        sizes = []
+        embed = model.embed
+
+        def counting_embed(batch):
+            sizes.append(batch.node_features.shape[0])
+            return embed(batch)
+
+        model.embed = counting_embed
+        for mode in (True, False):
+            model.train(mode)
+            for name, run in runs.items():
+                sizes.clear()
+                assert np.array_equal(run(), want[name]), name
+                assert sizes == [EVAL_BATCH, 1], name
+                assert all(m.training is mode for m in model.modules()), name
+
+
 class TestEmbeddingExport:
     def test_export_length_matches_config(self):
         topo = small_topology()
@@ -391,7 +418,6 @@ class TestEmbeddingExport:
         assert len(embeddings) == 4
         assert all(isinstance(e, SystemEmbedding) for e in embeddings)
         assert embeddings[0].fused.shape == (16,)
-        assert embeddings[0].demand_enhanced.shape == (16,)
 
     def test_export_byte_stable(self, tmp_path):
         topo = small_topology()

@@ -284,18 +284,21 @@ class TestSerialization:
 
 
 # Dataset.validate's checks, in its order
-CHECKS = ("order", "node_shape", "edge_shape", "resource_shape", "non_finite", "negative", "label")
+CHECKS = ("start", "order", "node_shape", "edge_shape", "resource_shape", "non_finite", "negative",
+          "label")
 BLOCKS = ("node_features", "edge_features", "resource_features")
 
 
 def _with_fault(snaps, i, kind, draw):
     """``snaps`` (a list) with snapshot i given one fault of ``kind``."""
     snap = snaps[i]
-    if kind == "order":
+    if kind == "start":
+        change = {"window_start": draw(st.sampled_from([np.nan, np.inf, -np.inf]))}
+    elif kind == "order":
         prev = snaps[i - 1].window_start if i else -np.inf
         change = {"window_start": prev - draw(st.sampled_from([0.0, 0.5, 100.0]))}
     elif kind.endswith("_shape"):
-        block = BLOCKS[CHECKS.index(kind) - 1]
+        block = BLOCKS[CHECKS.index(kind) - 2]
         rows, cols = getattr(snap, block).shape
         shape = draw(st.sampled_from([(rows + 1, cols), (rows, cols - 1), (rows * cols,)]))
         change = {block: np.ones(shape)}
