@@ -8,6 +8,11 @@ positions, followed by mean pooling. Both emit a ``d_emb`` vector per
 snapshot and work batch-major: node tensors are ``(B, |V|, d)`` and edge
 tensors ``(B, |E|, d_e)``, and since every snapshot shares one static
 topology, the message routing is built once per model.
+
+The modules own the parameters, under stable checkpoint names; each graph
+layer and each gMLP block runs as the one fused op
+:func:`~tailcast.tensor.graph_attention_layer` or
+:func:`~tailcast.tensor.gmlp_block`, after drawing its dropout mask.
 """
 
 from __future__ import annotations
@@ -106,17 +111,11 @@ class GraphTransformerLayer(Module):
         """``h`` is ``(B, |V|, d_emb)``, ``edge_features`` ``(B, |E|, d_edge)``."""
         if h.shape[-1] != self.d_emb:
             raise ShapeError(f"node embedding width {h.shape[-1]} != layer width {self.d_emb}")
-        if routing.num_self_loops:
-            loops = T.broadcast_to(self.self_edge, (h.shape[0], routing.num_self_loops,
-                                                    self.self_edge.shape[1]))
-            edge_features = T.concat([edge_features, loops], axis=1)
-        key = T.add(T.gather(self.wk(h), routing.src, routing.src_incidence),
-                    self.we_key(edge_features))
-        val = T.add(T.gather(self.wv(h), routing.src, routing.src_incidence),
-                    self.we_val(edge_features))
-        attn = T.edge_attention(self.wq(h), key, val, routing, self.num_heads)
-        attn = T.dropout(attn, self.drop_p, self.training, rng)
-        return self.norm(T.add(h, attn))
+        mask = T.dropout_mask(self.drop_p, self.training, rng, h.shape)
+        params = (self.wq.w, self.wq.b, self.wk.w, self.wk.b, self.wv.w, self.wv.b,
+                  self.we_key.w, self.we_key.b, self.we_val.w, self.we_val.b,
+                  self.self_edge, self.norm.gain, self.norm.bias)
+        return T.graph_attention_layer(h, edge_features, params, routing, self.num_heads, mask)
 
 
 class AttentionPool(Module):
@@ -172,25 +171,20 @@ class GmlpBlock(Module):
         super().__init__()
         if d_ffn % 2 != 0:
             raise ValueError(f"d_ffn must be even, got {d_ffn}")
-        self.half = d_ffn // 2
-        self.d_ffn = d_ffn
         self.drop_p = drop_p
         self.norm_in = LayerNorm(d_model)
         self.proj_in = Linear(d_model, d_ffn, rng)
-        self.gate_norm = LayerNorm(self.half)
+        self.gate_norm = LayerNorm(d_ffn // 2)
         self.w_spatial = parameter(np.zeros((num_positions, num_positions)))
         self.b_spatial = parameter(np.ones(num_positions))
-        self.proj_out = Linear(self.half, d_model, rng)
+        self.proj_out = Linear(d_ffn // 2, d_model, rng)
 
     def __call__(self, z: Tensor, rng: np.random.Generator | None = None) -> Tensor:
-        u = T.gelu(self.proj_in(self.norm_in(z)))      # (B, V, d_ffn)
-        u1 = T.slice_axis(u, 2, 0, self.half)
-        u2 = T.slice_axis(u, 2, self.half, self.d_ffn)
-        gate = self.gate_norm(u2)
-        gate = T.spatial_mix(gate, self.w_spatial, self.b_spatial)
-        out = self.proj_out(T.mul(u1, gate))
-        out = T.dropout(out, self.drop_p, self.training, rng)
-        return T.add(z, out)
+        mask = T.dropout_mask(self.drop_p, self.training, rng, z.shape)
+        params = (self.norm_in.gain, self.norm_in.bias, self.proj_in.w, self.proj_in.b,
+                  self.gate_norm.gain, self.gate_norm.bias, self.w_spatial, self.b_spatial,
+                  self.proj_out.w, self.proj_out.b)
+        return T.gmlp_block(z, params, mask)
 
 
 class ResourceEncoder(Module):

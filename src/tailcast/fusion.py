@@ -17,6 +17,7 @@ and a graph-encoded resource stream.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
@@ -82,6 +83,10 @@ class ModelConfig:
             raise ValueError(f"fusion_tokens={self.fusion_tokens} must divide d_emb={self.d_emb}")
         if self.fusion_rank < 1:
             raise ValueError("fusion_rank must be >= 1")
+        for name in ("dropout_traffic", "dropout_resource"):
+            p = getattr(self, name)
+            if not (math.isfinite(p) and 0.0 <= p < 1.0):
+                raise ValueError(f"{name} must be finite and in [0, 1), got {p}")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -6,6 +6,13 @@ op for the backward pass, and a :class:`Tape` that replays the recorded ops
 in reverse topological order. Everything is 64-bit so gradient checks
 against finite differences can be tight. Inference runs inside
 :func:`no_grad`, where ops record nothing.
+
+Each encoder block is one op: :func:`graph_attention_layer` and
+:func:`gmlp_block` record one tape node each. They and the plain ops share
+private forward/backward helpers (linear, layer norm, GELU, edge attention)
+and :func:`dropout_mask`, so each piece of arithmetic is written once, and
+a block's values and gradients equal those of the plain-op composition it
+replaced bit for bit.
 """
 
 from __future__ import annotations
@@ -253,13 +260,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit, exact (erf) form."""
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-
-    def backward(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        return (g * (cdf + x * pdf),)
-
-    return _from_op(x * cdf, (a,), backward)
+    y, cdf = _gelu_forward(x)
+    return _from_op(y, (a,), lambda g: (_gelu_backward(g, x, cdf),))
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -338,80 +340,90 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _from_op(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
 
-def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    idx = [slice(None)] * a.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        return (full,)
-
-    return _from_op(a.data[idx].copy(), (a,), backward)
-
-
 # ---------------------------------------------------------------------------
-# fused affine map and batch-major message passing
+# the arithmetic of linear, layer norm, GELU, edge attention and dropout:
+# the plain ops and the fused encoder blocks below all call these, so each
+# value and gradient is computed one way
 # ---------------------------------------------------------------------------
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def _linear_forward(x: Array, w: Array, b: Array | None) -> Array:
     """``x @ w + b`` as one 2-D GEMM over the flattened leading dims of ``x``."""
     d_in, d_out = w.shape
-    if x.shape[-1] != d_in:
-        raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape}")
-    x2 = x.data.reshape(-1, d_in)
-    out = x2 @ w.data
+    out = x.reshape(-1, d_in) @ w
     if b is not None:
-        out += b.data
-
-    def backward(g):
-        g2 = g.reshape(-1, d_out)
-        gx = (g2 @ w.data.T).reshape(x.shape)
-        return gx, x2.T @ g2, None if b is None else g2.sum(axis=0)
-
-    parents = (x, w) if b is None else (x, w, b)
-    return _from_op(out.reshape(x.shape[:-1] + (d_out,)), parents, backward)
+        out += b
+    return out.reshape(x.shape[:-1] + (d_out,))
 
 
-def spatial_mix(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Mix along axis 1: ``out[:, v, c] = sum_u x[:, u, c] * w[u, v] + b[v]``.
+def _linear_backward(g: Array, x: Array, w: Array, b: Array | None) -> tuple:
+    """Gradients of :func:`_linear_forward` for ``x``, ``w`` and ``b``
+    (``None`` for an absent bias)."""
+    d_in, d_out = w.shape
+    g2 = g.reshape(-1, d_out)
+    gx = (g2 @ w.T).reshape(x.shape)
+    return gx, x.reshape(-1, d_in).T @ g2, None if b is None else g2.sum(axis=0)
 
-    ``x`` is ``(B, U, C)``, ``w`` is ``(U, V)`` and ``b`` is ``(V,)``: the
-    affine map of :func:`linear` applied across positions instead of
-    channels, as one batched ``w.T @ x`` with no transposed copies.
+
+LAYER_NORM_EPS = 1e-5
+
+
+def _layer_norm_forward(x: Array, gain: Array, bias: Array) -> tuple[Array, Array, Array]:
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    Uses the population variance of each slice; ``LAYER_NORM_EPS`` guards
+    the division. Each mean is a sum divided by the width, which is what
+    ``np.mean`` computes, without its Python wrapper. Returns the output,
+    the normalized input and the inverse standard deviation.
     """
-    n_in, _ = w.shape
-    if x.ndim != 3 or x.shape[1] != n_in:
-        raise ShapeError(f"spatial_mix: input {x.shape} does not match weight {w.shape}")
-    xd, wd = x.data, w.data
-    out = wd.T @ xd
-    out += b.data[:, None]
-
-    def backward(g):
-        return wd @ g, (xd @ np.swapaxes(g, 1, 2)).sum(axis=0), g.sum(axis=(0, 2))
-
-    return _from_op(out, (x, w, b), backward)
+    n = x.shape[-1]
+    xhat = x - x.sum(axis=-1, keepdims=True) / n
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xhat *= inv
+    y = xhat * gain
+    y += bias
+    return y, xhat, inv
 
 
-def broadcast_to(a: Tensor, shape) -> Tensor:
-    """Repeat ``a`` along broadcast axes; the backward pass sums them back."""
-    shape = tuple(shape)
-    return _from_op(np.broadcast_to(a.data, shape), (a,), lambda g: (_unbroadcast(g, a.shape),))
+def _layer_norm_backward(g: Array, xhat: Array, inv: Array, gain: Array) -> tuple:
+    """Gradients of :func:`_layer_norm_forward` for the input, gain and bias."""
+    n = xhat.shape[-1]
+    dgain = _unbroadcast(g * xhat, gain.shape)
+    dbias = _unbroadcast(g, gain.shape)
+    dxhat = g * gain
+    m1 = dxhat.sum(axis=-1, keepdims=True) / n
+    m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
+    dxhat -= m1
+    dxhat -= xhat * m2
+    dxhat *= inv
+    return dxhat, dgain, dbias
 
 
-def gather(a: Tensor, index: Array, incidence: Array) -> Tensor:
-    """Select along axis 1: ``out[:, m] = a[:, index[m]]``.
+def _gelu_forward(x: Array) -> tuple[Array, Array]:
+    """``x * Phi(x)``, the exact (erf) form; returns it and
+    ``Phi(x) = 0.5 * (1 + erf(x / sqrt(2)))``, computed in one buffer."""
+    cdf = x * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return x * cdf, cdf
 
-    ``incidence`` is the one-hot ``(a.shape[1], len(index))`` matrix of
-    ``index``, so the backward pass, a sum of each output row into its
-    source row, is the single matmul ``incidence @ g``.
-    """
-    return _from_op(np.take(a.data, index, axis=1), (a,), lambda g: (incidence @ g,))
+
+def _gelu_backward(g: Array, x: Array, cdf: Array) -> Array:
+    """``g * (Phi(x) + x * phi(x))``, in one buffer."""
+    grad = -0.5 * x
+    grad *= x
+    np.exp(grad, out=grad)
+    grad *= _INV_SQRT_2PI
+    grad *= x
+    grad += cdf
+    grad *= g
+    return grad
 
 
-def edge_attention(q: Tensor, key: Tensor, val: Tensor, routing, num_heads: int) -> Tensor:
+def _edge_attention_forward(q: Array, key: Array, val: Array, routing,
+                            num_heads: int) -> tuple[Array, Array, Array]:
     """Multi-head attention of each node over its incoming messages.
 
     ``q`` is ``(B, |V|, d)``; ``key`` and ``val`` are ``(B, M, d)``, one row
@@ -422,37 +434,64 @@ def edge_attention(q: Tensor, key: Tensor, val: Tensor, routing, num_heads: int)
     ``<q_dst, key> / sqrt(d_head)``; scores are softmaxed over each node's
     in-messages, shifted by the detached per-destination maximum (softmax
     is shift-invariant), and the weighted values are summed into their
-    destination. A node without in-messages gets zeros.
+    destination. A node without in-messages gets zeros. Returns the output,
+    the attention weights ``(B, M, H)`` and the gathered queries, which the
+    backward pass reads.
     """
     b, m, d = key.shape
     d_head = d // num_heads
-    inv_scale = 1.0 / math.sqrt(d_head)
     dst, incidence = routing.dst, routing.dst_incidence
-    q4 = np.take(q.data, dst, axis=1).reshape(b, m, num_heads, d_head)
-    k4 = key.data.reshape(b, m, num_heads, d_head)
-    v4 = val.data.reshape(b, m, num_heads, d_head)
-    scores = (q4 * k4).sum(axis=3) * inv_scale                      # (B, M, H)
-    padded = np.concatenate([scores, np.full((b, 1, num_heads), -np.inf)], axis=1)
-    shift = np.take(padded, routing.in_messages, axis=1).max(axis=2, initial=-np.inf)
-    z = np.exp(scores - np.take(shift, dst, axis=1))
-    alpha = z / np.take(incidence @ z, dst, axis=1)                 # (B, M, H)
-    out = incidence @ (alpha[..., None] * v4).reshape(b, m, d)
+    q4 = np.take(q, dst, axis=1).reshape(b, m, num_heads, d_head)
+    alpha = (q4 * key.reshape(b, m, num_heads, d_head)).sum(axis=3) * (1.0 / math.sqrt(d_head))
+    padded = np.concatenate([alpha, np.full((b, 1, num_heads), -np.inf)], axis=1)
+    alpha -= np.take(np.take(padded, routing.in_messages, axis=1).max(axis=2, initial=-np.inf),
+                     dst, axis=1)
+    np.exp(alpha, out=alpha)
+    alpha /= np.take(incidence @ alpha, dst, axis=1)                 # (B, M, H)
+    out = incidence @ (alpha[..., None] * val.reshape(b, m, num_heads, d_head)).reshape(b, m, d)
+    return out, alpha, q4
 
-    def backward(g):
-        g4 = np.take(g, dst, axis=1).reshape(b, m, num_heads, d_head)
-        g_val = (alpha[..., None] * g4).reshape(b, m, d)
-        g_alpha = (g4 * v4).sum(axis=3)
-        g_scores = alpha * (g_alpha - np.take(incidence @ (alpha * g_alpha), dst, axis=1))
-        g_scores = (g_scores * inv_scale)[..., None]
-        g_q = incidence @ (g_scores * k4).reshape(b, m, d)
-        return g_q, (g_scores * q4).reshape(b, m, d), g_val
 
-    return _from_op(out, (q, key, val), backward)
+def _edge_attention_backward(g: Array, alpha: Array, q4: Array, key: Array, val: Array,
+                             routing) -> tuple[Array, Array, Array]:
+    """Gradients of :func:`_edge_attention_forward` for ``q``, ``key`` and ``val``."""
+    b, m, num_heads, d_head = q4.shape
+    d = num_heads * d_head
+    dst, incidence = routing.dst, routing.dst_incidence
+    g4 = np.take(g, dst, axis=1).reshape(b, m, num_heads, d_head)
+    g_val = (alpha[..., None] * g4).reshape(b, m, d)
+    g_alpha = (g4 * val.reshape(b, m, num_heads, d_head)).sum(axis=3)
+    g_scores = alpha * (g_alpha - np.take(incidence @ (alpha * g_alpha), dst, axis=1))
+    g_scores = (g_scores * (1.0 / math.sqrt(d_head)))[..., None]
+    g_q = incidence @ (g_scores * key.reshape(b, m, num_heads, d_head)).reshape(b, m, d)
+    return g_q, (g_scores * q4).reshape(b, m, d), g_val
+
+
+def dropout_mask(p: float, training: bool, rng: np.random.Generator | None,
+                 shape: tuple[int, ...]) -> Array | None:
+    """The inverted-dropout multiplier, 0 or 1/(1-p) per element, or None
+    (the identity) at inference or when ``p`` is 0. The caller checks that
+    ``p`` is in [0, 1)."""
+    if not training or p <= 0.0:
+        return None
+    if rng is None:
+        raise ValueError("dropout in training mode needs an explicit rng")
+    return (rng.random(shape) >= p) / (1.0 - p)
 
 
 # ---------------------------------------------------------------------------
-# fused normalization ops
+# fused affine map and normalization ops
 # ---------------------------------------------------------------------------
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w + b`` as one 2-D GEMM over the flattened leading dims of ``x``."""
+    if x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear: input {x.shape} does not match weight {w.shape}")
+    xd, wd, bd = x.data, w.data, None if b is None else b.data
+    parents = (x, w) if b is None else (x, w, b)
+    return _from_op(_linear_forward(xd, wd, bd), parents,
+                    lambda g: _linear_backward(g, xd, wd, bd))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -468,47 +507,139 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _from_op(y, (a,), backward)
 
 
-LAYER_NORM_EPS = 1e-5
-
-
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine.
+    """Layer norm over the last axis, as :func:`_layer_norm_forward`."""
+    y, xhat, inv = _layer_norm_forward(a.data, gain.data, bias.data)
+    gd = gain.data
+    return _from_op(y, (a, gain, bias), lambda g: _layer_norm_backward(g, xhat, inv, gd))
 
-    Uses the population variance of each slice; ``LAYER_NORM_EPS`` guards
-    the division. Each mean is a sum divided by the width, which is what
-    ``np.mean`` computes, without its Python wrapper.
+
+# ---------------------------------------------------------------------------
+# one op per encoder block
+# ---------------------------------------------------------------------------
+
+
+def gmlp_block(z: Tensor, params: Sequence[Tensor], mask: Array | None) -> Tensor:
+    """One gated-MLP block with a spatial gating unit, as a single op.
+
+    ``z`` is ``(B, V, d)``. ``params`` are, in order: the input layer
+    norm's gain and bias, the input projection's weight ``(d, d_ffn)`` and
+    bias, the gate layer norm's gain and bias, the spatial map ``(V, V)``
+    and its bias ``(V,)``, and the output projection's weight
+    ``(d_ffn/2, d)`` and bias. ``mask`` is a :func:`dropout_mask` of
+    ``z``'s shape or None. The block computes::
+
+        u = gelu(linear(layer_norm(z)))            # (B, V, d_ffn)
+        gate = w_s.T @ layer_norm(u[..., d_ffn/2:]) + b_s[:, None]
+        z + linear(u[..., :d_ffn/2] * gate) * mask
+
+    Forward and backward run the arithmetic of the plain-op composition
+    the block replaced, in the same order, so every value and gradient
+    equals that composition's bit for bit. The gradients of the two halves
+    of ``u`` are written into one buffer.
     """
-    x = a.data
-    n = x.shape[-1]
-    mu = x.sum(axis=-1, keepdims=True) / n
-    xc = x - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = xc * inv
-    y = xhat * gain.data + bias.data
+    (norm_gain, norm_bias, w_in, b_in, gate_gain, gate_bias,
+     w_s, b_s, w_out, b_out) = (p.data for p in params)
+    zd = z.data
+    normed, xhat_in, inv_in = _layer_norm_forward(zd, norm_gain, norm_bias)
+    pre = _linear_forward(normed, w_in, b_in)
+    u, cdf = _gelu_forward(pre)
+    if not _grad_enabled:  # no backward pass: release what only it would read
+        del normed, xhat_in, inv_in, pre, cdf
+    half = u.shape[-1] // 2
+    gate_in, xhat_gate, inv_gate = _layer_norm_forward(u[..., half:], gate_gain, gate_bias)
+    gate = w_s.T @ gate_in
+    gate += b_s[:, None]
+    gated = u[..., :half] * gate
+    if not _grad_enabled:
+        del u, gate_in, xhat_gate, inv_gate, gate
+    out = _linear_forward(gated, w_out, b_out)
+    if mask is not None:
+        out *= mask
+    out += zd
 
     def backward(g):
-        dgain = _unbroadcast(g * xhat, gain.shape)
-        dbias = _unbroadcast(g, bias.shape)
-        dxhat = g * gain.data
-        m1 = dxhat.sum(axis=-1, keepdims=True) / n
-        m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / n
-        dx = (dxhat - m1 - xhat * m2) * inv
-        return dx, dgain, dbias
+        g_out = g if mask is None else g * mask
+        g_gated, g_w_out, g_b_out = _linear_backward(g_out, gated, w_out, b_out)
+        g_u = np.empty_like(u)
+        np.multiply(g_gated, gate, out=g_u[..., :half])
+        g_gate = g_gated * u[..., :half]
+        g_u[..., half:], g_gate_gain, g_gate_bias = _layer_norm_backward(
+            w_s @ g_gate, xhat_gate, inv_gate, gate_gain)
+        g_w_s = (gate_in @ np.swapaxes(g_gate, 1, 2)).sum(axis=0)
+        g_pre = _gelu_backward(g_u, pre, cdf)
+        g_normed, g_w_in, g_b_in = _linear_backward(g_pre, normed, w_in, b_in)
+        g_z, g_norm_gain, g_norm_bias = _layer_norm_backward(g_normed, xhat_in, inv_in, norm_gain)
+        g_z += g
+        return (g_z, g_norm_gain, g_norm_bias, g_w_in, g_b_in, g_gate_gain, g_gate_bias,
+                g_w_s, g_gate.sum(axis=(0, 2)), g_w_out, g_b_out)
 
-    return _from_op(y, (a, gain, bias), backward)
+    return _from_op(out, (z, *params), backward)
 
 
-def dropout(a: Tensor, p: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: identity at inference, 1/(1-p) scaling while training."""
-    if not training or p <= 0.0:
-        return a
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if rng is None:
-        raise ValueError("dropout in training mode needs an explicit rng")
-    mask = (rng.random(a.shape) >= p) / (1.0 - p)
-    return _from_op(a.data * mask, (a,), lambda g: (g * mask,))
+def graph_attention_layer(h: Tensor, edge_features: Tensor, params: Sequence[Tensor], routing,
+                          num_heads: int, mask: Array | None) -> Tensor:
+    """One graph transformer layer over the messages of ``routing``, as a
+    single op.
+
+    ``h`` is ``(B, |V|, d)`` and ``edge_features`` ``(B, |E|, d_edge)``.
+    ``params`` are, in order: the weight and bias of the query, key and
+    value projections, of the key and value edge projections (``d_edge`` to
+    ``d``), the self-loop edge feature ``(1, d_edge)``, and the layer norm's
+    gain and bias. The self loops of ``routing`` follow the edges and carry
+    the self-loop feature. ``mask`` is a :func:`dropout_mask` of ``h``'s
+    shape or None. With ``e`` the edge features (then the self-loop ones)
+    and ``src`` each message's source node, the layer computes::
+
+        key = linear_k(h)[:, src] + linear_ek(e)
+        val = linear_v(h)[:, src] + linear_ev(e)
+        layer_norm(h + edge_attention(linear_q(h), key, val) * mask)
+
+    Forward and backward run the arithmetic of the plain-op composition
+    the layer replaced, in the same order, so every value and gradient
+    equals that composition's bit for bit (``h``'s four gradients are
+    summed residual, query, key, value).
+    """
+    (w_q, b_q, w_k, b_k, w_v, b_v, w_ek, b_ek, w_ev, b_ev,
+     self_edge, gain, bias) = (p.data for p in params)
+    hd = h.data
+    edges = edge_features.data
+    num_edges = edges.shape[1]
+    if routing.num_self_loops:
+        loops = np.broadcast_to(self_edge, (hd.shape[0], routing.num_self_loops,
+                                            self_edge.shape[1]))
+        edges = np.concatenate([edges, loops], axis=1)
+    key = np.take(_linear_forward(hd, w_k, b_k), routing.src, axis=1)
+    key += _linear_forward(edges, w_ek, b_ek)
+    val = np.take(_linear_forward(hd, w_v, b_v), routing.src, axis=1)
+    val += _linear_forward(edges, w_ev, b_ev)
+    pre, alpha, q4 = _edge_attention_forward(_linear_forward(hd, w_q, b_q), key, val,
+                                             routing, num_heads)
+    if not _grad_enabled:  # no backward pass: release what only it would read
+        del edges, key, val, alpha, q4
+    if mask is not None:
+        pre *= mask
+    pre += hd
+    out, xhat, inv = _layer_norm_forward(pre, gain, bias)
+
+    def backward(g):
+        g_pre, g_gain, g_bias = _layer_norm_backward(g, xhat, inv, gain)
+        g_attn = g_pre if mask is None else g_pre * mask
+        g_q, g_key, g_val = _edge_attention_backward(g_attn, alpha, q4, key, val, routing)
+        g_hq, g_w_q, g_b_q = _linear_backward(g_q, hd, w_q, b_q)
+        g_ek, g_w_ek, g_b_ek = _linear_backward(g_key, edges, w_ek, b_ek)
+        g_hk, g_w_k, g_b_k = _linear_backward(routing.src_incidence @ g_key, hd, w_k, b_k)
+        g_ev, g_w_ev, g_b_ev = _linear_backward(g_val, edges, w_ev, b_ev)
+        g_hv, g_w_v, g_b_v = _linear_backward(routing.src_incidence @ g_val, hd, w_v, b_v)
+        g_h = g_pre + g_hq
+        g_h += g_hk
+        g_h += g_hv
+        g_ek += g_ev
+        g_self = _unbroadcast(g_ek[:, num_edges:], self_edge.shape) if routing.num_self_loops else None
+        return (g_h, g_ek[:, :num_edges], g_w_q, g_b_q, g_w_k, g_b_k, g_w_v, g_b_v,
+                g_w_ek, g_b_ek, g_w_ev, g_b_ev, g_self, g_gain, g_bias)
+
+    return _from_op(out, (h, edge_features, *params), backward)
 
 
 # ---------------------------------------------------------------------------

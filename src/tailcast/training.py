@@ -226,7 +226,8 @@ def run_training(
 
     Snapshots are independent supervised examples, so shuffling is valid.
     The test list is only touched once, after the best-validation parameters
-    have been restored.
+    have been restored. Raises :class:`TrainingError` if no epoch ends with a
+    finite validation loss, since there are then no parameters to keep.
     """
     start = time.monotonic()
     report = TrainReport(
@@ -270,8 +271,10 @@ def run_training(
             best_params = optimizer.flat.copy()
             report.best_epoch = epoch
 
-    if best_params is not None:
-        optimizer.flat[...] = best_params
+    if best_params is None:
+        raise TrainingError(f"no epoch reached a finite validation loss; the last one, "
+                            f"epoch {config.epochs}, was {val_loss!r}")
+    optimizer.flat[...] = best_params
     report.best_val_loss = best_val
 
     preds = model.predict(test_snaps)

@@ -2,7 +2,11 @@
 
 Everything here is deliberately written the slow, obvious way (loops,
 full sorts, dense masks, finite differences) and never imports the code
-paths it is used to verify beyond the public entry points under test.
+paths it is used to verify beyond the public entry points under test. The
+one exception is at the end: the encoder blocks composed of plain tensor
+ops, which reuse the package's own op arithmetic because what they pin is
+the order of that arithmetic in the fused block ops (the dense attention
+oracle and finite differences check the math itself).
 """
 
 import csv
@@ -13,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tailcast.errors import ParseError, SchemaError
+from tailcast import tensor as T
+from tailcast.errors import ParseError, SchemaError, ShapeError
 from tailcast.simulator import (
     CLIENT,
     CPU_PERIOD_US,
@@ -23,6 +28,7 @@ from tailcast.simulator import (
     Workload,
 )
 from tailcast.telemetry import _parse_head
+from tailcast.tensor import Tensor
 
 
 def fd_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -567,3 +573,97 @@ def read_embeddings_csv(path) -> tuple[np.ndarray, np.ndarray]:
             starts.append(float(row[0]))
             rows.append([float(x) for x in row[1:]])
     return np.asarray(starts), np.asarray(rows)
+
+
+# ---------------------------------------------------------------------------
+# the tensor ops the encoder blocks were composed of before each block became
+# one op, and the two compositions themselves: tensor.gmlp_block and
+# tensor.graph_attention_layer must equal these value for value and gradient
+# for gradient
+# ---------------------------------------------------------------------------
+
+
+def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    idx = [slice(None)] * a.ndim
+    idx[axis] = slice(start, stop)
+    idx = tuple(idx)
+
+    def backward(g):
+        full = np.zeros_like(a.data)
+        full[idx] = g
+        return (full,)
+
+    return T._from_op(a.data[idx].copy(), (a,), backward)
+
+
+def spatial_mix(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Mix along axis 1: ``out[:, v, c] = sum_u x[:, u, c] * w[u, v] + b[v]``,
+    as one batched ``w.T @ x``."""
+    n_in, _ = w.shape
+    if x.ndim != 3 or x.shape[1] != n_in:
+        raise ShapeError(f"spatial_mix: input {x.shape} does not match weight {w.shape}")
+    xd, wd = x.data, w.data
+    out = wd.T @ xd
+    out += b.data[:, None]
+
+    def backward(g):
+        return wd @ g, (xd @ np.swapaxes(g, 1, 2)).sum(axis=0), g.sum(axis=(0, 2))
+
+    return T._from_op(out, (x, w, b), backward)
+
+
+def broadcast_to(a: Tensor, shape) -> Tensor:
+    """Repeat ``a`` along broadcast axes; the backward pass sums them back."""
+    shape = tuple(shape)
+    return T._from_op(np.broadcast_to(a.data, shape), (a,),
+                      lambda g: (T._unbroadcast(g, a.shape),))
+
+
+def gather(a: Tensor, index: np.ndarray, incidence: np.ndarray) -> Tensor:
+    """Select along axis 1: ``out[:, m] = a[:, index[m]]``; ``incidence`` is
+    the one-hot ``(a.shape[1], len(index))`` matrix of ``index``."""
+    return T._from_op(np.take(a.data, index, axis=1), (a,), lambda g: (incidence @ g,))
+
+
+def edge_attention(q: Tensor, key: Tensor, val: Tensor, routing, num_heads: int) -> Tensor:
+    """``tensor._edge_attention_forward`` as an op of its own."""
+    out, alpha, q4 = T._edge_attention_forward(q.data, key.data, val.data, routing, num_heads)
+    kd, vd = key.data, val.data
+    return T._from_op(out, (q, key, val),
+                      lambda g: T._edge_attention_backward(g, alpha, q4, kd, vd, routing))
+
+
+def dropout(a: Tensor, p: float, training: bool, rng=None) -> Tensor:
+    """Inverted dropout: identity at inference, 1/(1-p) scaling while training."""
+    mask = T.dropout_mask(p, training, rng, a.shape)
+    if mask is None:
+        return a
+    return T._from_op(a.data * mask, (a,), lambda g: (g * mask,))
+
+
+def composed_graph_layer(layer, h: Tensor, edge_features: Tensor, routing, rng=None) -> Tensor:
+    """``GraphTransformerLayer.__call__`` as thirteen-odd plain ops."""
+    if routing.num_self_loops:
+        loops = broadcast_to(layer.self_edge, (h.shape[0], routing.num_self_loops,
+                                               layer.self_edge.shape[1]))
+        edge_features = T.concat([edge_features, loops], axis=1)
+    key = T.add(gather(layer.wk(h), routing.src, routing.src_incidence),
+                layer.we_key(edge_features))
+    val = T.add(gather(layer.wv(h), routing.src, routing.src_incidence),
+                layer.we_val(edge_features))
+    attn = edge_attention(layer.wq(h), key, val, routing, layer.num_heads)
+    attn = dropout(attn, layer.drop_p, layer.training, rng)
+    return layer.norm(T.add(h, attn))
+
+
+def composed_gmlp_block(block, z: Tensor, rng=None) -> Tensor:
+    """``GmlpBlock.__call__`` as ten-odd plain ops."""
+    half = block.proj_out.w.shape[0]
+    u = T.gelu(block.proj_in(block.norm_in(z)))      # (B, V, d_ffn)
+    u1 = slice_axis(u, 2, 0, half)
+    u2 = slice_axis(u, 2, half, 2 * half)
+    gate = block.gate_norm(u2)
+    gate = spatial_mix(gate, block.w_spatial, block.b_spatial)
+    out = block.proj_out(T.mul(u1, gate))
+    out = dropout(out, block.drop_p, block.training, rng)
+    return T.add(z, out)

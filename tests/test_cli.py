@@ -57,6 +57,9 @@ def _break_checkpoint(payload: dict, defect: str):
             meta["normalization"][key] = meta["normalization"][key][:1]
     elif defect == "unknown_variant":
         meta["model_config"] = {"variant": "bogus"}
+    elif defect.startswith("dropout_"):
+        meta["model_config"]["dropout_resource"] = {
+            "dropout_above_one": 1.5, "dropout_negative": -0.1, "dropout_nan": math.nan}[defect]
     elif defect == "zero_node_std":
         meta["normalization"]["node_std"] = [0.0, 0.0, 0.0]
     elif defect == "nan_edge_mean":
@@ -321,6 +324,17 @@ class TestTrainCli:
         assert "learning_rate must be finite and > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize("rate", ["1e300", "1e10"])
+    def test_diverged_training_exit_4_without_checkpoint(self, tmp_path, capsys, pipeline, rate):
+        # the dataset's training split is one batch, so the only batch loss
+        # checked is the finite first one; every validation loss is not finite
+        out = tmp_path / "train"
+        assert main(["train", "--dataset", str(pipeline["dataset"]), "--out-dir", str(out),
+                     "--epochs", "1", f"--learning-rate={rate}"]) == 4
+        assert "no epoch reached a finite validation loss" in capsys.readouterr().err
+        assert not (out / "checkpoint.json").exists()
+
     def test_deterministic_reports_and_checkpoints(self, tmp_path, pipeline):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["train", "--dataset", str(pipeline["dataset"]), "--variant", "traffic_only",
@@ -395,6 +409,9 @@ class TestEvalPredictExport:
         ("normalization_list", "normalization must be an object"),
         ("one_element_node_stats", "node_mean has shape (1,), expected (3,)"),
         ("unknown_variant", "unknown variant"),
+        ("dropout_above_one", "dropout_resource must be finite and in [0, 1), got 1.5"),
+        ("dropout_negative", "dropout_resource must be finite and in [0, 1), got -0.1"),
+        ("dropout_nan", "dropout_resource must be finite and in [0, 1), got nan"),
         ("zero_node_std", "normalization node_std must be finite and > 0, got [0.0, 0.0, 0.0]"),
         ("nan_edge_mean", "normalization edge_mean must be finite"),
         ("string_topology", "services must be a list of strings"),

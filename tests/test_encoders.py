@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from oracles import assert_gradients_match, dense_graph_attention
+from oracles import (
+    assert_gradients_match,
+    composed_gmlp_block,
+    composed_graph_layer,
+    dense_graph_attention,
+    edge_attention,
+    slice_axis,
+)
 
 from tailcast import tensor as T
 from tailcast.encoders import (
@@ -16,6 +23,7 @@ from tailcast.encoders import (
     collate_snapshots,
 )
 from tailcast.fusion import ModelConfig
+from tailcast.simulator import preset_topologies
 from tailcast.statgraph import Snapshot, Topology
 from tailcast.tensor import Tensor
 
@@ -81,7 +89,7 @@ class TestSegmentSoftmax:
         m = len(dst)
         routing = MessageRouting(n, np.zeros(m, dtype=np.intp), dst)
         key = np.tile(np.asarray(scores, dtype=float)[:, None] / np.sqrt(m), (1, m))
-        out = T.edge_attention(Tensor(np.ones((1, n, m))), Tensor(key[None]),
+        out = edge_attention(Tensor(np.ones((1, n, m))), Tensor(key[None]),
                                Tensor(np.eye(m)[None]), routing, 1)
         return out.data[0]
 
@@ -203,7 +211,7 @@ class TestGmlpBlock:
         out = block(Tensor(z))
         zt = Tensor(z)
         u = T.gelu(block.proj_in(block.norm_in(zt)))
-        u1 = T.slice_axis(u, 2, 0, 16)
+        u1 = slice_axis(u, 2, 0, 16)
         manual = T.add(zt, block.proj_out(u1))
         assert np.allclose(out.data, manual.data, atol=1e-12)
 
@@ -228,6 +236,98 @@ class TestGmlpBlock:
         perm = rng.permutation(5)
         out_perm = block(Tensor(z[:, perm, :])).data
         assert not np.allclose(out_perm, out[:, perm, :], atol=1e-8)
+
+
+def _topology_edges(name):
+    if name == "ring":  # every node has an in-edge: no self loops
+        return 5, [(i, (i + 1) % 5) for i in range(5)]
+    topo = preset_topologies()[name].topology
+    return topo.num_services, topo.edges
+
+
+def _forward_and_grads(build, leaves, probe):
+    for leaf in leaves:
+        leaf.grad = None
+    out = build()
+    T.tsum(T.mul(out, Tensor(probe))).backward()
+    return out.data, [leaf.grad_array() for leaf in leaves]
+
+
+def _assert_same(fused, composed):
+    (out_f, grads_f), (out_c, grads_c) = fused, composed
+    assert np.array_equal(out_f, out_c)
+    assert len(grads_f) == len(grads_c)
+    for i, (g_f, g_c) in enumerate(zip(grads_f, grads_c)):
+        assert np.array_equal(g_f, g_c), f"gradient {i} differs"
+
+
+class TestFusedBlocksEqualTheirComposition:
+    """Each encoder block is one op; its output and every input and parameter
+    gradient equal, with ``==``, those of the plain ops it replaced
+    (``oracles.composed_*``), with dropout on (a fixed-seed mask) and off."""
+
+    @staticmethod
+    def _randomize(module, rng):
+        # trained-looking parameters: a non-zero spatial gate, non-unit norms
+        for p in module.parameters().values():
+            p.data[...] = rng.normal(size=p.data.shape) * 0.5
+
+    @pytest.mark.parametrize("topology", ["online_boutique_like", "sockshop_like", "ring"])
+    @pytest.mark.parametrize("batch", [1, 64])
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    def test_graph_attention_layer(self, topology, batch, training):
+        n, edges = _topology_edges(topology)
+        routing = MessageRouting.from_edges(n, edges)
+        rng = np.random.default_rng(batch)
+        c = ModelConfig()
+        layer = GraphTransformerLayer(c.d_emb, c.d_edge, c.num_heads, 0.1, rng)
+        self._randomize(layer, rng)
+        layer.train(training)
+        h = Tensor(rng.normal(size=(batch, n, c.d_emb)), requires_grad=True)
+        ef = Tensor(rng.normal(size=(batch, len(edges), c.d_edge)), requires_grad=True)
+        probe = rng.normal(size=(batch, n, c.d_emb))
+        leaves = [h, ef] + list(layer.parameters().values())
+        fused = _forward_and_grads(
+            lambda: layer(h, ef, routing, np.random.default_rng(5)), leaves, probe)
+        composed = _forward_and_grads(
+            lambda: composed_graph_layer(layer, h, ef, routing, np.random.default_rng(5)),
+            leaves, probe)
+        _assert_same(fused, composed)
+        assert np.any(fused[1][1] != 0.0)  # the edge features are differentiated
+        self_edge_grad = fused[1][2 + list(layer.parameters()).index("self_edge")]
+        assert np.any(self_edge_grad != 0.0) == (topology != "ring")
+
+    @pytest.mark.parametrize("topology", ["online_boutique_like", "sockshop_like"])
+    @pytest.mark.parametrize("batch", [1, 64])
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    def test_gmlp_block(self, topology, batch, training):
+        n, _ = _topology_edges(topology)
+        rng = np.random.default_rng(batch + 1)
+        c = ModelConfig()
+        block = GmlpBlock(c.d_emb, c.gmlp_expansion * c.d_emb, n, 0.1, rng)
+        self._randomize(block, rng)
+        block.train(training)
+        z = Tensor(rng.normal(size=(batch, n, c.d_emb)), requires_grad=True)
+        probe = rng.normal(size=(batch, n, c.d_emb))
+        leaves = [z] + list(block.parameters().values())
+        fused = _forward_and_grads(lambda: block(z, np.random.default_rng(6)), leaves, probe)
+        composed = _forward_and_grads(
+            lambda: composed_gmlp_block(block, z, np.random.default_rng(6)), leaves, probe)
+        _assert_same(fused, composed)
+
+    def test_dropout_draws_one_mask_per_block_in_training_only(self):
+        rng = np.random.default_rng(7)
+        block = GmlpBlock(8, 16, 3, 0.5, rng)
+        z = Tensor(rng.normal(size=(2, 3, 8)))
+        draws = np.random.default_rng(8)
+        block.eval()
+        eval_out = block(z, draws).data
+        assert draws.bit_generator.state == np.random.default_rng(8).bit_generator.state
+        block.train()
+        assert not np.array_equal(block(z, draws).data, eval_out)
+        expected = np.random.default_rng(8)
+        expected.random((2, 3, 8))
+        assert draws.bit_generator.state == expected.bit_generator.state
 
 
 def snapshots_for(topo, rng, count=2):

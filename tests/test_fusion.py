@@ -168,6 +168,13 @@ class TestVariants:
         with pytest.raises(ValueError):
             build_variant("bogus", ModelConfig(), small_topology())
 
+    @pytest.mark.parametrize("field", ["dropout_traffic", "dropout_resource"])
+    @pytest.mark.parametrize("p", [1.0, 1.5, -0.1, float("nan"), float("inf")])
+    def test_dropout_outside_unit_interval_rejected(self, field, p):
+        with pytest.raises(ValueError, match=f"{field} must be finite and in \\[0, 1\\)"):
+            ModelConfig(**{field: p})
+        assert ModelConfig(**{field: 0.0}) and ModelConfig(**{field: 0.99})
+
     def test_encoder_sizes_checked_only_where_the_encoder_is_built(self):
         config = ModelConfig(traffic_layers=0, resource_blocks=0)
         with pytest.raises(ValueError, match="num_layers must be >= 1"):
@@ -324,8 +331,8 @@ class TestBatchInvariance:
 
 # nodes of a recorded single-snapshot eval forward per variant, as the
 # benchmark's tensor.tape_nodes.b1 probe counts them (either preset)
-EVAL_TAPE_NODES = {"full": 279, "traffic_only": 130, "resource_only": 97,
-                   "simple_fused": 220, "gnn_fused": 312, "single_stream": 130}
+EVAL_TAPE_NODES = {"full": 191, "traffic_only": 78, "resource_only": 61,
+                   "simple_fused": 132, "gnn_fused": 208, "single_stream": 78}
 
 
 class TestNoGradInference:

