@@ -245,6 +245,14 @@ def run_simulation(
     start; ``noise_rng`` gives, when ``noise_sigma > 0``, four standard
     normals per service per scrape, in service order and within a service
     in the order cpu, rx, tx, mem.
+
+    What the run holds while it runs, beyond the result it returns: one
+    exposition chunk per scrape (a scrape joins its newline-ended lines
+    when it ends, so no string per line outlives its scrape), and hop
+    arrival-time lists for in-flight requests only (a request's list is
+    released when its last hop completes and its ``SimRequest`` holds the
+    tuple). The text is one join of the chunks, so the memory peak of the
+    run is the result plus the chunks: about one more copy of the text.
     """
     spec.validate()
     if duration <= 0:
@@ -300,8 +308,8 @@ def run_simulation(
     prev_tx = [0.0] * n
 
     # request ``rid`` is arrival ``rid``; its hop arrival times so far also
-    # give the hop it is on
-    req_hop_times: list[list[float]] = []
+    # give the hop it is on. A completed request's list is released (None).
+    req_hop_times: list[list[float] | None] = []
 
     completed: list[SimRequest] = []
     latency_records: list[tuple[float, float]] = []
@@ -320,13 +328,31 @@ def run_simulation(
     block_sizes = [min(_DRAW_BLOCK, hops_total - i) for i in range(0, hops_total, _DRAW_BLOCK)]
     next_z = chain.from_iterable(rng.standard_exponential(k).tolist() for k in block_sizes).__next__
 
-    lines: list[str] = []
+    # each series' text up to its value, built once; a scrape appends each
+    # value and " {now!r}\n", and joins its lines into one chunk
+    service_heads = [
+        (f'container_cpu_usage_seconds_total{{workload="{name}"}} ',
+         f'container_memory_usage_bytes{{workload="{name}"}} ',
+         f'container_spec_cpu_period{{workload="{name}"}} {CPU_PERIOD_US!r}',
+         f'container_network_receive_bytes_total{{workload="{name}"}} ',
+         f'container_network_transmit_bytes_total{{workload="{name}"}} ')
+        for name in topo.services
+    ]
+    edge_heads = [
+        tuple(f'{metric}{{source_workload="{src}",destination_workload="{dst}"}} '
+              for metric in ("istio_requests_total", "istio_request_bytes_sum",
+                             "istio_response_bytes_sum"))
+        for src, dst in edge_keys
+    ]
+    chunks: list[str] = []
     saturated: list[float] = []
 
     def scrape(now: float) -> None:
         noise = noise_rng.standard_normal(4 * n).tolist() if noise_sigma > 0 else None
+        at = f" {now!r}\n"
+        lines = []
         overloaded = False
-        for i, name in enumerate(topo.services):
+        for i, (cpu_head, mem_head, period_line, rx_head, tx_head) in enumerate(service_heads):
             backlog = len(queues[i]) + busy[i]
             if backlog > queue_cap:
                 overloaded = True
@@ -340,16 +366,16 @@ def run_simulation(
             obs_rx[i] += d_rx
             obs_tx[i] += d_tx
             prev_cpu[i], prev_rx[i], prev_tx[i] = cpu_seconds[i], net_rx[i], net_tx[i]
-            lines.append(f'container_cpu_usage_seconds_total{{workload="{name}"}} {obs_cpu[i]!r} {now!r}')
-            lines.append(f'container_memory_usage_bytes{{workload="{name}"}} {mem!r} {now!r}')
-            lines.append(f'container_spec_cpu_period{{workload="{name}"}} {CPU_PERIOD_US!r} {now!r}')
-            lines.append(f'container_network_receive_bytes_total{{workload="{name}"}} {obs_rx[i]!r} {now!r}')
-            lines.append(f'container_network_transmit_bytes_total{{workload="{name}"}} {obs_tx[i]!r} {now!r}')
-        for i, (src, dst) in enumerate(edge_keys):
-            labels = f'{{source_workload="{src}",destination_workload="{dst}"}}'
-            lines.append(f"istio_requests_total{labels} {edge_requests[i]!r} {now!r}")
-            lines.append(f"istio_request_bytes_sum{labels} {edge_req_bytes[i]!r} {now!r}")
-            lines.append(f"istio_response_bytes_sum{labels} {edge_resp_bytes[i]!r} {now!r}")
+            lines.append(f"{cpu_head}{obs_cpu[i]!r}{at}")
+            lines.append(f"{mem_head}{mem!r}{at}")
+            lines.append(period_line + at)
+            lines.append(f"{rx_head}{obs_rx[i]!r}{at}")
+            lines.append(f"{tx_head}{obs_tx[i]!r}{at}")
+        for i, (count_head, req_head, resp_head) in enumerate(edge_heads):
+            lines.append(f"{count_head}{edge_requests[i]!r}{at}")
+            lines.append(f"{req_head}{edge_req_bytes[i]!r}{at}")
+            lines.append(f"{resp_head}{edge_resp_bytes[i]!r}{at}")
+        chunks.append("".join(lines))
         if overloaded:
             saturated.append(now)
 
@@ -387,6 +413,7 @@ def run_simulation(
                 if hop == len(hops):
                     completed.append(SimRequest(kind, start, now, paths[kind], tuple(times)))
                     latency_records.append((now, now - start))
+                    req_hop_times[rid] = None
                     continue
                 svc, e = hops[hop]
             else:
@@ -412,7 +439,7 @@ def run_simulation(
         completed_total=len(completed),
         requests=completed,
         latency_records=latency_records,
-        exposition_text="\n".join(lines) + ("\n" if lines else ""),
+        exposition_text="".join(chunks),
         saturated_scrape_times=saturated,
     )
 

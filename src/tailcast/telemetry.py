@@ -316,6 +316,7 @@ def window_p95(latency_samples) -> float:
 # ---------------------------------------------------------------------------
 
 LATENCY_CSV_HEADER = ("timestamp", "latency_seconds")
+_CSV_BLOCK = 4096  # rows turned into Python floats at a time by write_latency_csv
 
 
 def read_latency_csv(path) -> np.ndarray:
@@ -352,11 +353,16 @@ def read_latency_csv(path) -> np.ndarray:
 
 def write_latency_csv(path, records) -> None:
     """Write (timestamp, latency_seconds) rows, a list of pairs or an ``(N, 2)``
-    array, each float as its shortest ``repr``."""
+    array, each float as its shortest ``repr``.
+
+    Rows are converted and written ``_CSV_BLOCK`` at a time, so no Python
+    copy of every row is held at once.
+    """
+    rows = np.asarray(records, dtype=np.float64).reshape(-1, 2)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(LATENCY_CSV_HEADER) + "\n")
-        for t, v in np.asarray(records, dtype=np.float64).reshape(-1, 2).tolist():
-            fh.write(f"{t!r},{v!r}\n")
+        for start in range(0, len(rows), _CSV_BLOCK):
+            fh.writelines(f"{t!r},{v!r}\n" for t, v in rows[start:start + _CSV_BLOCK].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from oracles import (
 from tailcast.errors import ParseError, SchemaError
 from tailcast.statgraph import Topology
 from tailcast.telemetry import (
+    _CSV_BLOCK,
     WindowSpec,
     build_snapshots,
     counter_to_rate,
@@ -380,6 +381,17 @@ class TestLatencyCsv:
         again = tmp_path / "again.csv"
         write_latency_csv(again, rows)
         assert again.read_bytes() == path.read_bytes()
+
+    def test_rows_past_one_block_match_per_row_repr(self, tmp_path):
+        rng = np.random.default_rng(35)
+        rows = np.column_stack((np.cumsum(rng.exponential(0.01, 2 * _CSV_BLOCK + 7)),
+                                rng.exponential(0.2, 2 * _CSV_BLOCK + 7)))
+        path = tmp_path / "latency.csv"
+        for records in (rows, [tuple(map(float, r)) for r in rows], rows[:_CSV_BLOCK]):
+            write_latency_csv(path, records)
+            expected = "timestamp,latency_seconds\n" + "".join(
+                f"{float(t)!r},{float(v)!r}\n" for t, v in records)
+            assert path.read_bytes() == expected.encode()
 
     def test_nonpositive_latency_rejected(self, tmp_path):
         path = tmp_path / "latency.csv"
