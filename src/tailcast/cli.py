@@ -218,14 +218,12 @@ def cmd_train(args) -> int:
         epochs=args.epochs, batch_size=args.batch_size,
         learning_rate=args.learning_rate, seed=args.seed)
     dataset = load_dataset(args.dataset)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    model_config = ModelConfig(
-        d_node=dataset.node_dim, d_edge=dataset.edge_dim, d_resource=dataset.resource_dim,
-        traffic_layers=args.traffic_layers, resource_blocks=args.resource_blocks,
-        fusion_rank=args.fusion_rank)
+    model_config = ModelConfig(traffic_layers=args.traffic_layers,
+                               resource_blocks=args.resource_blocks, fusion_rank=args.fusion_rank)
     report, trained = train(dataset, variant=args.variant, config=config,
                             loss_params=LossParams(), model_config=model_config)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     checkpoint = out / "checkpoint.json"
     save_model(checkpoint, trained.model, trained.norm_stats)
     report.checkpoint_path = checkpoint.name

@@ -17,7 +17,7 @@ and a graph-encoded resource stream.
 from __future__ import annotations
 
 import csv
-import math
+import json
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
@@ -33,7 +33,7 @@ from .encoders import (
 )
 from .errors import CheckpointError, SchemaError
 from .nn import MLP, Linear, Module, Predictor
-from .statgraph import NormStats, Snapshot, Topology
+from .statgraph import FEATURE_WIDTHS, NormStats, Snapshot, Topology
 from .tensor import Tensor, load_checkpoint, load_params_into, save_checkpoint
 
 
@@ -55,53 +55,62 @@ VARIANT_TABLE = {
 }
 VARIANTS = tuple(VARIANT_TABLE)
 
+# The fixed shape of the architecture. The input widths are the feature
+# schema's; ModelConfig holds the sizes a caller sets.
+D_NODE = FEATURE_WIDTHS["node"]
+D_EDGE = FEATURE_WIDTHS["edge"]
+D_RESOURCE = FEATURE_WIDTHS["resource"]
+D_EMB = 16  # width of each stream embedding
+NUM_HEADS = 4  # attention heads of each graph-attention layer
+GMLP_EXPANSION = 4  # a gMLP block's hidden width over D_EMB
+FUSION_TOKENS = 4  # tokens each embedding is cut into for cross-attention
+FUSED_WIDTH = 16  # width of the fused embedding
+HEAD_HIDDEN = 16  # hidden width of the prediction head
+DROPOUT_TRAFFIC = 0.1
+DROPOUT_RESOURCE = 0.1
+
+# Fields older checkpoints carry in model_config, each with the one value it
+# may hold there (reverse_messages is false: messages follow call direction)
+RETIRED_KEYS = {
+    "d_node": D_NODE, "d_edge": D_EDGE, "d_resource": D_RESOURCE, "d_emb": D_EMB,
+    "num_heads": NUM_HEADS, "gmlp_expansion": GMLP_EXPANSION, "fusion_tokens": FUSION_TOKENS,
+    "fused_width": FUSED_WIDTH, "head_hidden": HEAD_HIDDEN, "dropout_traffic": DROPOUT_TRAFFIC,
+    "dropout_resource": DROPOUT_RESOURCE, "reverse_messages": False,
+}
+
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Every architecture hyperparameter of the predictor, in one place."""
+    """What a caller sets: the variant and three sizes. The rest of the shape
+    is the constants above."""
 
     variant: str = "full"
-    d_node: int = 3
-    d_edge: int = 3
-    d_resource: int = 5
-    d_emb: int = 16
     traffic_layers: int = 4
-    num_heads: int = 4
     resource_blocks: int = 4
-    gmlp_expansion: int = 4
     fusion_rank: int = 4
-    fusion_tokens: int = 4
-    fused_width: int = 16
-    head_hidden: int = 16
-    dropout_traffic: float = 0.1
-    dropout_resource: float = 0.1
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.d_emb % self.fusion_tokens != 0:
-            raise ValueError(f"fusion_tokens={self.fusion_tokens} must divide d_emb={self.d_emb}")
         if self.fusion_rank < 1:
             raise ValueError("fusion_rank must be >= 1")
-        for name in ("dropout_traffic", "dropout_resource"):
-            p = getattr(self, name)
-            if not (math.isfinite(p) and 0.0 <= p < 1.0):
-                raise ValueError(f"{name} must be finite and in [0, 1), got {p}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """The config from its JSON form. Messages always follow call
-        direction: a ``reverse_messages`` field, which older checkpoints
-        carry, is accepted as ``false`` and refused otherwise."""
+        """The config from its JSON form. A key of :data:`RETIRED_KEYS`,
+        which older checkpoints carry, is accepted only as its value there,
+        of the same JSON type, and is a :class:`CheckpointError` otherwise."""
         if not isinstance(d, dict):
             raise SchemaError(f"bad model config: expected an object, got {type(d).__name__}")
         d = dict(d)
-        if d.pop("reverse_messages", False) is not False:
-            raise CheckpointError("model_config.reverse_messages must be false: messages "
-                                  "follow call direction")
+        for key, fixed in RETIRED_KEYS.items():
+            value = d.pop(key, fixed)
+            if type(value) is not type(fixed) or value != fixed:
+                raise CheckpointError(f"model_config.{key} is fixed at {json.dumps(fixed)}, "
+                                      f"got {json.dumps(value)}")
         try:
             return cls(**d)
         except TypeError as exc:
@@ -205,7 +214,7 @@ class LatencyModel(Predictor):
         # one generator feeds every module in this fixed order: seeded runs
         # and checkpoints depend on it
         spec = VARIANT_TABLE[config.variant]
-        d_node = config.d_node + (config.d_resource if spec.demand == "merged" else 0)
+        d_node = D_NODE + (D_RESOURCE if spec.demand == "merged" else 0)
         self.traffic = None
         self.resource = None
         self.resource_graph = None
@@ -213,40 +222,25 @@ class LatencyModel(Predictor):
 
         if spec.demand is not None:
             self.traffic = TrafficEncoder(
-                num_layers=config.traffic_layers,
-                d_node=d_node,
-                d_edge=config.d_edge,
-                d_emb=config.d_emb,
-                num_heads=config.num_heads,
-                dropout=config.dropout_traffic,
-                rng=rng)
+                num_layers=config.traffic_layers, d_node=d_node, d_edge=D_EDGE, d_emb=D_EMB,
+                num_heads=NUM_HEADS, dropout=DROPOUT_TRAFFIC, rng=rng)
         if spec.capacity == "gmlp":
             self.resource = ResourceEncoder(
-                num_blocks=config.resource_blocks,
-                d_resource=config.d_resource,
-                d_emb=config.d_emb,
-                expansion=config.gmlp_expansion,
-                num_positions=topology.num_services,
-                dropout=config.dropout_resource,
-                rng=rng)
+                num_blocks=config.resource_blocks, d_resource=D_RESOURCE, d_emb=D_EMB,
+                expansion=GMLP_EXPANSION, num_positions=topology.num_services,
+                dropout=DROPOUT_RESOURCE, rng=rng)
         if spec.capacity == "graph":
             # the ablation that imposes the call graph on resource state
             self.resource_graph = TrafficEncoder(
-                num_layers=config.traffic_layers,
-                d_node=config.d_resource,
-                d_edge=config.d_edge,
-                d_emb=config.d_emb,
-                num_heads=config.num_heads,
-                dropout=config.dropout_resource,
-                rng=rng)
+                num_layers=config.traffic_layers, d_node=D_RESOURCE, d_edge=D_EDGE, d_emb=D_EMB,
+                num_heads=NUM_HEADS, dropout=DROPOUT_RESOURCE, rng=rng)
         if spec.combine == "fusion":
-            self.fusion = DemandCapacityFusion(
-                config.d_emb, config.fusion_tokens, config.fusion_rank,
-                config.fused_width, rng)
-            head_in = config.fused_width
+            self.fusion = DemandCapacityFusion(D_EMB, FUSION_TOKENS, config.fusion_rank,
+                                               FUSED_WIDTH, rng)
+            head_in = FUSED_WIDTH
         else:
-            head_in = config.d_emb
-        self.head = MLP([head_in, config.head_hidden, 1], rng)
+            head_in = D_EMB
+        self.head = MLP([head_in, HEAD_HIDDEN, 1], rng)
 
     # -- forward -----------------------------------------------------------
 
@@ -317,8 +311,7 @@ def load_model(path) -> tuple[LatencyModel, NormStats]:
     try:
         config = ModelConfig.from_dict(meta["model_config"])
         topology = Topology.from_dict(meta["topology"])
-        stats = NormStats.from_dict(meta["normalization"],
-                                    (config.d_node, config.d_edge, config.d_resource))
+        stats = NormStats.from_dict(meta["normalization"])
         model = LatencyModel(config, topology)
     except KeyError as exc:
         raise CheckpointError(f"checkpoint meta missing {exc}") from exc

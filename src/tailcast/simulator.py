@@ -23,7 +23,13 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import SchemaError
-from .statgraph import Topology, refuse_unknown_fields, topology_lists
+from .statgraph import (
+    RESOURCE_METRICS,
+    TRAFFIC_METRICS,
+    Topology,
+    refuse_unknown_fields,
+    topology_lists,
+)
 
 CLIENT = "client"  # pseudo-source for external arrivals
 CPU_PERIOD_US = 100000.0
@@ -329,19 +335,16 @@ def run_simulation(
     next_z = chain.from_iterable(rng.standard_exponential(k).tolist() for k in block_sizes).__next__
 
     # each series' text up to its value, built once; a scrape appends each
-    # value and " {now!r}\n", and joins its lines into one chunk
-    service_heads = [
-        (f'container_cpu_usage_seconds_total{{workload="{name}"}} ',
-         f'container_memory_usage_bytes{{workload="{name}"}} ',
-         f'container_spec_cpu_period{{workload="{name}"}} {CPU_PERIOD_US!r}',
-         f'container_network_receive_bytes_total{{workload="{name}"}} ',
-         f'container_network_transmit_bytes_total{{workload="{name}"}} ')
-        for name in topo.services
-    ]
+    # value and " {now!r}\n", and joins its lines into one chunk. The cpu
+    # period is constant, so its line holds its value.
+    service_heads = []
+    for name in topo.services:
+        cpu, mem, period, rx, tx = (f'{metric.name}{{workload="{name}"}} '
+                                    for metric in RESOURCE_METRICS)
+        service_heads.append((cpu, mem, f"{period}{CPU_PERIOD_US!r}", rx, tx))
     edge_heads = [
-        tuple(f'{metric}{{source_workload="{src}",destination_workload="{dst}"}} '
-              for metric in ("istio_requests_total", "istio_request_bytes_sum",
-                             "istio_response_bytes_sum"))
+        tuple(f'{metric.name}{{source_workload="{src}",destination_workload="{dst}"}} '
+              for metric in TRAFFIC_METRICS)
         for src, dst in edge_keys
     ]
     chunks: list[str] = []
@@ -611,10 +614,10 @@ def load_scenario(path) -> Scenario:
 
 
 def _count(raw: dict, key: str, default: int) -> int:
-    """A scenario field that must be an integer >= 0 (2.0 is one; 1.9, -1 and "3" are not)."""
+    """A scenario field that must be an integer >= 0 (2.0 is one; 1.9, -1, "3" and true are not)."""
     value = raw.get(key, default)
     try:
-        if int(value) == value and value >= 0:
+        if not isinstance(value, bool) and int(value) == value and value >= 0:
             return int(value)
     except (OverflowError, TypeError, ValueError):
         pass

@@ -3,13 +3,15 @@
 A dataset is a static service-dependency graph plus a time-ordered sequence
 of observation windows. Each window carries three feature blocks (per-node
 traffic, per-edge traffic, per-node resources) and the window's ground-truth
-P95 latency in seconds.
+P95 latency in seconds. ``FEATURE_SCHEMA`` names the metric behind each
+column; the block widths, and so the model's input widths, follow from it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,21 +20,34 @@ from .errors import ParseError, SchemaError
 DATASET_FORMAT = "tailcast-dataset"
 DATASET_VERSION = 1
 
-# Feature schema defaults: 3 traffic features per node, 3 per edge, 5
-# resource features per node.
-DEFAULT_NODE_DIM = 3
-DEFAULT_EDGE_DIM = 3
-DEFAULT_RESOURCE_DIM = 5
 
-NODE_FEATURE_NAMES = ("request_rate", "request_bytes_rate", "response_bytes_rate")
-EDGE_FEATURE_NAMES = ("request_rate", "request_bytes_rate", "response_bytes_rate")
-RESOURCE_FEATURE_NAMES = (
-    "cpu_rate",
-    "memory_bytes",
-    "cpu_period",
-    "net_receive_rate",
-    "net_transmit_rate",
+class Metric(NamedTuple):
+    """One scraped metric of the feature schema."""
+
+    name: str
+    kind: str       # "counter" windows to a per-second rate, "gauge" to its in-window mean
+    block: str      # "traffic" fills an edge column and sums into a node column; or "resource"
+    column: int     # its column in the block
+    row_label: str  # the label naming the service whose node or resource row it fills
+
+
+# The one feature schema: every metric the ingest reads and the simulator
+# writes, in exposition order. Response bytes sum into the caller's node row.
+FEATURE_SCHEMA = (
+    Metric("istio_requests_total", "counter", "traffic", 0, "destination_workload"),
+    Metric("istio_request_bytes_sum", "counter", "traffic", 1, "destination_workload"),
+    Metric("istio_response_bytes_sum", "counter", "traffic", 2, "source_workload"),
+    Metric("container_cpu_usage_seconds_total", "counter", "resource", 0, "workload"),
+    Metric("container_memory_usage_bytes", "gauge", "resource", 1, "workload"),
+    Metric("container_spec_cpu_period", "gauge", "resource", 2, "workload"),
+    Metric("container_network_receive_bytes_total", "counter", "resource", 3, "workload"),
+    Metric("container_network_transmit_bytes_total", "counter", "resource", 4, "workload"),
 )
+TRAFFIC_METRICS = tuple(m for m in FEATURE_SCHEMA if m.block == "traffic")
+RESOURCE_METRICS = tuple(m for m in FEATURE_SCHEMA if m.block == "resource")
+# the node, edge and resource feature widths, as the dataset header's dims
+FEATURE_WIDTHS = {"node": len(TRAFFIC_METRICS), "edge": len(TRAFFIC_METRICS),
+                  "resource": len(RESOURCE_METRICS)}
 
 
 @dataclass(frozen=True)
@@ -160,14 +175,14 @@ class NormStats:
         }
 
     @classmethod
-    def from_dict(cls, d: dict, widths: tuple[int, int, int]) -> "NormStats":
+    def from_dict(cls, d: dict) -> "NormStats":
         """Stats from their JSON form; each mean and std must be a vector of
-        the node, edge or resource feature width given in ``widths``, each
-        mean finite and each std finite and > 0."""
+        its block's feature width, each mean finite and each std finite and
+        > 0."""
         if not isinstance(d, dict):
             raise SchemaError(f"normalization must be an object, got {type(d).__name__}")
         vectors = {}
-        for block, width in zip(("node", "edge", "resource"), widths):
+        for block, width in FEATURE_WIDTHS.items():
             for key, rule in ((f"{block}_mean", "finite"), (f"{block}_std", "finite and > 0")):
                 if key not in d:
                     raise SchemaError(f"normalization stats missing field {key!r}")
@@ -208,9 +223,6 @@ class Dataset:
 
     topology: Topology
     snapshots: tuple[Snapshot, ...]
-    node_dim: int = DEFAULT_NODE_DIM
-    edge_dim: int = DEFAULT_EDGE_DIM
-    resource_dim: int = DEFAULT_RESOURCE_DIM
     norm_stats: NormStats | None = None
 
     def __len__(self) -> int:
@@ -229,7 +241,7 @@ class Dataset:
         snapshots.
         """
         v, e = self.topology.num_services, self.topology.num_edges
-        expected = ((v, self.node_dim), (e, self.edge_dim), (v, self.resource_dim))
+        expected = tuple(zip((v, e, v), FEATURE_WIDTHS.values()))  # node, edge, resource
         snaps = self.snapshots
         n = len(snaps)
         shapes = [(s.node_features.shape, s.edge_features.shape, s.resource_features.shape)
@@ -307,21 +319,28 @@ def fit_normalizer(train: Dataset) -> NormStats:
     """Per-column mean/std over every training snapshot; std floored at 1e-8.
 
     Labels are never touched: the training loss is scale-relative already,
-    and label statistics must not leak through preprocessing.
+    and label statistics must not leak through preprocessing. A column
+    whose mean or std is not finite (its values overflow when squared) is a
+    :class:`SchemaError` naming its block and column: no checkpoint could
+    hold such stats.
     """
     if not train.snapshots:
         raise ValueError("cannot fit a normalizer on an empty split")
-    node = np.concatenate([s.node_features for s in train.snapshots], axis=0)
-    edge_rows = [s.edge_features for s in train.snapshots if s.edge_features.size]
-    resource = np.concatenate([s.resource_features for s in train.snapshots], axis=0)
-    node_mean, node_std = _column_stats(node)
-    if edge_rows:
-        edge_mean, edge_std = _column_stats(np.concatenate(edge_rows, axis=0))
-    else:
-        edge_mean = np.zeros(train.edge_dim)
-        edge_std = np.ones(train.edge_dim)
-    res_mean, res_std = _column_stats(resource)
-    return NormStats(node_mean, node_std, edge_mean, edge_std, res_mean, res_std)
+    vectors = {}
+    for block, width in FEATURE_WIDTHS.items():
+        rows = np.concatenate([getattr(s, f"{block}_features") for s in train.snapshots])
+        if not len(rows):  # a topology without edges
+            mean, std = np.zeros(width), np.ones(width)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean, std = _column_stats(rows)
+        bad = ~(np.isfinite(mean) & np.isfinite(std))
+        if bad.any():
+            col = int(np.argmax(bad))
+            raise SchemaError(f"{block} feature column {col} has non-finite statistics on the "
+                              f"training split (mean {float(mean[col])}, std {float(std[col])})")
+        vectors[f"{block}_mean"], vectors[f"{block}_std"] = mean, std
+    return NormStats(**vectors)
 
 
 def apply_normalizer(snapshot: Snapshot, stats: NormStats) -> Snapshot:
@@ -355,11 +374,7 @@ def save_dataset(dataset: Dataset, path) -> None:
         "format": DATASET_FORMAT,
         "version": DATASET_VERSION,
         "topology": dataset.topology.to_dict(),
-        "dims": {
-            "node": dataset.node_dim,
-            "edge": dataset.edge_dim,
-            "resource": dataset.resource_dim,
-        },
+        "dims": FEATURE_WIDTHS,
         "normalization": dataset.norm_stats.to_dict() if dataset.norm_stats else None,
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -384,7 +399,9 @@ def refuse_unknown_fields(obj: dict, allowed: set[str], where: str) -> None:
 
 def load_dataset(path) -> Dataset:
     """Load a dataset file; raises :class:`ParseError` with the line number
-    on malformed JSON and :class:`SchemaError` on structural problems and
+    on malformed JSON, on header ``dims`` other than the integers of
+    :data:`FEATURE_WIDTHS` and on a value that is not a JSON number where
+    one belongs, and :class:`SchemaError` on structural problems and
     unknown fields."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -407,17 +424,13 @@ def load_dataset(path) -> Dataset:
     if header.get("version") != DATASET_VERSION:
         raise SchemaError(f"unsupported dataset version {header.get('version')!r}")
     topology = Topology.from_dict(header.get("topology", {}))
-    dims = header.get("dims", {})
-    try:
-        node_dim = int(dims["node"])
-        edge_dim = int(dims["edge"])
-        resource_dim = int(dims["resource"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed dims in header: {exc}") from exc
+    dims = header.get("dims")
+    if dims != FEATURE_WIDTHS or any(type(width) is not int for width in dims.values()):
+        raise ParseError(f"dims must be the integers {FEATURE_WIDTHS}, got {dims!r}",
+                         line_number=1)
     norm = header.get("normalization")
     try:
-        norm_stats = None if norm is None else NormStats.from_dict(
-            norm, (node_dim, edge_dim, resource_dim))
+        norm_stats = None if norm is None else NormStats.from_dict(norm)
     except SchemaError as exc:
         raise SchemaError(f"line 1: {exc}") from exc
 
@@ -427,26 +440,27 @@ def load_dataset(path) -> Dataset:
             continue
         row = parse_json(line_no)
         refuse_unknown_fields(row, _SNAPSHOT_FIELDS, f"line {line_no}")
+        # float() and numpy read a string or a boolean as a number. Only a
+        # row's keys are JSON strings, so any other string adds quotes, and a
+        # boolean is a bare true or false: three scans of the line find
+        # either, where a check per value would cost a loop.
+        text = lines[line_no - 1]
+        if text.count('"') != 2 * len(row) or "true" in text or "false" in text:
+            raise ParseError("window_start, y, X, E and R must hold JSON numbers only",
+                             line_number=line_no)
         try:
             snap = Snapshot(
                 window_start=float(row["window_start"]),
                 node_features=np.asarray(row["X"], dtype=np.float64),
                 edge_features=np.asarray(row["E"], dtype=np.float64).reshape(
-                    -1, edge_dim),
+                    -1, FEATURE_WIDTHS["edge"]),
                 resource_features=np.asarray(row["R"], dtype=np.float64),
                 label=None if row.get("y") is None else float(row["y"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed snapshot: {exc}", line_number=line_no) from exc
         snapshots.append(snap)
 
-    dataset = Dataset(
-        topology=topology,
-        snapshots=tuple(snapshots),
-        node_dim=node_dim,
-        edge_dim=edge_dim,
-        resource_dim=resource_dim,
-        norm_stats=norm_stats,
-    )
+    dataset = Dataset(topology=topology, snapshots=tuple(snapshots), norm_stats=norm_stats)
     dataset.validate()
     return dataset

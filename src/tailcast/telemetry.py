@@ -45,29 +45,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError, SchemaError
-from .statgraph import Dataset, Snapshot, Topology
+from .statgraph import FEATURE_SCHEMA, FEATURE_WIDTHS, RESOURCE_METRICS, Dataset, Snapshot, Topology
 
 logger = logging.getLogger(__name__)
-
-# Metric names scraped from a service mesh + container runtime.
-METRIC_REQUESTS = "istio_requests_total"
-METRIC_REQUEST_BYTES = "istio_request_bytes_sum"
-METRIC_RESPONSE_BYTES = "istio_response_bytes_sum"
-METRIC_CPU = "container_cpu_usage_seconds_total"
-METRIC_MEMORY = "container_memory_usage_bytes"
-METRIC_CPU_PERIOD = "container_spec_cpu_period"
-METRIC_NET_RX = "container_network_receive_bytes_total"
-METRIC_NET_TX = "container_network_transmit_bytes_total"
-
-EDGE_METRICS = (METRIC_REQUESTS, METRIC_REQUEST_BYTES, METRIC_RESPONSE_BYTES)
-# (metric, kind): counters become rates, gauges become in-window means.
-RESOURCE_METRICS = (
-    (METRIC_CPU, "counter"),
-    (METRIC_MEMORY, "gauge"),
-    (METRIC_CPU_PERIOD, "gauge"),
-    (METRIC_NET_RX, "counter"),
-    (METRIC_NET_TX, "counter"),
-)
 
 
 @dataclass(frozen=True)
@@ -493,13 +473,13 @@ def build_snapshots(
     stats.dropped_no_label = int(np.count_nonzero(~labelled))
 
     num_v = topology.num_services
-    node = np.zeros((num_w, num_v, 3))
-    edge = np.zeros((num_w, topology.num_edges, 3))
-    res = np.zeros((num_w, num_v, len(RESOURCE_METRICS)))
+    node = np.zeros((num_w, num_v, FEATURE_WIDTHS["node"]))
+    edge = np.zeros((num_w, topology.num_edges, FEATURE_WIDTHS["edge"]))
+    res = np.zeros((num_w, num_v, FEATURE_WIDTHS["resource"]))
     service_pos = {service: i for i, service in enumerate(topology.services)}
     edge_pos = topology.edge_index()
-    resource_cols = {metric: (col, _counter_rates if kind == "counter" else _gauge_means)
-                     for col, (metric, kind) in enumerate(RESOURCE_METRICS)}
+    schema = {metric.name: metric for metric in FEATURE_SCHEMA}
+    window_values = {"counter": _counter_rates, "gauge": _gauge_means}
     # series name -> windows it leaves under-covered, for every series read
     short: dict[str, np.ndarray] = {}
 
@@ -510,7 +490,10 @@ def build_snapshots(
 
     for (name, label_items), (ts, vs) in series.items():
         labels = dict(label_items)
-        if name in EDGE_METRICS:
+        metric = schema.get(name)
+        if metric is None:
+            unknown(f"unknown metric {name!r}")
+        elif metric.block == "traffic":
             src_name = labels.get("source_workload")
             dst_name = labels.get("destination_workload")
             src, dst = service_pos.get(src_name), service_pos.get(dst_name)
@@ -522,34 +505,30 @@ def build_snapshots(
             if src is not None and (src, dst) not in edge_pos:
                 unknown(f"{name}: ({src_name}, {dst_name}) is not a topology edge")
                 continue
-            # response bytes sum by the calling side, which an external
-            # caller lacks: such a series feeds no row and is not read
-            row = src if name == METRIC_RESPONSE_BYTES else dst
+            # a metric summed by the calling side (response bytes) feeds no
+            # row of an external caller, and is then not read
+            row = service_pos.get(labels.get(metric.row_label))
             if row is None:
                 continue
-            col = EDGE_METRICS.index(name)
-            rates, covered = _counter_rates(ts, vs, starts, ends)
+            rates, covered = window_values[metric.kind](ts, vs, starts, ends)
             key = f"{name}{{{src_name}->{dst_name}}}"
             short[key] = short.get(key, False) | ~covered
             # node sums add series in order, as a running total from 0.0
-            node[:, row, col] += rates
+            node[:, row, metric.column] += rates
             if src is not None:
-                edge[:, edge_pos[(src, dst)], col] = rates  # a later duplicate wins
-        elif name in resource_cols:
-            workload = labels.get("workload")
+                edge[:, edge_pos[(src, dst)], metric.column] = rates  # a later duplicate wins
+        else:
+            workload = labels.get(metric.row_label)
             svc = service_pos.get(workload)
             if svc is None:
-                unknown(f"{name}: unknown workload {workload!r}")
+                unknown(f"{name}: unknown {metric.row_label} {workload!r}")
                 continue
-            col, window_values = resource_cols[name]
-            res[:, svc, col], covered = window_values(ts, vs, starts, ends)
+            res[:, svc, metric.column], covered = window_values[metric.kind](ts, vs, starts, ends)
             short[f"{name}{{{workload}}}"] = ~covered  # a later duplicate wins
-        else:
-            unknown(f"unknown metric {name!r}")
     # a resource slot without a series leaves every window under-covered
     for service in topology.services:
-        for metric, _ in RESOURCE_METRICS:
-            short.setdefault(f"{metric}{{{service}}}", np.ones(num_w, dtype=bool))
+        for metric in RESOURCE_METRICS:
+            short.setdefault(f"{metric.name}{{{service}}}", np.ones(num_w, dtype=bool))
 
     keep = labelled.copy()
     for name, mask in short.items():

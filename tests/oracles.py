@@ -79,7 +79,9 @@ def nearest_rank_p95(values) -> float:
 
 def validate_snapshots(dataset) -> None:
     """One snapshot at a time, every check in order: raise SchemaError for
-    the first check the first bad snapshot fails, as Dataset.validate must."""
+    the first check the first bad snapshot fails, as Dataset.validate must.
+    The feature widths are the paper's: 3 traffic features per node and per
+    edge, 5 resource features per node."""
     v, e = dataset.topology.num_services, dataset.topology.num_edges
     prev = -np.inf
     for i, snap in enumerate(dataset.snapshots):
@@ -88,16 +90,16 @@ def validate_snapshots(dataset) -> None:
         if snap.window_start <= prev:
             raise SchemaError(f"snapshot {i} out of chronological order")
         prev = snap.window_start
-        if snap.node_features.shape != (v, dataset.node_dim):
+        if snap.node_features.shape != (v, 3):
             raise SchemaError(
-                f"snapshot {i}: node features {snap.node_features.shape}, expected {(v, dataset.node_dim)}")
-        if snap.edge_features.shape != (e, dataset.edge_dim):
+                f"snapshot {i}: node features {snap.node_features.shape}, expected {(v, 3)}")
+        if snap.edge_features.shape != (e, 3):
             raise SchemaError(
-                f"snapshot {i}: edge features {snap.edge_features.shape}, expected {(e, dataset.edge_dim)}")
-        if snap.resource_features.shape != (v, dataset.resource_dim):
+                f"snapshot {i}: edge features {snap.edge_features.shape}, expected {(e, 3)}")
+        if snap.resource_features.shape != (v, 5):
             raise SchemaError(
                 f"snapshot {i}: resource features {snap.resource_features.shape}, "
-                f"expected {(v, dataset.resource_dim)}")
+                f"expected {(v, 5)}")
         blocks = (snap.node_features, snap.edge_features, snap.resource_features)
         if not all(np.all(np.isfinite(b)) for b in blocks):
             raise SchemaError(f"snapshot {i}: non-finite feature values")

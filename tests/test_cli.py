@@ -159,7 +159,8 @@ class TestIngest:
         from tailcast.statgraph import load_dataset
         ds = load_dataset(pipeline["dataset"])
         assert 0 < len(ds) <= 19
-        assert ds.node_dim == 3 and ds.edge_dim == 3 and ds.resource_dim == 5
+        assert {(s.node_features.shape[1], s.edge_features.shape[1], s.resource_features.shape[1])
+                for s in ds.snapshots} == {(3, 3, 5)}
 
     def test_report_fields(self, tmp_path, pipeline):
         report_path = tmp_path / "report.json"
@@ -335,6 +336,20 @@ class TestTrainCli:
         assert "no epoch reached a finite validation loss" in capsys.readouterr().err
         assert not (out / "checkpoint.json").exists()
 
+    def test_overflowing_feature_exit_2_before_writing(self, tmp_path, capsys, pipeline):
+        # 1e308 is finite, but its square is not: the node std would be inf,
+        # and eval refuses a checkpoint holding it
+        lines = pipeline["dataset"].read_text().splitlines()
+        row = json.loads(lines[1])
+        row["X"][0][0] = 1e308
+        lines[1] = json.dumps(row)
+        data = tmp_path / "data.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "train"
+        assert main(["train", "--dataset", str(data), "--out-dir", str(out), "--epochs", "1"]) == 2
+        assert "node feature column 0 has non-finite statistics" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_reports_and_checkpoints(self, tmp_path, pipeline):
         a, b = tmp_path / "a", tmp_path / "b"
         args = ["train", "--dataset", str(pipeline["dataset"]), "--variant", "traffic_only",
@@ -409,9 +424,9 @@ class TestEvalPredictExport:
         ("normalization_list", "normalization must be an object"),
         ("one_element_node_stats", "node_mean has shape (1,), expected (3,)"),
         ("unknown_variant", "unknown variant"),
-        ("dropout_above_one", "dropout_resource must be finite and in [0, 1), got 1.5"),
-        ("dropout_negative", "dropout_resource must be finite and in [0, 1), got -0.1"),
-        ("dropout_nan", "dropout_resource must be finite and in [0, 1), got nan"),
+        ("dropout_above_one", "model_config.dropout_resource is fixed at 0.1, got 1.5"),
+        ("dropout_negative", "model_config.dropout_resource is fixed at 0.1, got -0.1"),
+        ("dropout_nan", "model_config.dropout_resource is fixed at 0.1, got NaN"),
         ("zero_node_std", "normalization node_std must be finite and > 0, got [0.0, 0.0, 0.0]"),
         ("nan_edge_mean", "normalization edge_mean must be finite"),
         ("string_topology", "services must be a list of strings"),
@@ -472,6 +487,43 @@ class TestEvalPredictExport:
         assert main(["predict", "--snapshots", str(bad),
                      "--checkpoint", str(pipeline["train"] / "checkpoint.json")]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("d_node", 4), ("d_edge", 2), ("d_resource", 6), ("d_emb", 8), ("num_heads", 2),
+        ("gmlp_expansion", 2), ("fusion_tokens", 2), ("fused_width", 8), ("head_hidden", 8),
+        ("dropout_traffic", 0.2), ("dropout_resource", 0.0), ("d_emb", "16"), ("d_emb", 16.0),
+        ("num_heads", True), ("dropout_traffic", None),
+    ])
+    def test_retired_model_config_key_exit_5(self, tmp_path, capsys, pipeline, key, value):
+        fixed = {"d_node": 3, "d_edge": 3, "d_resource": 5, "d_emb": 16, "num_heads": 4,
+                 "gmlp_expansion": 4, "fusion_tokens": 4, "fused_width": 16, "head_hidden": 16,
+                 "dropout_traffic": 0.1, "dropout_resource": 0.1}[key]
+        payload = json.loads((pipeline["train"] / "checkpoint.json").read_text())
+        payload["meta"]["model_config"][key] = value
+        bad = tmp_path / "checkpoint.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["predict", "--snapshots", str(pipeline["dataset"]),
+                     "--checkpoint", str(bad)]) == 5
+        assert f"model_config.{key} is fixed at {fixed}, got " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims", [
+        {"node": "3", "edge": "3", "resource": "5"},
+        {"node": 3, "edge": 4, "resource": 5},
+        {"node": 3.0, "edge": 3, "resource": 5},
+        {"node": True, "edge": 3, "resource": 5},
+        {"node": 3, "edge": 3},
+        {"node": 3, "edge": 3, "resource": 5, "extra": 1},
+        None,
+    ], ids=["strings", "width_4", "float", "bool", "missing_block", "extra_block", "null"])
+    def test_dataset_dims_other_than_the_schema_exit_2(self, tmp_path, capsys, pipeline, dims):
+        lines = pipeline["dataset"].read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        header["dims"] = dims
+        bad = tmp_path / "data.jsonl"
+        bad.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
+        assert main(["predict", "--snapshots", str(bad),
+                     "--checkpoint", str(pipeline["train"] / "checkpoint.json")]) == 2
+        assert "line 1: dims must be the integers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("row, start", [(1, math.nan), (-1, math.inf)],
                              ids=["nan_second", "inf_last"])

@@ -12,6 +12,7 @@ from oracles import (
     slice_axis,
 )
 
+from tailcast import fusion as F
 from tailcast import tensor as T
 from tailcast.encoders import (
     AttentionPool,
@@ -62,19 +63,18 @@ def routing_for(topo):
 
 
 def traffic_encoder(rng, **sizes):
-    """A traffic encoder with ``ModelConfig``'s default sizes unless overridden."""
-    c = ModelConfig()
-    return TrafficEncoder(**{"num_layers": c.traffic_layers, "d_node": c.d_node,
-                             "d_edge": c.d_edge, "d_emb": c.d_emb, "num_heads": c.num_heads,
-                             "dropout": c.dropout_traffic, **sizes}, rng=rng)
+    """A traffic encoder with the model's sizes unless overridden."""
+    return TrafficEncoder(**{"num_layers": ModelConfig().traffic_layers, "d_node": F.D_NODE,
+                             "d_edge": F.D_EDGE, "d_emb": F.D_EMB, "num_heads": F.NUM_HEADS,
+                             "dropout": F.DROPOUT_TRAFFIC, **sizes}, rng=rng)
 
 
 def resource_encoder(rng, num_positions, **sizes):
-    """A resource encoder with ``ModelConfig``'s default sizes unless overridden."""
-    c = ModelConfig()
-    return ResourceEncoder(**{"num_blocks": c.resource_blocks, "d_resource": c.d_resource,
-                              "d_emb": c.d_emb, "expansion": c.gmlp_expansion,
-                              "dropout": c.dropout_resource, **sizes},
+    """A resource encoder with the model's sizes unless overridden."""
+    return ResourceEncoder(**{"num_blocks": ModelConfig().resource_blocks,
+                              "d_resource": F.D_RESOURCE, "d_emb": F.D_EMB,
+                              "expansion": F.GMLP_EXPANSION, "dropout": F.DROPOUT_RESOURCE,
+                              **sizes},
                            num_positions=num_positions, rng=rng)
 
 
@@ -279,13 +279,12 @@ class TestFusedBlocksEqualTheirComposition:
         n, edges = _topology_edges(topology)
         routing = MessageRouting.from_edges(n, edges)
         rng = np.random.default_rng(batch)
-        c = ModelConfig()
-        layer = GraphTransformerLayer(c.d_emb, c.d_edge, c.num_heads, 0.1, rng)
+        layer = GraphTransformerLayer(F.D_EMB, F.D_EDGE, F.NUM_HEADS, 0.1, rng)
         self._randomize(layer, rng)
         layer.train(training)
-        h = Tensor(rng.normal(size=(batch, n, c.d_emb)), requires_grad=True)
-        ef = Tensor(rng.normal(size=(batch, len(edges), c.d_edge)), requires_grad=True)
-        probe = rng.normal(size=(batch, n, c.d_emb))
+        h = Tensor(rng.normal(size=(batch, n, F.D_EMB)), requires_grad=True)
+        ef = Tensor(rng.normal(size=(batch, len(edges), F.D_EDGE)), requires_grad=True)
+        probe = rng.normal(size=(batch, n, F.D_EMB))
         leaves = [h, ef] + list(layer.parameters().values())
         fused = _forward_and_grads(
             lambda: layer(h, ef, routing, np.random.default_rng(5)), leaves, probe)
@@ -303,12 +302,11 @@ class TestFusedBlocksEqualTheirComposition:
     def test_gmlp_block(self, topology, batch, training):
         n, _ = _topology_edges(topology)
         rng = np.random.default_rng(batch + 1)
-        c = ModelConfig()
-        block = GmlpBlock(c.d_emb, c.gmlp_expansion * c.d_emb, n, 0.1, rng)
+        block = GmlpBlock(F.D_EMB, F.GMLP_EXPANSION * F.D_EMB, n, 0.1, rng)
         self._randomize(block, rng)
         block.train(training)
-        z = Tensor(rng.normal(size=(batch, n, c.d_emb)), requires_grad=True)
-        probe = rng.normal(size=(batch, n, c.d_emb))
+        z = Tensor(rng.normal(size=(batch, n, F.D_EMB)), requires_grad=True)
+        probe = rng.normal(size=(batch, n, F.D_EMB))
         leaves = [z] + list(block.parameters().values())
         fused = _forward_and_grads(lambda: block(z, np.random.default_rng(6)), leaves, probe)
         composed = _forward_and_grads(

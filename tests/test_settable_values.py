@@ -12,7 +12,7 @@ from pathlib import Path
 
 import tailcast
 
-MAX_SETTABLE_VALUES = 156
+MAX_SETTABLE_VALUES = 142
 
 
 def settable_values(source: str) -> int:

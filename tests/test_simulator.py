@@ -579,6 +579,8 @@ class TestOutOfRangeScenario:
         (("seed",), 1.9),  # would run as seed 1
         (("seed",), -1),  # would fail later, in SeedSequence
         (("seed",), "3"),
+        (("seed",), True),  # would run as seed 1
+        (("queue_cap",), True),  # would cap queues at 1
     ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v))
     def test_rejected(self, path, value):
         with pytest.raises(SchemaError):

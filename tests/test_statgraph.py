@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import validate_snapshots
 from tailcast.errors import ParseError, SchemaError
 from tailcast.statgraph import (
+    FEATURE_WIDTHS,
     Dataset,
     NormStats,
     Snapshot,
@@ -193,6 +196,9 @@ class TestNormalizer:
             fit_normalizer(empty)
 
 
+NOT_NUMBERS = "window_start, y, X, E and R must hold JSON numbers only"
+
+
 class TestSerialization:
     def test_roundtrip_value_identical(self, tmp_path):
         ds = make_dataset(3, seed=9)
@@ -235,8 +241,36 @@ class TestSerialization:
         ds = make_dataset(2)
         path = tmp_path / "data.jsonl"
         save_dataset(ds, path)
-        loaded = load_dataset(path)
-        assert (loaded.node_dim, loaded.edge_dim, loaded.resource_dim) == (3, 3, 5)
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["dims"] == {"node": 3, "edge": 3, "resource": 5}
+        assert FEATURE_WIDTHS == header["dims"]
+        assert len(load_dataset(path)) == 2
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("y", "0.1", NOT_NUMBERS),
+        ("y", True, NOT_NUMBERS),
+        ("window_start", "5", NOT_NUMBERS),
+        ("window_start", False, NOT_NUMBERS),
+        ("X", "1.0", NOT_NUMBERS),
+        ("R", True, NOT_NUMBERS),  # numpy reads it as 1.0 among floats
+        ("E", "", NOT_NUMBERS),
+        ("X", 10 ** 400, "malformed snapshot: int too large to convert to float"),
+        ("window_start", 10 ** 400, "malformed snapshot: int too large to convert to float"),
+    ], ids=["y_string", "y_true", "start_string", "start_false", "X_string", "R_bool",
+            "E_empty_string", "X_huge_int", "start_huge_int"])
+    def test_non_numbers_rejected_with_line_number(self, tmp_path, field, value, message):
+        path = tmp_path / "data.jsonl"
+        save_dataset(make_dataset(3), path)
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[2])
+        if field in ("X", "E", "R"):
+            row[field][0][1] = value  # one entry among numbers
+        else:
+            row[field] = value
+        lines[2] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=re.escape(f"line 3: {message}")):
+            load_dataset(path)
 
     def test_malformed_json_carries_line_number(self, tmp_path):
         ds = make_dataset(2)
