@@ -16,7 +16,7 @@ from .errors import (
     TailcastError,
     TrainingError,
 )
-from .fusion import LatencyModel, ModelConfig, build_variant, predict_latency
+from .fusion import LatencyModel, ModelConfig, predict_latency
 from .simulator import ClusterSpec, IntensityProfile, preset_topologies, run_scenario
 from .statgraph import Dataset, Snapshot, Topology, chronological_split, load_dataset, save_dataset
 from .telemetry import WindowSpec, build_snapshots, parse_exposition, window_p95
@@ -46,7 +46,6 @@ __all__ = [
     "WindowSpec",
     "aph_loss",
     "build_snapshots",
-    "build_variant",
     "chronological_split",
     "load_dataset",
     "metrics",

@@ -37,7 +37,6 @@ from .telemetry import (
     write_latency_csv,
 )
 from .training import (
-    LossParams,
     TrainConfig,
     linear_regression,
     metrics,
@@ -221,7 +220,7 @@ def cmd_train(args) -> int:
     model_config = ModelConfig(traffic_layers=args.traffic_layers,
                                resource_blocks=args.resource_blocks, fusion_rank=args.fusion_rank)
     report, trained = train(dataset, variant=args.variant, config=config,
-                            loss_params=LossParams(), model_config=model_config)
+                            model_config=model_config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     checkpoint = out / "checkpoint.json"

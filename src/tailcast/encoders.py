@@ -12,7 +12,8 @@ topology, the message routing is built once per model.
 The modules own the parameters, under stable checkpoint names; each graph
 layer and each gMLP block runs as the one fused op
 :func:`~tailcast.tensor.graph_attention_layer` or
-:func:`~tailcast.tensor.gmlp_block`, after drawing its dropout mask.
+:func:`~tailcast.tensor.gmlp_block`. A block handed a dropout generator
+draws one mask at rate :data:`DROPOUT` first; one handed none draws nothing.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .errors import ShapeError
 from .nn import LayerNorm, Linear, Module, parameter
 from .statgraph import Snapshot
 from .tensor import Tensor
+
+DROPOUT = 0.1  # dropout rate of every graph-attention layer and gMLP block
 
 
 class MessageRouting:
@@ -93,11 +96,9 @@ class GraphTransformerLayer(Module):
     feature so every node receives an update.
     """
 
-    def __init__(self, d_emb: int, d_edge: int, num_heads: int, drop_p: float, rng: np.random.Generator):
-        super().__init__()
+    def __init__(self, d_emb: int, d_edge: int, num_heads: int, rng: np.random.Generator):
         self.num_heads = num_heads
         self.d_emb = d_emb
-        self.drop_p = drop_p
         self.wq = Linear(d_emb, d_emb, rng)
         self.wk = Linear(d_emb, d_emb, rng)
         self.wv = Linear(d_emb, d_emb, rng)
@@ -111,7 +112,7 @@ class GraphTransformerLayer(Module):
         """``h`` is ``(B, |V|, d_emb)``, ``edge_features`` ``(B, |E|, d_edge)``."""
         if h.shape[-1] != self.d_emb:
             raise ShapeError(f"node embedding width {h.shape[-1]} != layer width {self.d_emb}")
-        mask = T.dropout_mask(self.drop_p, self.training, rng, h.shape)
+        mask = T.dropout_mask(DROPOUT, rng, h.shape)
         params = (self.wq.w, self.wq.b, self.wk.w, self.wk.b, self.wv.w, self.wv.b,
                   self.we_key.w, self.we_key.b, self.we_val.w, self.we_val.b,
                   self.self_edge, self.norm.gain, self.norm.bias)
@@ -122,7 +123,6 @@ class AttentionPool(Module):
     """Score-weighted graph readout: a = softmax over nodes of w2 . tanh(W1 h_i)."""
 
     def __init__(self, d_emb: int, rng: np.random.Generator):
-        super().__init__()
         self.w1 = Linear(d_emb, d_emb, rng)
         self.w2 = Linear(d_emb, 1, rng, bias=False)
 
@@ -138,15 +138,14 @@ class TrafficEncoder(Module):
     """Input projection, stacked graph attention layers, attention pooling."""
 
     def __init__(self, *, num_layers: int, d_node: int, d_edge: int, d_emb: int,
-                 num_heads: int, dropout: float, rng: np.random.Generator):
-        super().__init__()
+                 num_heads: int, rng: np.random.Generator):
         if num_layers < 1:
             raise ValueError("num_layers must be >= 1")
         if d_emb % num_heads != 0:
             raise ValueError(f"d_emb={d_emb} not divisible by num_heads={num_heads}")
         self.input_proj = Linear(d_node, d_emb, rng)
         self.layers = [
-            GraphTransformerLayer(d_emb, d_edge, num_heads, dropout, rng)
+            GraphTransformerLayer(d_emb, d_edge, num_heads, rng)
             for _ in range(num_layers)
         ]
         self.pool = AttentionPool(d_emb, rng)
@@ -166,12 +165,9 @@ class GmlpBlock(Module):
     zero with unit bias, so a fresh block starts as a plain residual MLP.
     """
 
-    def __init__(self, d_model: int, d_ffn: int, num_positions: int, drop_p: float,
-                 rng: np.random.Generator):
-        super().__init__()
+    def __init__(self, d_model: int, d_ffn: int, num_positions: int, rng: np.random.Generator):
         if d_ffn % 2 != 0:
             raise ValueError(f"d_ffn must be even, got {d_ffn}")
-        self.drop_p = drop_p
         self.norm_in = LayerNorm(d_model)
         self.proj_in = Linear(d_model, d_ffn, rng)
         self.gate_norm = LayerNorm(d_ffn // 2)
@@ -180,7 +176,7 @@ class GmlpBlock(Module):
         self.proj_out = Linear(d_ffn // 2, d_model, rng)
 
     def __call__(self, z: Tensor, rng: np.random.Generator | None = None) -> Tensor:
-        mask = T.dropout_mask(self.drop_p, self.training, rng, z.shape)
+        mask = T.dropout_mask(DROPOUT, rng, z.shape)
         params = (self.norm_in.gain, self.norm_in.bias, self.proj_in.w, self.proj_in.b,
                   self.gate_norm.gain, self.gate_norm.bias, self.w_spatial, self.b_spatial,
                   self.proj_out.w, self.proj_out.b)
@@ -196,10 +192,9 @@ class ResourceEncoder(Module):
     """
 
     def __init__(self, *, num_blocks: int, d_resource: int, d_emb: int, expansion: int,
-                 num_positions: int, dropout: float, rng: np.random.Generator):
+                 num_positions: int, rng: np.random.Generator):
         """``num_positions`` is the number of service positions |V|; it is
         part of the data contract."""
-        super().__init__()
         if num_blocks < 1:
             raise ValueError("num_blocks must be >= 1")
         if num_positions < 1:
@@ -207,7 +202,7 @@ class ResourceEncoder(Module):
         self.num_positions = num_positions
         self.input_proj = Linear(d_resource, d_emb, rng)
         self.blocks = [
-            GmlpBlock(d_emb, expansion * d_emb, num_positions, dropout, rng)
+            GmlpBlock(d_emb, expansion * d_emb, num_positions, rng)
             for _ in range(num_blocks)
         ]
         self.output_proj = Linear(d_emb, d_emb, rng)

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .encoders import (
+    DROPOUT,
     MessageRouting,
     ResourceEncoder,
     SnapshotBatch,
@@ -66,16 +67,15 @@ GMLP_EXPANSION = 4  # a gMLP block's hidden width over D_EMB
 FUSION_TOKENS = 4  # tokens each embedding is cut into for cross-attention
 FUSED_WIDTH = 16  # width of the fused embedding
 HEAD_HIDDEN = 16  # hidden width of the prediction head
-DROPOUT_TRAFFIC = 0.1
-DROPOUT_RESOURCE = 0.1
 
 # Fields older checkpoints carry in model_config, each with the one value it
-# may hold there (reverse_messages is false: messages follow call direction)
+# may hold there (reverse_messages is false: messages follow call direction;
+# both streams drop out at the one encoder rate)
 RETIRED_KEYS = {
     "d_node": D_NODE, "d_edge": D_EDGE, "d_resource": D_RESOURCE, "d_emb": D_EMB,
     "num_heads": NUM_HEADS, "gmlp_expansion": GMLP_EXPANSION, "fusion_tokens": FUSION_TOKENS,
-    "fused_width": FUSED_WIDTH, "head_hidden": HEAD_HIDDEN, "dropout_traffic": DROPOUT_TRAFFIC,
-    "dropout_resource": DROPOUT_RESOURCE, "reverse_messages": False,
+    "fused_width": FUSED_WIDTH, "head_hidden": HEAD_HIDDEN, "dropout_traffic": DROPOUT,
+    "dropout_resource": DROPOUT, "reverse_messages": False,
 }
 
 
@@ -135,7 +135,6 @@ class CrossTokenAttention(Module):
     """
 
     def __init__(self, d_emb: int, num_tokens: int, rng: np.random.Generator):
-        super().__init__()
         self.num_tokens = num_tokens
         self.d_token = d_emb // num_tokens
         self.d_emb = d_emb
@@ -171,7 +170,6 @@ class DemandCapacityFusion(Module):
 
     def __init__(self, d_emb: int, num_tokens: int, rank: int, fused_width: int,
                  rng: np.random.Generator):
-        super().__init__()
         self.attend_demand = CrossTokenAttention(d_emb, num_tokens, rng)
         self.attend_capacity = CrossTokenAttention(d_emb, num_tokens, rng)
         self.project_demand = MLP([d_emb, d_emb, rank], rng)
@@ -202,7 +200,6 @@ class LatencyModel(Predictor):
     """
 
     def __init__(self, config: ModelConfig, topology: Topology, seed=0):
-        super().__init__()
         self.config = config
         self.topology = topology
         self.routing = MessageRouting.from_edges(topology.num_services, topology.edges)
@@ -223,17 +220,16 @@ class LatencyModel(Predictor):
         if spec.demand is not None:
             self.traffic = TrafficEncoder(
                 num_layers=config.traffic_layers, d_node=d_node, d_edge=D_EDGE, d_emb=D_EMB,
-                num_heads=NUM_HEADS, dropout=DROPOUT_TRAFFIC, rng=rng)
+                num_heads=NUM_HEADS, rng=rng)
         if spec.capacity == "gmlp":
             self.resource = ResourceEncoder(
                 num_blocks=config.resource_blocks, d_resource=D_RESOURCE, d_emb=D_EMB,
-                expansion=GMLP_EXPANSION, num_positions=topology.num_services,
-                dropout=DROPOUT_RESOURCE, rng=rng)
+                expansion=GMLP_EXPANSION, num_positions=topology.num_services, rng=rng)
         if spec.capacity == "graph":
             # the ablation that imposes the call graph on resource state
             self.resource_graph = TrafficEncoder(
                 num_layers=config.traffic_layers, d_node=D_RESOURCE, d_edge=D_EDGE, d_emb=D_EMB,
-                num_heads=NUM_HEADS, dropout=DROPOUT_RESOURCE, rng=rng)
+                num_heads=NUM_HEADS, rng=rng)
         if spec.combine == "fusion":
             self.fusion = DemandCapacityFusion(D_EMB, FUSION_TOKENS, config.fusion_rank,
                                                FUSED_WIDTH, rng)
@@ -277,11 +273,6 @@ class LatencyModel(Predictor):
 
     def collate(self, snapshots: list[Snapshot]) -> SnapshotBatch:
         return collate_snapshots(snapshots, self.routing)
-
-
-def build_variant(kind: str, config: ModelConfig, topology: Topology, seed=0) -> LatencyModel:
-    """Construct one of the model variants over a fixed topology."""
-    return LatencyModel(replace(config, variant=kind), topology, seed=seed)
 
 
 def predict_latency(snapshot: Snapshot, model: LatencyModel) -> float:

@@ -3,9 +3,10 @@
 A :class:`Module` collects named parameter tensors by walking its attributes;
 construction order gives stable, checkpoint-friendly names. There is no
 autograd magic here; modules are just containers for parameters plus a
-``__call__`` that builds the op graph. :meth:`Predictor.infer` is the one
-batched inference loop: ``predict``, embedding export and the validation
-loss each hand it a function of one slice of snapshots.
+``__call__`` that builds the op graph. A :class:`Predictor` holds the
+model's one training flag, and :meth:`Predictor.infer` is the one batched
+inference loop: ``predict``, embedding export and the validation loss each
+hand it a function of one slice of snapshots.
 """
 
 from __future__ import annotations
@@ -19,63 +20,47 @@ from .tensor import Tensor
 
 
 class Module:
-    """Base class tracking parameters, submodules, and the training flag."""
-
-    def __init__(self):
-        self.training = True
+    """Base class collecting named parameters from its attributes."""
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         for key, val in vars(self).items():
-            if key == "training":
-                continue
             yield from _walk(f"{prefix}{key}", val)
 
     def parameters(self) -> dict[str, Tensor]:
         return dict(self.named_parameters())
-
-    def modules(self) -> Iterator["Module"]:
-        yield self
-        for _, val in vars(self).items():
-            if isinstance(val, Module):
-                yield from val.modules()
-            elif isinstance(val, (list, tuple)):
-                for item in val:
-                    if isinstance(item, Module):
-                        yield from item.modules()
-
-    def train(self, mode: bool = True) -> "Module":
-        for m in self.modules():
-            m.training = mode
-        return self
-
-    def eval(self) -> "Module":
-        return self.train(False)
 
 
 EVAL_BATCH = 256  # snapshots per forward pass when nothing is trained
 
 
 class Predictor(Module):
-    """A module mapping a list of snapshots to (B, 1) predictions."""
+    """A module mapping a list of snapshots to (B, 1) predictions. It holds
+    the model's one training flag: only a training-mode forward draws dropout."""
+
+    training = True
+
+    def train(self) -> "Predictor":
+        self.training = True
+        return self
+
+    def eval(self) -> "Predictor":
+        self.training = False
+        return self
 
     def forward_snapshots(self, snapshots: list) -> Tensor:  # pragma: no cover
         raise NotImplementedError
 
     def infer(self, snapshots: list, fn) -> list:
         """``fn`` of each successive ``EVAL_BATCH`` slice of ``snapshots``, in
-        order, run in eval mode with no graph recorded; the training mode is
-        restored afterwards (the module-tree walks are skipped when the model
-        is in eval mode already)."""
-        training = self.training
-        if training:
-            self.eval()
+        order, run in eval mode with no graph recorded; the training flag is
+        restored afterwards."""
+        training, self.training = self.training, False
         try:
             with T.no_grad():
                 return [fn(snapshots[i:i + EVAL_BATCH])
                         for i in range(0, len(snapshots), EVAL_BATCH)]
         finally:
-            if training:
-                self.train()
+            self.training = training
 
     def predict(self, snapshots: list) -> np.ndarray:
         """Predictions over many snapshots; dropout off, no graph recorded."""
@@ -108,7 +93,6 @@ class Linear(Module):
     """Affine map ``x @ w + b``; works on any leading batch dims."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, bias: bool = True):
-        super().__init__()
         self.w = glorot(rng, d_in, d_out)
         self.b = parameter(np.zeros(d_out)) if bias else None
 
@@ -120,7 +104,6 @@ class MLP(Module):
     """Stack of Linear layers with GELU between them (none after the last)."""
 
     def __init__(self, widths: list[int], rng: np.random.Generator):
-        super().__init__()
         if len(widths) < 2:
             raise ValueError("MLP needs at least an input and an output width")
         self.layers = [Linear(widths[i], widths[i + 1], rng) for i in range(len(widths) - 1)]
@@ -137,7 +120,6 @@ class LayerNorm(Module):
     """Learnable affine layer normalization over the last axis."""
 
     def __init__(self, width: int):
-        super().__init__()
         self.gain = parameter(np.ones(width))
         self.bias = parameter(np.zeros(width))
 

@@ -568,14 +568,12 @@ def _segment_from_dict(d: dict) -> Segment:
     try:
         return Segment(
             kind=str(d["kind"]),
-            duration=float(d["duration_s"]),
-            start_rate=float(d["start_rate"]),
-            end_rate=float(d.get("end_rate", d["start_rate"])),
+            duration=_number(d["duration_s"], "profile segment duration_s"),
+            start_rate=_number(d["start_rate"], "profile segment start_rate"),
+            end_rate=_number(d.get("end_rate", d["start_rate"]), "profile segment end_rate"),
         )
     except KeyError as exc:
         raise SchemaError(f"profile segment missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"profile segment {d!r}: {exc}") from exc
 
 
 def _request_type_from_dict(d: dict) -> RequestType:
@@ -583,11 +581,10 @@ def _request_type_from_dict(d: dict) -> RequestType:
         raise SchemaError(f"request_mix entry must be an object, got {d!r}")
     refuse_unknown_fields(d, _REQUEST_TYPE_FIELDS, "request_mix entry")
     try:
-        name, path, weight = str(d["name"]), d["path"], float(d["weight"])
+        name, path = str(d["name"]), d["path"]
+        weight = _number(d["weight"], f"request_mix entry {name!r} weight")
     except KeyError as exc:
         raise SchemaError(f"request_mix entry missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"request_mix entry {d!r}: bad weight: {exc}") from exc
     if not (isinstance(path, list) and all(isinstance(s, str) for s in path)):
         raise SchemaError(f"request_mix entry {name!r}: path must be a list of service names, "
                           f"got {path!r}")
@@ -611,6 +608,17 @@ def load_scenario(path) -> Scenario:
         except json.JSONDecodeError as exc:
             raise SchemaError(f"scenario is not valid JSON: {exc}") from exc
     return scenario_from_dict(raw)
+
+
+def _number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number; float() would also read
+    a numeric string or a boolean."""
+    if type(value) in (int, float):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise SchemaError(f"{what} must be a number, got {value!r}")
 
 
 def _count(raw: dict, key: str, default: int) -> int:
@@ -648,6 +656,11 @@ def scenario_from_dict(raw: dict) -> Scenario:
     for name, overrides in _json_field(raw, "capacities", dict, {}).items():
         if name not in topology.services:
             raise SchemaError(f"capacity override for unknown service {name!r}")
+        if not isinstance(overrides, dict):
+            raise SchemaError(f"capacity override for {name!r} must be an object, "
+                              f"got {overrides!r}")
+        for key, value in overrides.items():
+            _number(value, f"capacity {name}.{key}")
         try:
             capacities[name] = ServiceCapacity(**overrides)
         except TypeError as exc:
@@ -664,10 +677,16 @@ def scenario_from_dict(raw: dict) -> Scenario:
     profile = IntensityProfile(
         tuple(_segment_from_dict(s) for s in _json_field(raw, "profile", list, None)))
 
-    duration = float(raw.get("duration_s", profile.total_duration))
+    duration = _number(raw.get("duration_s", profile.total_duration), "scenario duration_s")
     if not (math.isfinite(duration) and duration > 0):
         raise SchemaError(f"scenario duration must be finite and > 0, got {duration}")
-    noise_sigma = float(raw.get("noise_sigma", 0.01))
+    # arrivals stop where the profile ends: a longer run only scrapes an idle
+    # cluster, and one of 1e300 s scrapes without end. A duration equal to
+    # the profile's up to rounding in the sum of its segments is allowed.
+    if duration > profile.total_duration and not math.isclose(duration, profile.total_duration):
+        raise SchemaError(f"scenario duration_s {duration} is longer than the profile's "
+                          f"{profile.total_duration} s")
+    noise_sigma = _number(raw.get("noise_sigma", 0.01), "scenario noise_sigma")
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise SchemaError(f"scenario noise_sigma must be finite and >= 0, got {noise_sigma}")
     seed, queue_cap = _count(raw, "seed", 0), _count(raw, "queue_cap", 500)

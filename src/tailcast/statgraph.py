@@ -176,9 +176,9 @@ class NormStats:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormStats":
-        """Stats from their JSON form; each mean and std must be a vector of
-        its block's feature width, each mean finite and each std finite and
-        > 0."""
+        """Stats from their JSON form; each mean and std must be a list of
+        JSON numbers of its block's feature width, each mean finite and each
+        std finite and > 0."""
         if not isinstance(d, dict):
             raise SchemaError(f"normalization must be an object, got {type(d).__name__}")
         vectors = {}
@@ -186,9 +186,13 @@ class NormStats:
             for key, rule in ((f"{block}_mean", "finite"), (f"{block}_std", "finite and > 0")):
                 if key not in d:
                     raise SchemaError(f"normalization stats missing field {key!r}")
+                # numpy reads "0.0" and true as numbers
+                if not isinstance(d[key], list) or any(type(v) not in (int, float) for v in d[key]):
+                    raise SchemaError(f"normalization {key} must be a list of numbers, "
+                                      f"got {d[key]!r}")
                 try:
                     vectors[key] = np.asarray(d[key], dtype=np.float64)
-                except (TypeError, ValueError) as exc:
+                except OverflowError as exc:
                     raise SchemaError(f"normalization {key}: {exc}") from exc
                 if vectors[key].shape != (width,):
                     raise SchemaError(f"normalization {key} has shape {vectors[key].shape}, "

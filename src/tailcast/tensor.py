@@ -467,16 +467,11 @@ def _edge_attention_backward(g: Array, alpha: Array, q4: Array, key: Array, val:
     return g_q, (g_scores * q4).reshape(b, m, d), g_val
 
 
-def dropout_mask(p: float, training: bool, rng: np.random.Generator | None,
+def dropout_mask(p: float, rng: np.random.Generator | None,
                  shape: tuple[int, ...]) -> Array | None:
-    """The inverted-dropout multiplier, 0 or 1/(1-p) per element, or None
-    (the identity) at inference or when ``p`` is 0. The caller checks that
-    ``p`` is in [0, 1)."""
-    if not training or p <= 0.0:
-        return None
-    if rng is None:
-        raise ValueError("dropout in training mode needs an explicit rng")
-    return (rng.random(shape) >= p) / (1.0 - p)
+    """The inverted-dropout multiplier, 0 or 1/(1-p) per element, drawn from
+    ``rng``; None (the identity) when there is no ``rng`` to draw from."""
+    return None if rng is None else (rng.random(shape) >= p) / (1.0 - p)
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,6 @@ def run_training(
     val_snaps: list[Snapshot],
     test_snaps: list[Snapshot],
     config: TrainConfig,
-    loss_params: LossParams,
     shuffle_rng: np.random.Generator,
     variant: str,
 ) -> TrainReport:
@@ -236,12 +235,13 @@ def run_training(
         val_snapshots=len(val_snaps),
         test_snapshots=len(test_snaps),
     )
+    loss_params = LossParams()
     optimizer = Adam(model.parameters(), learning_rate=config.learning_rate)
     best_val = math.inf
     best_params: np.ndarray | None = None
 
     for epoch in range(1, config.epochs + 1):
-        model.train(True)
+        model.train()
         order = shuffle_rng.permutation(len(train_snaps))
         epoch_loss = 0.0
         grad_norm_max = 0.0
@@ -324,7 +324,6 @@ def train(
     dataset: Dataset,
     variant: str = "full",
     config: TrainConfig = TrainConfig(),
-    loss_params: LossParams = LossParams(),
     model_config: ModelConfig | None = None,
 ) -> tuple[TrainReport, TrainedModel]:
     """Split chronologically, standardize on the training split, fit, report.
@@ -339,7 +338,7 @@ def train(
     model = LatencyModel(base, dataset.topology, seed=seed_model)
     center_output_bias(model, train_snaps)
     report = run_training(
-        model, train_snaps, val_snaps, test_snaps, config, loss_params,
+        model, train_snaps, val_snaps, test_snaps, config,
         shuffle_rng=np.random.default_rng(seed_shuffle), variant=variant,
     )
     return report, TrainedModel(model=model, norm_stats=stats)
@@ -397,7 +396,6 @@ class FlatRegressor(Predictor):
     """Two-hidden-layer MLP on flattened features with a softplus output."""
 
     def __init__(self, num_features: int, seed=0):
-        super().__init__()
         rng = np.random.default_rng(seed)
         self.head = MLP([num_features, MLP_HIDDEN, MLP_HIDDEN, 1], rng)
 
@@ -409,7 +407,6 @@ class FlatRegressor(Predictor):
 def mlp_baseline(
     dataset: Dataset,
     config: TrainConfig = TrainConfig(),
-    loss_params: LossParams = LossParams(),
 ) -> tuple[TrainReport, FlatRegressor]:
     """Flat-vector MLP trained with the same loss and optimizer as the model."""
     train_snaps, val_snaps, test_snaps, _ = _prepare_splits(dataset)
@@ -417,7 +414,7 @@ def mlp_baseline(
     model = FlatRegressor(len(flat_features(train_snaps[0])), seed=seed_model)
     center_output_bias(model, train_snaps)
     report = run_training(
-        model, train_snaps, val_snaps, test_snaps, config, loss_params,
+        model, train_snaps, val_snaps, test_snaps, config,
         shuffle_rng=np.random.default_rng(seed_shuffle), variant="mlp",
     )
     return report, model

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from tailcast import tensor as T
+from tailcast.encoders import DROPOUT
 from tailcast.errors import ParseError, SchemaError, ShapeError
 from tailcast.simulator import (
     CLIENT,
@@ -635,9 +636,10 @@ def edge_attention(q: Tensor, key: Tensor, val: Tensor, routing, num_heads: int)
                       lambda g: T._edge_attention_backward(g, alpha, q4, kd, vd, routing))
 
 
-def dropout(a: Tensor, p: float, training: bool, rng=None) -> Tensor:
-    """Inverted dropout: identity at inference, 1/(1-p) scaling while training."""
-    mask = T.dropout_mask(p, training, rng, a.shape)
+def dropout(a: Tensor, p: float, rng=None) -> Tensor:
+    """Inverted dropout: 1/(1-p) scaling of the elements ``rng`` keeps, the
+    identity without an ``rng``."""
+    mask = T.dropout_mask(p, rng, a.shape)
     if mask is None:
         return a
     return T._from_op(a.data * mask, (a,), lambda g: (g * mask,))
@@ -654,7 +656,7 @@ def composed_graph_layer(layer, h: Tensor, edge_features: Tensor, routing, rng=N
     val = T.add(gather(layer.wv(h), routing.src, routing.src_incidence),
                 layer.we_val(edge_features))
     attn = edge_attention(layer.wq(h), key, val, routing, layer.num_heads)
-    attn = dropout(attn, layer.drop_p, layer.training, rng)
+    attn = dropout(attn, DROPOUT, rng)
     return layer.norm(T.add(h, attn))
 
 
@@ -667,5 +669,5 @@ def composed_gmlp_block(block, z: Tensor, rng=None) -> Tensor:
     gate = block.gate_norm(u2)
     gate = spatial_mix(gate, block.w_spatial, block.b_spatial)
     out = block.proj_out(T.mul(u1, gate))
-    out = dropout(out, block.drop_p, block.training, rng)
+    out = dropout(out, DROPOUT, rng)
     return T.add(z, out)

@@ -22,7 +22,7 @@ from tailcast.encoders import (
     GraphTransformerLayer,
     MessageRouting,
 )
-from tailcast.fusion import CrossTokenAttention, DemandCapacityFusion, ModelConfig, build_variant
+from tailcast.fusion import CrossTokenAttention, DemandCapacityFusion, LatencyModel, ModelConfig
 from tailcast.nn import MLP
 from tailcast.simulator import (
     ClusterSpec,
@@ -68,8 +68,7 @@ def _verdict(number: int, description: str, passed: bool, detail: str = "") -> N
 
 def _grad_graph_layer(seed):
     rng = np.random.default_rng(seed)
-    layer = GraphTransformerLayer(8, 3, 2, 0.0, rng)
-    layer.eval()
+    layer = GraphTransformerLayer(8, 3, 2, rng)
     h = Tensor(rng.normal(size=(4, 8))[None], requires_grad=True)
     ef = Tensor(rng.normal(size=(3, 3))[None], requires_grad=True)
     probe = Tensor(rng.normal(size=(4, 8))[None])
@@ -89,8 +88,7 @@ def _grad_attention_pool(seed):
 
 def _grad_gmlp_block(seed):
     rng = np.random.default_rng(seed)
-    block = GmlpBlock(6, 12, 3, 0.0, rng)
-    block.eval()
+    block = GmlpBlock(6, 12, 3, rng)
     block.w_spatial.data[:] = rng.normal(size=(3, 3)) * 0.3
     z = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
     probe = Tensor(rng.normal(size=(2, 3, 6)))
@@ -241,8 +239,7 @@ def test_criterion_5_graph_attention_oracle():
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
         rng.shuffle(pairs)
         edges = pairs[:int(rng.integers(0, len(pairs) + 1))]
-        layer = GraphTransformerLayer(8, 3, 2, 0.0, rng)
-        layer.eval()
+        layer = GraphTransformerLayer(8, 3, 2, rng)
         h = rng.normal(size=(n, 8))
         ef = rng.normal(size=(len(edges), 3))
         out, iso = run_layer(layer, h, ef, edges, n)
@@ -292,7 +289,7 @@ def test_criterion_9_disconnection_exactness():
     snaps = [Snapshot(5.0 * i, rng.random((11, 3)), rng.random((15, 3)),
                       rng.random((11, 5)), 0.5) for i in range(3)]
 
-    traffic_model = build_variant("traffic_only", ModelConfig(), topo, seed=1)
+    traffic_model = LatencyModel(ModelConfig(variant="traffic_only"), topo, seed=1)
     traffic_model.eval()
     batch = traffic_model.collate(snaps)
     batch.resources.requires_grad = True
@@ -300,7 +297,7 @@ def test_criterion_9_disconnection_exactness():
     traffic_ok = np.array_equal(batch.resources.grad_array(),
                                 np.zeros_like(batch.resources.data))
 
-    resource_model = build_variant("resource_only", ModelConfig(), topo, seed=2)
+    resource_model = LatencyModel(ModelConfig(variant="resource_only"), topo, seed=2)
     resource_model.eval()
     batch = resource_model.collate(snaps)
     batch.node_features.requires_grad = True
@@ -348,7 +345,7 @@ def test_criterion_7_overfit_probe():
     labels = np.asarray([s.label for s in snaps])
 
     # architecture defaults: d_emb=16, 4 traffic layers, rank 4, batch 32, lr 1e-3
-    model = build_variant("full", ModelConfig(), ds.topology, seed=7)
+    model = LatencyModel(ModelConfig(variant="full"), ds.topology, seed=7)
     center_output_bias(model, snaps)
     optimizer = Adam(model.parameters(), learning_rate=1e-3)
     shuffle_rng = np.random.default_rng(123)
@@ -356,7 +353,7 @@ def test_criterion_7_overfit_probe():
 
     reached = None
     for epoch in range(1, 501):
-        model.train(True)
+        model.train()
         order = shuffle_rng.permutation(len(snaps))
         for i in range(0, len(order), 32):
             chunk = [snaps[j] for j in order[i:i + 32]]

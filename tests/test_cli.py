@@ -64,6 +64,10 @@ def _break_checkpoint(payload: dict, defect: str):
         meta["normalization"]["node_std"] = [0.0, 0.0, 0.0]
     elif defect == "nan_edge_mean":
         meta["normalization"]["edge_mean"][1] = math.nan
+    elif defect == "string_node_mean":
+        meta["normalization"]["node_mean"] = ["0.0", "0.0", "0.0"]
+    elif defect == "bool_resource_std":
+        meta["normalization"]["resource_std"][2] = True
     elif defect == "string_topology":
         meta["topology"]["services"] = "".join(
             chr(ord("a") + i) for i in range(len(meta["topology"]["services"])))
@@ -99,6 +103,15 @@ class TestSimulate:
                        '"profile": [{"kind": "plateau", "duration_s": 5.0, "start_rate": 1.0}]}')
         assert main(["simulate", "--scenario", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
         assert "duration must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_duration_longer_than_profile_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"preset": "online_boutique_like", "duration_s": 20.0,
+                                   "profile": [{"kind": "plateau", "duration_s": 10.0,
+                                                "start_rate": 1.0}]}))
+        assert main(["simulate", "--scenario", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "duration_s 20.0 is longer than the profile's 10.0 s" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_out_of_range_scenario_exit_2(self, tmp_path, capsys):
@@ -429,6 +442,8 @@ class TestEvalPredictExport:
         ("dropout_nan", "model_config.dropout_resource is fixed at 0.1, got NaN"),
         ("zero_node_std", "normalization node_std must be finite and > 0, got [0.0, 0.0, 0.0]"),
         ("nan_edge_mean", "normalization edge_mean must be finite"),
+        ("string_node_mean", "normalization node_mean must be a list of numbers"),
+        ("bool_resource_std", "normalization resource_std must be a list of numbers"),
         ("string_topology", "services must be a list of strings"),
     ])
     def test_malformed_checkpoint_exit_5(self, tmp_path, capsys, pipeline, defect, field):
@@ -452,7 +467,14 @@ class TestEvalPredictExport:
         ({"node_mean": [0.0] * 2 + [math.inf], "node_std": [1.0] * 3, "edge_mean": [0.0] * 3,
           "edge_std": [1.0] * 3, "resource_mean": [0.0] * 5, "resource_std": [1.0] * 5},
          "normalization node_mean must be finite"),
-    ], ids=["list", "one_element_node_stats", "zero_std", "negative_std", "infinite_mean"])
+        ({"node_mean": ["0.0"] * 3, "node_std": [1.0] * 3, "edge_mean": [0.0] * 3,
+          "edge_std": [1.0] * 3, "resource_mean": [0.0] * 5, "resource_std": [1.0] * 5},
+         "normalization node_mean must be a list of numbers"),
+        ({"node_mean": [0.0] * 3, "node_std": [1.0] * 3, "edge_mean": [0.0] * 3,
+          "edge_std": [True] * 3, "resource_mean": [0.0] * 5, "resource_std": [1.0] * 5},
+         "normalization edge_std must be a list of numbers"),
+    ], ids=["list", "one_element_node_stats", "zero_std", "negative_std", "infinite_mean",
+            "string_mean", "bool_std"])
     def test_malformed_dataset_header_exit_2(self, tmp_path, capsys, pipeline, normalization,
                                              field):
         lines = pipeline["dataset"].read_text().splitlines(keepends=True)

@@ -66,15 +66,14 @@ def traffic_encoder(rng, **sizes):
     """A traffic encoder with the model's sizes unless overridden."""
     return TrafficEncoder(**{"num_layers": ModelConfig().traffic_layers, "d_node": F.D_NODE,
                              "d_edge": F.D_EDGE, "d_emb": F.D_EMB, "num_heads": F.NUM_HEADS,
-                             "dropout": F.DROPOUT_TRAFFIC, **sizes}, rng=rng)
+                             **sizes}, rng=rng)
 
 
 def resource_encoder(rng, num_positions, **sizes):
     """A resource encoder with the model's sizes unless overridden."""
     return ResourceEncoder(**{"num_blocks": ModelConfig().resource_blocks,
                               "d_resource": F.D_RESOURCE, "d_emb": F.D_EMB,
-                              "expansion": F.GMLP_EXPANSION, "dropout": F.DROPOUT_RESOURCE,
-                              **sizes},
+                              "expansion": F.GMLP_EXPANSION, **sizes},
                            num_positions=num_positions, rng=rng)
 
 
@@ -122,8 +121,7 @@ class TestGraphTransformerLayer:
         for trial in range(60):
             n, edges = random_graph(rng)
             d_emb, d_edge, heads = 8, 3, 2
-            layer = GraphTransformerLayer(d_emb, d_edge, heads, 0.0, rng)
-            layer.eval()
+            layer = GraphTransformerLayer(d_emb, d_edge, heads, rng)
             h = rng.normal(size=(n, d_emb))
             efeat = rng.normal(size=(len(edges), d_edge))
             out, iso = run_layer(layer, h, efeat, edges, n)
@@ -136,8 +134,7 @@ class TestGraphTransformerLayer:
         # with one incoming message, the update must equal the case where the
         # node's attention puts weight 1 on that message
         rng = np.random.default_rng(5)
-        layer = GraphTransformerLayer(8, 3, 2, 0.0, rng)
-        layer.eval()
+        layer = GraphTransformerLayer(8, 3, 2, rng)
         h = rng.normal(size=(2, 8))
         e = rng.normal(size=(1, 3))
         out, _ = run_layer(layer, h, e, [(0, 1)], 2)
@@ -151,8 +148,7 @@ class TestGraphTransformerLayer:
     def test_identical_keys_split_half_half(self):
         # two in-neighbors with identical keys and edge features -> 0.5/0.5
         rng = np.random.default_rng(6)
-        layer = GraphTransformerLayer(8, 3, 2, 0.0, rng)
-        layer.eval()
+        layer = GraphTransformerLayer(8, 3, 2, rng)
         h = rng.normal(size=(3, 8))
         h[1] = h[0]  # same source embedding -> same keys and values
         e = np.tile(rng.normal(size=(1, 3)), (2, 1))
@@ -166,8 +162,7 @@ class TestGraphTransformerLayer:
 
     def test_isolated_node_gets_updated(self):
         rng = np.random.default_rng(7)
-        layer = GraphTransformerLayer(8, 3, 2, 0.0, rng)
-        layer.eval()
+        layer = GraphTransformerLayer(8, 3, 2, rng)
         h = rng.normal(size=(2, 8))
         out, iso = run_layer(layer, h, np.zeros((1, 3)), [(1, 0)], 2)
         assert 1 in iso.tolist()
@@ -205,8 +200,7 @@ class TestGmlpBlock:
         # W_s = 0, b_s = 1: the gate passes u1 through unchanged, so the
         # block is exactly z + proj_out(u1)
         rng = np.random.default_rng(11)
-        block = GmlpBlock(8, 32, 4, 0.0, rng)
-        block.eval()
+        block = GmlpBlock(8, 32, 4, rng)
         z = rng.normal(size=(2, 4, 8))
         out = block(Tensor(z))
         zt = Tensor(z)
@@ -217,8 +211,7 @@ class TestGmlpBlock:
 
     def test_zero_input_zero_delta(self):
         rng = np.random.default_rng(12)
-        block = GmlpBlock(8, 32, 4, 0.0, rng)
-        block.eval()
+        block = GmlpBlock(8, 32, 4, rng)
         block.proj_in.b.data[:] = 0.0
         block.proj_out.b.data[:] = 0.0
         block.norm_in.bias.data[:] = 0.0
@@ -228,8 +221,7 @@ class TestGmlpBlock:
 
     def test_position_sensitivity_with_generic_weights(self):
         rng = np.random.default_rng(13)
-        block = GmlpBlock(8, 32, 5, 0.0, rng)
-        block.eval()
+        block = GmlpBlock(8, 32, 5, rng)
         block.w_spatial.data[:] = rng.normal(size=(5, 5))  # a trained-looking gate
         z = rng.normal(size=(1, 5, 8))
         out = block(Tensor(z)).data
@@ -253,6 +245,11 @@ def _forward_and_grads(build, leaves, probe):
     return out.data, [leaf.grad_array() for leaf in leaves]
 
 
+def draws(training, seed):
+    """The dropout generator a block is handed: a fixed-seed one in training, none in eval."""
+    return np.random.default_rng(seed) if training else None
+
+
 def _assert_same(fused, composed):
     (out_f, grads_f), (out_c, grads_c) = fused, composed
     assert np.array_equal(out_f, out_c)
@@ -264,7 +261,8 @@ def _assert_same(fused, composed):
 class TestFusedBlocksEqualTheirComposition:
     """Each encoder block is one op; its output and every input and parameter
     gradient equal, with ``==``, those of the plain ops it replaced
-    (``oracles.composed_*``), with dropout on (a fixed-seed mask) and off."""
+    (``oracles.composed_*``), with dropout on (a mask from a fixed-seed
+    generator) and off (no generator)."""
 
     @staticmethod
     def _randomize(module, rng):
@@ -279,17 +277,16 @@ class TestFusedBlocksEqualTheirComposition:
         n, edges = _topology_edges(topology)
         routing = MessageRouting.from_edges(n, edges)
         rng = np.random.default_rng(batch)
-        layer = GraphTransformerLayer(F.D_EMB, F.D_EDGE, F.NUM_HEADS, 0.1, rng)
+        layer = GraphTransformerLayer(F.D_EMB, F.D_EDGE, F.NUM_HEADS, rng)
         self._randomize(layer, rng)
-        layer.train(training)
         h = Tensor(rng.normal(size=(batch, n, F.D_EMB)), requires_grad=True)
         ef = Tensor(rng.normal(size=(batch, len(edges), F.D_EDGE)), requires_grad=True)
         probe = rng.normal(size=(batch, n, F.D_EMB))
         leaves = [h, ef] + list(layer.parameters().values())
         fused = _forward_and_grads(
-            lambda: layer(h, ef, routing, np.random.default_rng(5)), leaves, probe)
+            lambda: layer(h, ef, routing, draws(training, 5)), leaves, probe)
         composed = _forward_and_grads(
-            lambda: composed_graph_layer(layer, h, ef, routing, np.random.default_rng(5)),
+            lambda: composed_graph_layer(layer, h, ef, routing, draws(training, 5)),
             leaves, probe)
         _assert_same(fused, composed)
         assert np.any(fused[1][1] != 0.0)  # the edge features are differentiated
@@ -302,30 +299,15 @@ class TestFusedBlocksEqualTheirComposition:
     def test_gmlp_block(self, topology, batch, training):
         n, _ = _topology_edges(topology)
         rng = np.random.default_rng(batch + 1)
-        block = GmlpBlock(F.D_EMB, F.GMLP_EXPANSION * F.D_EMB, n, 0.1, rng)
+        block = GmlpBlock(F.D_EMB, F.GMLP_EXPANSION * F.D_EMB, n, rng)
         self._randomize(block, rng)
-        block.train(training)
         z = Tensor(rng.normal(size=(batch, n, F.D_EMB)), requires_grad=True)
         probe = rng.normal(size=(batch, n, F.D_EMB))
         leaves = [z] + list(block.parameters().values())
-        fused = _forward_and_grads(lambda: block(z, np.random.default_rng(6)), leaves, probe)
+        fused = _forward_and_grads(lambda: block(z, draws(training, 6)), leaves, probe)
         composed = _forward_and_grads(
-            lambda: composed_gmlp_block(block, z, np.random.default_rng(6)), leaves, probe)
+            lambda: composed_gmlp_block(block, z, draws(training, 6)), leaves, probe)
         _assert_same(fused, composed)
-
-    def test_dropout_draws_one_mask_per_block_in_training_only(self):
-        rng = np.random.default_rng(7)
-        block = GmlpBlock(8, 16, 3, 0.5, rng)
-        z = Tensor(rng.normal(size=(2, 3, 8)))
-        draws = np.random.default_rng(8)
-        block.eval()
-        eval_out = block(z, draws).data
-        assert draws.bit_generator.state == np.random.default_rng(8).bit_generator.state
-        block.train()
-        assert not np.array_equal(block(z, draws).data, eval_out)
-        expected = np.random.default_rng(8)
-        expected.random((2, 3, 8))
-        assert draws.bit_generator.state == expected.bit_generator.state
 
 
 def snapshots_for(topo, rng, count=2):
@@ -346,7 +328,6 @@ class TestTrafficEncoder:
         topo = Topology.create(["a", "b", "c"], [("a", "b"), ("b", "c")])
         rng = np.random.default_rng(14)
         enc = traffic_encoder(rng, num_layers=2, d_emb=16)
-        enc.eval()
         batch = collate_snapshots(snapshots_for(topo, rng), routing_for(topo))
         out = enc(batch)
         assert out.shape == (2, 16)
@@ -355,7 +336,6 @@ class TestTrafficEncoder:
         topo = Topology.create(["a", "b"], [("a", "b")])
         rng = np.random.default_rng(15)
         enc = traffic_encoder(rng, num_layers=2)
-        enc.eval()
         snap = Snapshot(0.0, np.zeros((2, 3)), np.zeros((1, 3)), np.zeros((2, 5)), 0.1)
         out = enc(collate_snapshots([snap], routing_for(topo)))
         assert np.all(np.isfinite(out.data))
@@ -368,7 +348,6 @@ class TestTrafficEncoder:
         topo2 = Topology.create(names, [edges[i] for i in perm])
         rng = np.random.default_rng(16)
         enc = traffic_encoder(rng, num_layers=2)
-        enc.eval()
         feats = np.random.default_rng(17).random((5, 3))
         x = np.random.default_rng(18).random((4, 3))
         r = np.zeros((4, 5))
@@ -382,7 +361,6 @@ class TestTrafficEncoder:
         topo = Topology.create(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
         rng = np.random.default_rng(19)
         enc = traffic_encoder(rng, num_layers=2)
-        enc.eval()
         snaps = snapshots_for(topo, rng, count=3)
         batched = enc(collate_snapshots(snaps, routing_for(topo))).data
         singles = np.vstack([enc(collate_snapshots([s], routing_for(topo))).data for s in snaps])
@@ -394,21 +372,18 @@ class TestResourceEncoder:
     def test_single_service_pooling_is_identity_path(self):
         rng = np.random.default_rng(21)
         enc = resource_encoder(rng, 1, num_blocks=1)
-        enc.eval()
         out = enc(Tensor(rng.random((1, 1, 5))))
         assert out.shape == (1, 16)
 
     def test_zero_input_finite(self):
         rng = np.random.default_rng(22)
         enc = resource_encoder(rng, 3, num_blocks=2)
-        enc.eval()
         out = enc(Tensor(np.zeros((2, 3, 5))))
         assert np.all(np.isfinite(out.data))
 
     def test_not_permutation_invariant_with_generic_weights(self):
         rng = np.random.default_rng(23)
         enc = resource_encoder(rng, 5, num_blocks=2)
-        enc.eval()
         for block in enc.blocks:
             block.w_spatial.data[:] = rng.normal(size=(5, 5))
         r = rng.random((1, 5, 5))
@@ -433,8 +408,7 @@ class TestEncoderGradients:
     def test_graph_layer_gradients(self, seed):
         rng = np.random.default_rng(seed)
         n, edges = 4, [(0, 1), (1, 2), (0, 2)]  # node 3 isolated, node 0 too
-        layer = GraphTransformerLayer(8, 3, 2, 0.0, rng)
-        layer.eval()
+        layer = GraphTransformerLayer(8, 3, 2, rng)
         h = Tensor(rng.normal(size=(n, 8))[None], requires_grad=True)
         ef = Tensor(rng.normal(size=(3, 3))[None], requires_grad=True)
         probe = Tensor(rng.normal(size=(n, 8))[None])
@@ -462,8 +436,7 @@ class TestEncoderGradients:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gmlp_block_gradients(self, seed):
         rng = np.random.default_rng(seed)
-        block = GmlpBlock(6, 12, 3, 0.0, rng)
-        block.eval()
+        block = GmlpBlock(6, 12, 3, rng)
         block.w_spatial.data[:] = rng.normal(size=(3, 3)) * 0.3
         z = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
         probe = Tensor(rng.normal(size=(2, 3, 6)))
@@ -478,7 +451,6 @@ class TestEncoderGradients:
         topo = Topology.create(["a", "b", "c"], [("a", "b"), ("b", "c")])
         rng = np.random.default_rng(seed)
         enc = traffic_encoder(rng, num_layers=1, d_emb=8, num_heads=2)
-        enc.eval()
         snaps = snapshots_for(topo, rng, count=1)
         batch = collate_snapshots(snaps, routing_for(topo))
         batch.node_features.requires_grad = True
@@ -494,7 +466,6 @@ class TestEncoderGradients:
     def test_resource_encoder_end_to_end_gradients(self, seed):
         rng = np.random.default_rng(seed)
         enc = resource_encoder(rng, 3, num_blocks=1, d_emb=8, expansion=2)
-        enc.eval()
         r = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
         probe = Tensor(rng.normal(size=(2, 8)))
 

@@ -17,7 +17,6 @@ from tailcast.fusion import (
     LatencyModel,
     ModelConfig,
     SystemEmbedding,
-    build_variant,
     export_embeddings,
     load_model,
     predict_latency,
@@ -165,7 +164,7 @@ class TestVariants:
         topo = small_topology()
         snaps = make_snapshots(topo)
         for kind in VARIANTS:
-            model = build_variant(kind, ModelConfig(), topo, seed=1)
+            model = LatencyModel(ModelConfig(variant=kind), topo, seed=1)
             model.eval()
             out = model.forward_snapshots(snaps)
             assert out.shape == (3, 1)
@@ -173,21 +172,21 @@ class TestVariants:
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
-            build_variant("bogus", ModelConfig(), small_topology())
+            LatencyModel(ModelConfig(variant="bogus"), small_topology())
 
     def test_encoder_sizes_checked_only_where_the_encoder_is_built(self):
-        config = ModelConfig(traffic_layers=0, resource_blocks=0)
+        topo = small_topology()
         with pytest.raises(ValueError, match="num_layers must be >= 1"):
-            build_variant("traffic_only", config, small_topology())
+            LatencyModel(ModelConfig("traffic_only", traffic_layers=0, resource_blocks=0), topo)
         with pytest.raises(ValueError, match="num_blocks must be >= 1"):
-            build_variant("resource_only", config, small_topology())
-        assert build_variant("resource_only", ModelConfig(traffic_layers=0), small_topology())
-        assert build_variant("traffic_only", ModelConfig(resource_blocks=0), small_topology())
+            LatencyModel(ModelConfig("resource_only", traffic_layers=0, resource_blocks=0), topo)
+        assert LatencyModel(ModelConfig(variant="resource_only", traffic_layers=0), topo)
+        assert LatencyModel(ModelConfig(variant="traffic_only", resource_blocks=0), topo)
 
     def test_traffic_only_ignores_resources_exactly(self):
         topo = small_topology()
         snaps = make_snapshots(topo)
-        model = build_variant("traffic_only", ModelConfig(), topo, seed=2)
+        model = LatencyModel(ModelConfig(variant="traffic_only"), topo, seed=2)
         model.eval()
         batch = model.collate(snaps)
         batch.resources.requires_grad = True
@@ -198,7 +197,7 @@ class TestVariants:
     def test_resource_only_ignores_traffic_exactly(self):
         topo = small_topology()
         snaps = make_snapshots(topo)
-        model = build_variant("resource_only", ModelConfig(), topo, seed=3)
+        model = LatencyModel(ModelConfig(variant="resource_only"), topo, seed=3)
         model.eval()
         batch = model.collate(snaps)
         batch.node_features.requires_grad = True
@@ -210,7 +209,7 @@ class TestVariants:
     def test_full_uses_both_streams(self):
         topo = small_topology()
         snaps = make_snapshots(topo)
-        model = build_variant("full", ModelConfig(), topo, seed=4)
+        model = LatencyModel(ModelConfig(variant="full"), topo, seed=4)
         model.eval()
         batch = model.collate(snaps)
         batch.resources.requires_grad = True
@@ -222,7 +221,7 @@ class TestVariants:
     def test_simple_fused_with_zero_capacity_equals_traffic_only(self):
         topo = small_topology()
         snaps = make_snapshots(topo)
-        fused = build_variant("simple_fused", ModelConfig(), topo, seed=5)
+        fused = LatencyModel(ModelConfig(variant="simple_fused"), topo, seed=5)
         fused.eval()
         # zero out everything the resource stream contributes
         for name, p in fused.resource.parameters().items():
@@ -230,7 +229,7 @@ class TestVariants:
         batch = fused.collate(snaps)
         out_fused = fused.forward(batch)
         # same traffic weights + same head, direct routing
-        solo = build_variant("traffic_only", ModelConfig(), topo, seed=5)
+        solo = LatencyModel(ModelConfig(variant="traffic_only"), topo, seed=5)
         solo.eval()
         solo_params = solo.parameters()
         for name, p in fused.traffic.parameters().items():
@@ -243,7 +242,7 @@ class TestVariants:
     def test_single_stream_consumes_resources_via_node_features(self):
         topo = small_topology()
         snaps = make_snapshots(topo)
-        model = build_variant("single_stream", ModelConfig(), topo, seed=6)
+        model = LatencyModel(ModelConfig(variant="single_stream"), topo, seed=6)
         model.eval()
         batch = model.collate(snaps)
         batch.resources.requires_grad = True
@@ -253,7 +252,7 @@ class TestVariants:
     def test_gnn_fused_sees_resources_but_zero_edge_features(self):
         topo = small_topology()
         snaps = make_snapshots(topo)
-        model = build_variant("gnn_fused", ModelConfig(), topo, seed=7)
+        model = LatencyModel(ModelConfig(variant="gnn_fused"), topo, seed=7)
         model.eval()
         batch = model.collate(snaps)
         batch.resources.requires_grad = True
@@ -263,7 +262,7 @@ class TestVariants:
     def test_deterministic_prediction(self):
         topo = small_topology()
         snaps = make_snapshots(topo)
-        model = build_variant("full", ModelConfig(), topo, seed=8)
+        model = LatencyModel(ModelConfig(variant="full"), topo, seed=8)
         p1 = model.predict(snaps)
         p2 = model.predict(snaps)
         assert np.array_equal(p1, p2)
@@ -271,14 +270,14 @@ class TestVariants:
     def test_predict_latency_positive(self):
         topo = small_topology()
         snap = make_snapshots(topo, count=1)[0]
-        model = build_variant("full", ModelConfig(), topo, seed=9)
+        model = LatencyModel(ModelConfig(variant="full"), topo, seed=9)
         assert predict_latency(snap, model) > 0
 
     def test_full_model_gradcheck_through_everything(self):
         topo = small_topology()
         snaps = make_snapshots(topo, count=1, seed=11)
-        config = ModelConfig(traffic_layers=1, resource_blocks=1, fusion_rank=3)
-        model = build_variant("full", config, topo, seed=10)
+        config = ModelConfig("full", traffic_layers=1, resource_blocks=1, fusion_rank=3)
+        model = LatencyModel(config, topo, seed=10)
         model.eval()
         batch = model.collate(snaps)
         batch.node_features.requires_grad = True
@@ -311,7 +310,7 @@ class TestBatchInvariance:
         topo = preset_topologies()[preset].topology
         snaps = make_snapshots(topo, count=5, seed=17)
         for variant in VARIANTS:
-            model = build_variant(variant, ModelConfig(), topo, seed=18)
+            model = LatencyModel(ModelConfig(variant=variant), topo, seed=18)
             batched = model.predict(snaps)
             singles = np.concatenate([model.predict([s]) for s in snaps])
             assert np.max(np.abs(batched - singles)) < 1e-12, variant
@@ -319,13 +318,52 @@ class TestBatchInvariance:
     def test_predict_and_export_keep_the_training_mode(self):
         topo = small_topology()
         snaps = make_snapshots(topo, count=2)
-        model = build_variant("full", ModelConfig(), topo, seed=19)
+        model = LatencyModel(ModelConfig(variant="full"), topo, seed=19)
         for mode in (True, False):
-            model.train(mode)
+            (model.train if mode else model.eval)()
             first = model.predict(snaps)
             export_embeddings(snaps, model)
-            assert all(m.training is mode for m in model.modules())
+            assert model.training is mode
             assert np.array_equal(model.predict(snaps), first)
+
+
+# encoder blocks of each variant at 2 traffic layers and 3 resource blocks:
+# graph-attention layers for the traffic (or merged) stream and for
+# gnn_fused's resource stream, gMLP blocks for the gMLP resource stream
+DROPOUT_BLOCKS = {"full": 5, "traffic_only": 2, "resource_only": 3, "simple_fused": 5,
+                  "gnn_fused": 4, "single_stream": 2}
+
+
+class TestDropoutDraws:
+    """The model's one training flag decides dropout for the whole forward."""
+
+    @staticmethod
+    def _model(variant):
+        config = ModelConfig(variant, traffic_layers=2, resource_blocks=3)
+        return LatencyModel(config, small_topology(), seed=3)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_training_forward_draws_one_mask_per_block(self, variant):
+        snaps = make_snapshots(small_topology(), count=2)
+        model = self._model(variant)
+        expected = np.random.default_rng()
+        expected.bit_generator.state = model._dropout_rng.bit_generator.state
+        trained = model.forward_snapshots(snaps).data
+        # each block's mask is one (B, |V|, D_EMB) array of uniforms
+        expected.random((DROPOUT_BLOCKS[variant], 2, 3, 16))
+        assert model._dropout_rng.bit_generator.state == expected.bit_generator.state
+        assert not np.array_equal(trained, model.eval().forward_snapshots(snaps).data)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_inference_and_eval_forward_draw_nothing(self, variant):
+        snaps = make_snapshots(small_topology(), count=2)
+        model = self._model(variant)
+        state = model._dropout_rng.bit_generator.state
+        model.predict(snaps)
+        export_embeddings(snaps, model)
+        assert model.training
+        model.eval().forward_snapshots(snaps)
+        assert model._dropout_rng.bit_generator.state == state
 
 
 # nodes of a recorded single-snapshot eval forward per variant, as the
@@ -340,7 +378,7 @@ class TestNoGradInference:
         topo = preset_topologies()[preset].topology
         snaps = make_snapshots(topo, count=5, seed=23)
         for variant in VARIANTS:
-            model = build_variant(variant, ModelConfig(), topo, seed=24).eval()
+            model = LatencyModel(ModelConfig(variant=variant), topo, seed=24).eval()
             recorded = model.forward_snapshots(snaps)
             fused = model.embed(model.collate(snaps))
             assert recorded.requires_grad
@@ -351,7 +389,7 @@ class TestNoGradInference:
     def test_inference_records_no_graph(self):
         topo = small_topology()
         snaps = make_snapshots(topo, count=3)
-        model = build_variant("full", ModelConfig(), topo, seed=25)
+        model = LatencyModel(ModelConfig(variant="full"), topo, seed=25)
         outputs = []
         embed = model.embed
 
@@ -372,7 +410,7 @@ class TestNoGradInference:
         topo = preset_topologies()[preset].topology
         snaps = make_snapshots(topo, count=2, seed=1)
         for variant, nodes in EVAL_TAPE_NODES.items():
-            model = build_variant(variant, ModelConfig(), topo, seed=0).eval()
+            model = LatencyModel(ModelConfig(variant=variant), topo, seed=0).eval()
             model.predict(snaps)
             assert len(Tape(model.forward_snapshots(snaps[:1])).nodes) == nodes, variant
 
@@ -382,7 +420,7 @@ class TestInferenceSlices:
         topo = small_topology()
         snaps = make_snapshots(topo, count=EVAL_BATCH + 1, seed=27)
         parts = (snaps[:EVAL_BATCH], snaps[EVAL_BATCH:])
-        model = build_variant("full", ModelConfig(), topo, seed=28).eval()
+        model = LatencyModel(ModelConfig(variant="full"), topo, seed=28).eval()
         recorded = [model.forward_snapshots(part) for part in parts]
         params = LossParams()
         total = 0.0
@@ -407,19 +445,19 @@ class TestInferenceSlices:
 
         model.embed = counting_embed
         for mode in (True, False):
-            model.train(mode)
+            (model.train if mode else model.eval)()
             for name, run in runs.items():
                 sizes.clear()
                 assert np.array_equal(run(), want[name]), name
                 assert sizes == [EVAL_BATCH, 1], name
-                assert all(m.training is mode for m in model.modules()), name
+                assert model.training is mode, name
 
 
 class TestEmbeddingExport:
     def test_export_length_matches_config(self):
         topo = small_topology()
         snaps = make_snapshots(topo, count=4)
-        model = build_variant("full", ModelConfig(), topo, seed=12)
+        model = LatencyModel(ModelConfig(variant="full"), topo, seed=12)
         embeddings = export_embeddings(snaps, model)
         assert len(embeddings) == 4
         assert all(isinstance(e, SystemEmbedding) for e in embeddings)
@@ -428,7 +466,7 @@ class TestEmbeddingExport:
     def test_export_byte_stable(self, tmp_path):
         topo = small_topology()
         snaps = make_snapshots(topo, count=3)
-        model = build_variant("full", ModelConfig(), topo, seed=13)
+        model = LatencyModel(ModelConfig(variant="full"), topo, seed=13)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_embeddings_csv(p1, export_embeddings(snaps, model))
         write_embeddings_csv(p2, export_embeddings(snaps, model))
@@ -437,7 +475,7 @@ class TestEmbeddingExport:
     def test_export_roundtrip(self, tmp_path):
         topo = small_topology()
         snaps = make_snapshots(topo, count=3)
-        model = build_variant("resource_only", ModelConfig(), topo, seed=14)
+        model = LatencyModel(ModelConfig(variant="resource_only"), topo, seed=14)
         embeddings = export_embeddings(snaps, model)
         path = tmp_path / "emb.csv"
         write_embeddings_csv(path, embeddings)
@@ -456,7 +494,7 @@ class TestModelCheckpoint:
     def test_save_load_reproduces_predictions(self, tmp_path):
         topo = small_topology()
         snaps = make_snapshots(topo, count=3)
-        model = build_variant("full", ModelConfig(), topo, seed=15)
+        model = LatencyModel(ModelConfig(variant="full"), topo, seed=15)
         path = tmp_path / "ckpt.json"
         save_model(path, model, self._stats(topo))
         loaded, stats = load_model(path)
@@ -474,7 +512,8 @@ class TestModelCheckpoint:
         topo = small_topology()
         snaps = make_snapshots(topo, count=3)
         path = tmp_path / "ckpt.json"
-        save_model(path, build_variant("full", ModelConfig(), topo, seed=15), self._stats(topo))
+        model = LatencyModel(ModelConfig(variant="full"), topo, seed=15)
+        save_model(path, model, self._stats(topo))
         payload = json.loads(path.read_text())
         assert "reverse_messages" not in payload["meta"]["model_config"]
         expected = load_model(path)[0].predict(snaps)
@@ -494,7 +533,8 @@ class TestModelCheckpoint:
         topo = small_topology()
         snaps = make_snapshots(topo, count=3)
         path = tmp_path / "ckpt.json"
-        save_model(path, build_variant("full", ModelConfig(), topo, seed=15), self._stats(topo))
+        model = LatencyModel(ModelConfig(variant="full"), topo, seed=15)
+        save_model(path, model, self._stats(topo))
         payload = json.loads(path.read_text())
         assert sorted(payload["meta"]["model_config"]) == sorted(ModelConfig().to_dict())
         payload["meta"]["model_config"].update(OLD_FIXED_SHAPE)
@@ -507,7 +547,7 @@ class TestModelCheckpoint:
     def test_missing_meta_rejected(self, tmp_path):
         from tailcast.tensor import save_checkpoint
         path = tmp_path / "bad.json"
-        model = build_variant("full", ModelConfig(), small_topology(), seed=16)
+        model = LatencyModel(ModelConfig(variant="full"), small_topology(), seed=16)
         save_checkpoint(path, model.parameters(), meta={})
         with pytest.raises(CheckpointError):
             load_model(path)
@@ -527,7 +567,7 @@ class TestModelCheckpoint:
                     hashlib.sha256(values).hexdigest())
 
         got = {
-            (preset, variant): digests(build_variant(variant, ModelConfig(), spec.topology, seed=0))
+            (preset, variant): digests(LatencyModel(ModelConfig(variant), spec.topology, seed=0))
             for preset, spec in sorted(preset_topologies().items())
             for variant in VARIANTS
         }

@@ -581,10 +581,37 @@ class TestOutOfRangeScenario:
         (("seed",), "3"),
         (("seed",), True),  # would run as seed 1
         (("queue_cap",), True),  # would cap queues at 1
+        # float() reads a numeric string or a boolean as a number
+        (("duration_s",), "10"),
+        (("duration_s",), True),
+        (("noise_sigma",), "0.01"),
+        (("noise_sigma",), True),
+        (("profile", 0, "duration_s"), "10"),
+        (("profile", 0, "duration_s"), True),
+        (("profile", 0, "start_rate"), "1"),
+        (("profile", 0, "start_rate"), True),
+        (("request_mix", 0, "weight"), "1"),
+        (("request_mix", 0, "weight"), True),
+        (("capacities", "frontend", "pods"), True),  # would run one server
+        (("capacities", "frontend", "service_rate"), True),  # would serve 1 request/s
+        (("duration_s",), 1e300),  # the profile is 10 s long: would scrape without end
+        (("duration_s",), 10.5),
     ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v))
     def test_rejected(self, path, value):
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=path[-1]):
             scenario_from_dict(_scenario_with(path, value))
+
+    def test_duration_longer_than_the_profile_names_both(self):
+        message = r"duration_s 10\.5 is longer than the profile's 10\.0 s"
+        with pytest.raises(SchemaError, match=message):
+            scenario_from_dict(_scenario_with(("duration_s",), 10.5))
+
+    def test_duration_equal_to_the_profile_up_to_rounding_loads(self):
+        raw = _scenario_with(("duration_s",), 0.8)
+        raw["profile"] = [{"kind": "plateau", "duration_s": d, "start_rate": 1.0}
+                          for d in (0.1, 0.7)]
+        assert 0.1 + 0.7 < 0.8  # the sum of the segments rounds below the duration
+        assert scenario_from_dict(raw).duration_s == 0.8
 
     def test_integral_values_load_as_integers(self):
         raw = _scenario_with(("seed",), 7.0)

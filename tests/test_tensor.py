@@ -80,18 +80,13 @@ class TestForwardSemantics:
         with pytest.raises(ShapeError):
             T.add(Tensor(np.ones(3)), Tensor(np.ones(4)))
 
-    def test_dropout_p_zero_is_identity(self):
+    def test_dropout_without_rng_is_identity(self):
         x = Tensor(np.arange(5.0))
-        out = dropout(x, 0.0, training=True, rng=np.random.default_rng(0))
-        assert out is x
-
-    def test_dropout_eval_is_identity(self):
-        x = Tensor(np.arange(5.0))
-        assert dropout(x, 0.5, training=False) is x
+        assert dropout(x, 0.5) is x
 
     def test_dropout_preserves_mean(self):
         rng = np.random.default_rng(42)
-        out = dropout(Tensor(np.ones(10000)), 0.1, training=True, rng=rng)
+        out = dropout(Tensor(np.ones(10000)), 0.1, rng=rng)
         assert abs(out.data.mean() - 1.0) < 0.02
 
     def test_linear_matches_matmul_plus_bias(self):
@@ -405,7 +400,7 @@ class TestGradientChecks:
             class FixedRng:
                 def random(self, shape):
                     return np.where(mask > 0, 0.9, 0.0)
-            return T.tsum(T.mul(dropout(ts[0], 0.3, True, FixedRng()), _probe((4, 4), seed)))
+            return T.tsum(T.mul(dropout(ts[0], 0.3, FixedRng()), _probe((4, 4), seed)))
 
         _check_op_gradient(build, [(4, 4)], seed)
 

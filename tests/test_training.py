@@ -12,7 +12,7 @@ from oracles import max_rel_error, reference_adam_step
 import tailcast.training as tr
 from tailcast import tensor as T
 from tailcast.errors import TrainingError
-from tailcast.fusion import ModelConfig, build_variant
+from tailcast.fusion import LatencyModel, ModelConfig
 from tailcast.simulator import preset_topologies
 from tailcast.statgraph import Dataset, Snapshot, Topology
 from tailcast.tensor import Adam, Tensor
@@ -225,7 +225,6 @@ class TestTrainLoop:
             seen_phases.append("metrics")
             return real_metrics(p, y)
 
-        from tailcast.fusion import LatencyModel
         real_forward = LatencyModel.forward_snapshots
 
         def watching_forward(self, snapshots):
@@ -308,7 +307,7 @@ class TestFlatAdam:
     def _steps(preset, variant):
         topo = preset_topologies()[preset].topology
         snaps = preset_snapshots(topo, 40, seed=3)
-        model = build_variant(variant, ModelConfig(), topo, seed=4)
+        model = LatencyModel(ModelConfig(variant=variant), topo, seed=4)
         params = model.parameters()
         ref = {name: p.data.copy() for name, p in params.items()}
         m = {name: np.zeros_like(a) for name, a in ref.items()}
