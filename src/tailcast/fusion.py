@@ -102,7 +102,9 @@ class ModelConfig:
     def from_dict(cls, d: dict) -> "ModelConfig":
         """The config from its JSON form. A key of :data:`RETIRED_KEYS`,
         which older checkpoints carry, is accepted only as its value there,
-        of the same JSON type, and is a :class:`CheckpointError` otherwise."""
+        of the same JSON type, and is a :class:`CheckpointError` otherwise.
+        So is a size that is not a JSON integer (``true`` would build one
+        layer)."""
         if not isinstance(d, dict):
             raise SchemaError(f"bad model config: expected an object, got {type(d).__name__}")
         d = dict(d)
@@ -111,6 +113,10 @@ class ModelConfig:
             if type(value) is not type(fixed) or value != fixed:
                 raise CheckpointError(f"model_config.{key} is fixed at {json.dumps(fixed)}, "
                                       f"got {json.dumps(value)}")
+        for key in ("traffic_layers", "resource_blocks", "fusion_rank"):
+            if key in d and type(d[key]) is not int:
+                raise CheckpointError(f"model_config.{key} must be an integer, "
+                                      f"got {json.dumps(d[key])}")
         try:
             return cls(**d)
         except TypeError as exc:

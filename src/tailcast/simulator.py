@@ -13,10 +13,9 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from bisect import bisect_left, bisect_right
-from collections import deque
+from bisect import bisect_right
+from collections import Counter, deque
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 
@@ -138,34 +137,6 @@ class IntensityProfile:
             peak = max(peak, s.start_rate, s.end_rate if s.kind != "plateau" else s.start_rate)
         return peak
 
-    @cached_property
-    def _segment_ends(self) -> tuple[float, ...]:
-        """Cumulative end offset of each segment, summed left to right."""
-        ends = []
-        offset = 0.0
-        for s in self.segments:
-            offset += s.duration
-            ends.append(offset)
-        return tuple(ends)
-
-    def rate_at(self, t: float) -> float:
-        """Rate of the first segment whose end is at or after ``t``; 0 past the end.
-
-        A boundary instant belongs to the earlier segment.
-        """
-        ends = self._segment_ends
-        i = bisect_left(ends, t)
-        if i == len(ends):
-            return 0.0
-        s = self.segments[i]
-        tau = (t - (ends[i - 1] if i else 0.0)) / s.duration
-        if s.kind == "plateau":
-            return s.start_rate
-        if s.kind == "ramp":
-            return s.start_rate + (s.end_rate - s.start_rate) * tau
-        # spike: triangular excursion peaking at the midpoint
-        return s.start_rate + (s.end_rate - s.start_rate) * (1.0 - abs(2.0 * tau - 1.0))
-
 
 @dataclass
 class Workload:
@@ -184,7 +155,14 @@ def sample_workload(
     Each candidate draws ``rng.exponential`` (the gap) then ``rng.random``
     (the thinning test); a kept one draws ``rng.random`` once more for its
     request type. The ziggurat reads a variable number of words, so the
-    draws stay scalar and in this order.
+    draws stay scalar and in this order; those two or three generator calls
+    are most of the cost of a candidate.
+
+    Candidate times only grow, so the profile is walked once: the segment
+    holding ``t`` is kept in locals and advanced while ``t`` is past its
+    end, and the rate is evaluated inline. A boundary instant belongs to
+    the earlier segment. Segment ends are summed left to right from 0.0;
+    past the last end the rate is 0.
     """
     total = profile.total_duration
     lam_max = profile.max_rate
@@ -194,13 +172,32 @@ def sample_workload(
     weights = np.cumsum([rt.weight for rt in request_types]).tolist()
     last = len(request_types) - 1
     scale = 1.0 / lam_max
-    exponential, uniform, rate_at, append = rng.exponential, rng.random, profile.rate_at, arrivals.append
+    # (end, start, duration, kind, start rate, end rate - start rate) per segment
+    walk = []
+    end = 0.0
+    for s in profile.segments:
+        start, end = end, end + s.duration
+        walk.append((end, start, s.duration, s.kind, s.start_rate, s.end_rate - s.start_rate))
+    # rate 0 past the last end: Python 3.12's sum() compensates its rounding,
+    # so total_duration may end one float after this left-to-right sum
+    walk.append((math.inf, end, 1.0, "plateau", 0.0, 0.0))
+    next_segment = iter(walk).__next__
+    end, start, duration, kind, rate0, rise = next_segment()
+    exponential, uniform, append = rng.exponential, rng.random, arrivals.append
     t = 0.0
     while True:
         t += exponential(scale)
         if t > total:
             break
-        if uniform() * lam_max <= rate_at(t):
+        while t > end:
+            end, start, duration, kind, rate0, rise = next_segment()
+        if kind == "plateau":
+            rate = rate0
+        elif kind == "ramp":
+            rate = rate0 + rise * ((t - start) / duration)
+        else:  # spike: triangular excursion peaking at the midpoint
+            rate = rate0 + rise * (1.0 - abs(2.0 * ((t - start) / duration) - 1.0))
+        if uniform() * lam_max <= rate:
             append((t, min(bisect_right(weights, uniform()), last)))
     return Workload(arrivals)
 
@@ -324,13 +321,16 @@ def run_simulation(
     # the heap holds only in-flight completions: (time, seq, request id, service time)
     arrivals = sorted(workload.arrivals, key=itemgetter(0))
     num_arrivals = len(arrivals)
+    # the next arrival's index and time; past the last one its time is inf
     next_arrival = 0
+    next_t = arrivals[0][0] if arrivals else math.inf
     heap: list[tuple[float, int, int, float]] = []
     seq = num_arrivals
     heappush, heappop = heapq.heappush, heapq.heappop
 
     # one exponential per hop, drawn in blocks that add up to the hop count
-    hops_total = sum(len(paths[kind]) for _, kind in arrivals)
+    hops_total = sum(len(paths[kind]) * count
+                     for kind, count in Counter(map(itemgetter(1), arrivals)).items())
     block_sizes = [min(_DRAW_BLOCK, hops_total - i) for i in range(0, hops_total, _DRAW_BLOCK)]
     next_z = chain.from_iterable(rng.standard_exponential(k).tolist() for k in block_sizes).__next__
 
@@ -387,17 +387,10 @@ def run_simulation(
         # run every event up to the scrape instant; after the last scrape, drain
         until = k * SCRAPE_INTERVAL if k < num_scrapes else math.inf
         while True:
-            if next_arrival < num_arrivals and (not heap or arrivals[next_arrival][0] <= heap[0][0]):
-                now, kind = arrivals[next_arrival]
-                if now > until:
+            if heap and (heap[0][0] < next_t or next_arrival == num_arrivals):
+                # completion of one hop (an arrival at the same time goes first)
+                if heap[0][0] > until:
                     break
-                rid = next_arrival
-                next_arrival += 1
-                times = []
-                req_hop_times.append(times)
-                svc, e = hop_table[kind][0]
-            elif heap and heap[0][0] <= until:
-                # completion of one hop
                 now, _, rid, st = heappop(heap)
                 start, kind = arrivals[rid]
                 hops = hop_table[kind]
@@ -420,7 +413,15 @@ def run_simulation(
                     continue
                 svc, e = hops[hop]
             else:
-                break
+                if next_arrival == num_arrivals or next_t > until:
+                    break
+                now, kind = arrivals[next_arrival]
+                rid = next_arrival
+                next_arrival += 1
+                next_t = arrivals[next_arrival][0] if next_arrival < num_arrivals else math.inf
+                times = []
+                req_hop_times.append(times)
+                svc, e = hop_table[kind][0]
             # request ``rid`` arrives at hop service ``svc`` over edge ``e``
             edge_requests[e] += 1
             edge_req_bytes[e] += request_bytes[svc]
@@ -567,7 +568,7 @@ def _segment_from_dict(d: dict) -> Segment:
     refuse_unknown_fields(d, _SEGMENT_FIELDS, "profile segment")
     try:
         return Segment(
-            kind=str(d["kind"]),
+            kind=_string(d["kind"], "profile segment kind"),
             duration=_number(d["duration_s"], "profile segment duration_s"),
             start_rate=_number(d["start_rate"], "profile segment start_rate"),
             end_rate=_number(d.get("end_rate", d["start_rate"]), "profile segment end_rate"),
@@ -581,7 +582,7 @@ def _request_type_from_dict(d: dict) -> RequestType:
         raise SchemaError(f"request_mix entry must be an object, got {d!r}")
     refuse_unknown_fields(d, _REQUEST_TYPE_FIELDS, "request_mix entry")
     try:
-        name, path = str(d["name"]), d["path"]
+        name, path = _string(d["name"], "request_mix entry name"), d["path"]
         weight = _number(d["weight"], f"request_mix entry {name!r} weight")
     except KeyError as exc:
         raise SchemaError(f"request_mix entry missing field {exc}") from exc
@@ -621,6 +622,13 @@ def _number(value, what: str) -> float:
     raise SchemaError(f"{what} must be a number, got {value!r}")
 
 
+def _string(value, what: str) -> str:
+    """``value`` if it is a JSON string; str() would also read null or a number."""
+    if isinstance(value, str):
+        return value
+    raise SchemaError(f"{what} must be a string, got {value!r}")
+
+
 def _count(raw: dict, key: str, default: int) -> int:
     """A scenario field that must be an integer >= 0 (2.0 is one; 1.9, -1, "3" and true are not)."""
     value = raw.get(key, default)
@@ -638,7 +646,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     refuse_unknown_fields(raw, _SCENARIO_FIELDS, "scenario")
     presets = preset_topologies()
     if "preset" in raw:
-        name = raw["preset"]
+        name = _string(raw["preset"], "scenario preset")
         if name not in presets:
             raise SchemaError(f"unknown preset {name!r}; have {sorted(presets)}")
         base = presets[name]

@@ -68,6 +68,13 @@ def _break_checkpoint(payload: dict, defect: str):
         meta["normalization"]["node_mean"] = ["0.0", "0.0", "0.0"]
     elif defect == "bool_resource_std":
         meta["normalization"]["resource_std"][2] = True
+    elif defect.startswith("size_"):
+        key, value = {"size_bool_traffic_layers": ("traffic_layers", True),
+                      "size_bool_resource_blocks": ("resource_blocks", True),
+                      "size_bool_fusion_rank": ("fusion_rank", True),
+                      "size_float_resource_blocks": ("resource_blocks", 2.5),
+                      "size_string_fusion_rank": ("fusion_rank", "4")}[defect]
+        meta["model_config"][key] = value
     elif defect == "string_topology":
         meta["topology"]["services"] = "".join(
             chr(ord("a") + i) for i in range(len(meta["topology"]["services"])))
@@ -445,6 +452,12 @@ class TestEvalPredictExport:
         ("string_node_mean", "normalization node_mean must be a list of numbers"),
         ("bool_resource_std", "normalization resource_std must be a list of numbers"),
         ("string_topology", "services must be a list of strings"),
+        # resource_only has no graph encoder and no fusion: true loaded as 1
+        ("size_bool_traffic_layers", "model_config.traffic_layers must be an integer, got true"),
+        ("size_bool_resource_blocks", "model_config.resource_blocks must be an integer, got true"),
+        ("size_bool_fusion_rank", "model_config.fusion_rank must be an integer, got true"),
+        ("size_float_resource_blocks", "model_config.resource_blocks must be an integer, got 2.5"),
+        ("size_string_fusion_rank", 'model_config.fusion_rank must be an integer, got "4"'),
     ])
     def test_malformed_checkpoint_exit_5(self, tmp_path, capsys, pipeline, defect, field):
         payload = json.loads((pipeline["train"] / "checkpoint.json").read_text())

@@ -64,50 +64,153 @@ def latency_p95(result, window):
 
 
 class TestIntensityProfile:
+    """The rate definition ``sample_workload`` evaluates inline, in ``oracles``."""
+
     def test_ramp_interpolates(self):
         prof = IntensityProfile((Segment("ramp", 10.0, 0.0, 10.0),))
-        assert prof.rate_at(5.0) == pytest.approx(5.0)
+        assert reference_rate_at(prof, 5.0) == pytest.approx(5.0)
 
     def test_spike_peaks_at_midpoint(self):
         prof = IntensityProfile((Segment("spike", 10.0, 2.0, 12.0),))
-        assert prof.rate_at(5.0) == pytest.approx(12.0)
-        assert prof.rate_at(0.0) == pytest.approx(2.0)
-        assert prof.rate_at(10.0) == pytest.approx(2.0)
+        assert reference_rate_at(prof, 5.0) == pytest.approx(12.0)
+        assert reference_rate_at(prof, 0.0) == pytest.approx(2.0)
+        assert reference_rate_at(prof, 10.0) == pytest.approx(2.0)
 
     def test_rate_at_segment_boundaries(self):
-        # durations whose running sums are inexact in binary
-        prof = IntensityProfile((
-            Segment("plateau", 0.1, 3.0, 3.0),
-            Segment("ramp", 0.2, 5.0, 9.0),
-            Segment("spike", 0.3, 2.0, 12.0),
-            Segment("plateau", 0.7, 4.0, 4.0),
-        ))
-        boundaries = []
-        offset = 0.0
-        for s in prof.segments:
-            offset += s.duration
-            boundaries.append(offset)
+        prof = BOUNDARY_PROFILE
+        boundaries = segment_ends(prof)
         assert boundaries[1] != 0.3
         # a boundary instant belongs to the earlier segment, the next float to the later
         earlier_end = (3.0, 9.0, 2.0)
         for b, end_rate, later in zip(boundaries, earlier_end, prof.segments[1:]):
-            assert prof.rate_at(b) == reference_rate_at(prof, b)
-            assert prof.rate_at(b) == pytest.approx(end_rate)
+            assert reference_rate_at(prof, b) == pytest.approx(end_rate)
             after = float(np.nextafter(b, math.inf))
-            assert prof.rate_at(after) == reference_rate_at(prof, after)
-            assert prof.rate_at(after) == pytest.approx(later.start_rate)
-        assert prof.rate_at(0.0) == reference_rate_at(prof, 0.0) == 3.0
+            assert reference_rate_at(prof, after) == pytest.approx(later.start_rate)
+        assert reference_rate_at(prof, 0.0) == 3.0
         last = boundaries[-1]
-        assert prof.rate_at(last) == reference_rate_at(prof, last) == 4.0
-        total = prof.total_duration
-        for t in (float(np.nextafter(total, math.inf)), total + 1.0, 1e12):
-            assert prof.rate_at(t) == reference_rate_at(prof, t) == 0.0
+        assert reference_rate_at(prof, last) == 4.0
+        for t in (float(np.nextafter(last, math.inf)), last + 1.0, 1e12):
+            assert reference_rate_at(prof, t) == 0.0
 
     def test_invalid_segment(self):
         with pytest.raises(SchemaError):
             Segment("wiggle", 10.0, 1.0, 1.0)
         with pytest.raises(SchemaError):
             Segment("ramp", 0.0, 1.0, 1.0)
+
+
+# durations whose running sums are inexact in binary
+BOUNDARY_PROFILE = IntensityProfile((
+    Segment("plateau", 0.1, 3.0, 3.0),
+    Segment("ramp", 0.2, 5.0, 9.0),
+    Segment("spike", 0.3, 2.0, 12.0),
+    Segment("plateau", 0.7, 4.0, 4.0),
+))
+
+
+def segment_ends(profile):
+    """Each segment's end, summed left to right from 0.0."""
+    ends, offset = [], 0.0
+    for s in profile.segments:
+        offset += s.duration
+        ends.append(offset)
+    return ends
+
+
+class ScriptedRng:
+    """A stand-in generator whose ``exponential`` and ``random`` return chosen values."""
+
+    def __init__(self, gaps, uniforms):
+        self.gaps, self.uniforms = list(gaps), list(uniforms)
+
+    def exponential(self, scale):
+        return self.gaps.pop(0)
+
+    def random(self):
+        return self.uniforms.pop(0)
+
+
+def gap_to(t, target):
+    """A gap ``g`` with ``t + g == target`` in floating point."""
+    g = target - t
+    while t + g != target:
+        g = float(np.nextafter(g, math.inf if t + g < target else -math.inf))
+    return g
+
+
+class TestSamplerExactness:
+    """``sample_workload`` walks the profile once; ``oracles.reference_sample_workload``
+    looks every candidate's rate up from the start. Their arrivals and draws agree."""
+
+    def test_candidates_on_and_just_past_each_segment_end(self):
+        prof = BOUNDARY_PROFILE
+        assert prof.max_rate == 12.0
+        b1, b2, b3, last = segment_ends(prof)
+        after = [float(np.nextafter(b, math.inf)) for b in (b1, b2, b3)]
+        # (candidate time, thinning uniform, kept): each uniform times the peak
+        # rate lies between the earlier and the later segment's rate there, so
+        # only the segment a boundary instant belongs to keeps or drops it
+        script = [
+            (b1, 4 / 12, False),        # plateau 3.0, not ramp 5.0
+            (after[0], 4 / 12, True),   # ramp from 5.0
+            (b2, 5 / 12, True),         # ramp end 9.0, not spike 2.0
+            (after[1], 5 / 12, False),  # spike from 2.0
+            (b3, 3 / 12, False),        # spike end 2.0, not plateau 4.0
+            (after[2], 3 / 12, True),   # plateau 4.0
+            (last, 3 / 12, True),       # the profile's last instant: plateau 4.0
+        ]
+        gaps, uniforms, t = [], [], 0.0
+        for target, u, kept in script:
+            gaps.append(gap_to(t, target))
+            t = target
+            uniforms += [u, 0.5] if kept else [u]
+        gaps.append(gap_to(last, float(np.nextafter(last, math.inf))))  # past the end: stop
+        types = (RequestType("only", ("svc",), 1.0),)
+        expected = [(target, 0) for target, _, kept in script if kept]
+        for sample in (sample_workload, reference_sample_workload):
+            rng = ScriptedRng(gaps, uniforms)
+            assert sample(prof, types, rng).arrivals == expected
+            assert rng.gaps == [] and rng.uniforms == []
+
+    def test_a_total_past_the_last_end_has_rate_zero_there(self):
+        # Python 3.12's sum() compensates its rounding, so total_duration can
+        # end one float after the left-to-right sum of the segments
+        class Compensated(IntensityProfile):
+            @property
+            def total_duration(self):
+                return float(np.nextafter(segment_ends(self)[-1], math.inf))
+
+        prof = Compensated(BOUNDARY_PROFILE.segments)
+        last = segment_ends(prof)[-1]
+        gaps = [gap_to(0.0, last), gap_to(last, prof.total_duration), 1.0]
+        uniforms = [3 / 12, 0.5, 3 / 12]  # kept at plateau 4.0, dropped at rate 0
+        types = (RequestType("only", ("svc",), 1.0),)
+        for sample in (sample_workload, reference_sample_workload):
+            rng = ScriptedRng(gaps, uniforms)
+            assert sample(prof, types, rng).arrivals == [(last, 0)]
+            assert rng.gaps == [] and rng.uniforms == []
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["ramp", "spike", "plateau"]),
+                      st.one_of(st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0]),
+                                st.floats(0.01, 6.0)),
+                      st.one_of(st.just(0.0), st.floats(0.0, 40.0)),
+                      st.one_of(st.just(0.0), st.floats(0.0, 40.0))),
+            min_size=1, max_size=6),
+        st.lists(st.integers(1, 9), min_size=1, max_size=3),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_matches_the_reference(self, segments, shares, seed):
+        prof = IntensityProfile(tuple(Segment(*s) for s in segments))
+        types = tuple(RequestType(f"r{k}", ("svc",), share / sum(shares))
+                      for k, share in enumerate(shares))
+        runs = []
+        for sample in (sample_workload, reference_sample_workload):
+            rng = np.random.default_rng(seed)
+            runs.append((sample(prof, types, rng).arrivals, rng.bit_generator.state))
+        assert runs[0] == runs[1]
 
 
 class TestWorkload:
@@ -336,6 +439,15 @@ class TestReferenceEquivalence:
             assert result.completed_total == len(arrivals)
         # arrivals past the last scrape are drained too
         assert_matches_reference(two_hop_spec(), 12.0, 3, workload=Workload(arrivals))
+
+    def test_arrivals_at_infinity_are_drained(self):
+        # inf - inf makes their latencies NaN, so the requests are compared
+        arrivals = [(1.0, 0), (math.inf, 1), (math.inf, 0)]
+        results = [simulate(two_hop_spec(), Workload(arrivals), 10.0, rng=np.random.default_rng(8))
+                   for simulate in (run_simulation, reference_run_simulation)]
+        assert results[0].requests == results[1].requests
+        assert results[0].exposition_text == results[1].exposition_text
+        assert results[0].completed_total == 3
 
     def test_arrival_ties_with_a_completion(self):
         # the second arrival lands exactly when the first request leaves ``a``:
@@ -596,6 +708,12 @@ class TestOutOfRangeScenario:
         (("capacities", "frontend", "service_rate"), True),  # would serve 1 request/s
         (("duration_s",), 1e300),  # the profile is 10 s long: would scrape without end
         (("duration_s",), 10.5),
+        # str() read any JSON value as a name
+        (("request_mix", 0, "name"), None),  # would load as request type "None"
+        (("request_mix", 0, "name"), 5),  # would load as request type "5"
+        (("profile", 0, "kind"), None),
+        (("profile", 0, "kind"), ["ramp"]),
+        (("preset",), ["online_boutique_like"]),  # raised TypeError: unhashable
     ], ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else repr(v))
     def test_rejected(self, path, value):
         with pytest.raises(SchemaError, match=path[-1]):
