@@ -273,10 +273,18 @@ def _load_for_inference(dataset_path, checkpoint_path):
     return model, normalize_dataset(dataset, stats)
 
 
+def _finite(outputs: np.ndarray) -> np.ndarray:
+    """The model's outputs, refused when one is not finite: parameters that
+    are each finite can still overflow on the data (a weight of 1e308)."""
+    if not np.isfinite(outputs).all():
+        raise CheckpointError("the checkpoint's model gives non-finite outputs on this dataset")
+    return outputs
+
+
 def cmd_eval(args) -> int:
     model, normalized = _load_for_inference(args.dataset, args.checkpoint)
     snaps = list(_select_split(normalized, args.split).snapshots)
-    preds = model.predict(snaps)
+    preds = _finite(model.predict(snaps))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "predictions.csv", "w", encoding="utf-8") as fh:
@@ -301,7 +309,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model, normalized = _load_for_inference(args.snapshots, args.checkpoint)
-    for pred in model.predict(list(normalized.snapshots)):
+    for pred in _finite(model.predict(list(normalized.snapshots))):
         print(repr(float(pred)))
     return EXIT_OK
 
@@ -309,6 +317,7 @@ def cmd_predict(args) -> int:
 def cmd_export_embedding(args) -> int:
     model, normalized = _load_for_inference(args.dataset, args.checkpoint)
     embeddings = export_embeddings(list(normalized.snapshots), model)
+    _finite(np.array([embedding.fused for embedding in embeddings]))
     write_embeddings_csv(args.out, embeddings)
     print(f"wrote {len(embeddings)} embeddings to {args.out}")
     return EXIT_OK

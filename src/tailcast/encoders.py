@@ -40,7 +40,7 @@ class MessageRouting:
     node's in-messages, padded with ``M``.
     """
 
-    def __init__(self, num_nodes: int, src, dst, num_self_loops: int = 0):
+    def __init__(self, num_nodes: int, src, dst, num_self_loops: int):
         self.src = np.asarray(src, dtype=np.intp)
         self.dst = np.asarray(dst, dtype=np.intp)
         self.num_self_loops = num_self_loops

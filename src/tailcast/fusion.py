@@ -17,12 +17,12 @@ and a graph-encoded resource stream.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
+from . import jsonfields
 from . import tensor as T
 from .encoders import (
     DROPOUT,
@@ -102,25 +102,15 @@ class ModelConfig:
     def from_dict(cls, d: dict) -> "ModelConfig":
         """The config from its JSON form. A key of :data:`RETIRED_KEYS`,
         which older checkpoints carry, is accepted only as its value there,
-        of the same JSON type, and is a :class:`CheckpointError` otherwise.
-        So is a size that is not a JSON integer (``true`` would build one
-        layer)."""
-        if not isinstance(d, dict):
-            raise SchemaError(f"bad model config: expected an object, got {type(d).__name__}")
-        d = dict(d)
-        for key, fixed in RETIRED_KEYS.items():
-            value = d.pop(key, fixed)
-            if type(value) is not type(fixed) or value != fixed:
-                raise CheckpointError(f"model_config.{key} is fixed at {json.dumps(fixed)}, "
-                                      f"got {json.dumps(value)}")
+        of the same JSON type; a size must be a JSON integer (``true`` would
+        build one layer)."""
+        d = dict(jsonfields.fields(d, RETIRED_KEYS.keys() | asdict(cls()), "model_config"))
+        for key, constant in RETIRED_KEYS.items():
+            jsonfields.fixed(d.pop(key, constant), constant, f"model_config.{key}")
         for key in ("traffic_layers", "resource_blocks", "fusion_rank"):
-            if key in d and type(d[key]) is not int:
-                raise CheckpointError(f"model_config.{key} must be an integer, "
-                                      f"got {json.dumps(d[key])}")
-        try:
-            return cls(**d)
-        except TypeError as exc:
-            raise SchemaError(f"bad model config: {exc}") from exc
+            if key in d:
+                d[key] = jsonfields.integer(d[key], f"model_config.{key}")
+        return cls(**d)
 
 
 @dataclass
@@ -302,6 +292,21 @@ def save_model(path, model: LatencyModel, norm_stats: NormStats) -> None:
     save_checkpoint(path, model.parameters(), meta)
 
 
+def _check_sizes(config: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
+    """Refuse, before anything is built, a size the checkpoint's parameters
+    cannot hold: each traffic layer and resource block the variant builds
+    owns parameters of its own, and a fusion of rank r a vector of r values."""
+    spec = VARIANT_TABLE[config.variant]
+    names, values = len(arrays), sum(a.size for a in arrays.values())
+    for key, built, limit, unit in (
+            ("traffic_layers", spec.demand is not None or spec.capacity == "graph", names, "name"),
+            ("resource_blocks", spec.capacity == "gmlp", names, "name"),
+            ("fusion_rank", spec.combine == "fusion", values, "value")):
+        if built and getattr(config, key) > limit:
+            raise CheckpointError(f"model_config.{key} must be at most {limit}, one per parameter "
+                                  f"{unit} of the checkpoint, got {getattr(config, key)}")
+
+
 def load_model(path) -> tuple[LatencyModel, NormStats]:
     """Rebuild a saved model; every defect of the file is a :class:`CheckpointError`."""
     arrays, meta = load_checkpoint(path)
@@ -309,6 +314,7 @@ def load_model(path) -> tuple[LatencyModel, NormStats]:
         config = ModelConfig.from_dict(meta["model_config"])
         topology = Topology.from_dict(meta["topology"])
         stats = NormStats.from_dict(meta["normalization"])
+        _check_sizes(config, arrays)
         model = LatencyModel(config, topology)
     except KeyError as exc:
         raise CheckpointError(f"checkpoint meta missing {exc}") from exc

@@ -21,14 +21,9 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import jsonfields
 from .errors import SchemaError
-from .statgraph import (
-    RESOURCE_METRICS,
-    TRAFFIC_METRICS,
-    Topology,
-    refuse_unknown_fields,
-    topology_lists,
-)
+from .statgraph import RESOURCE_METRICS, TRAFFIC_METRICS, Topology, topology_lists
 
 CLIENT = "client"  # pseudo-source for external arrivals
 CPU_PERIOD_US = 100000.0
@@ -50,8 +45,6 @@ class ServiceCapacity:
     memory_per_queued: float = 8e6   # additional bytes per in-flight request
 
     def __post_init__(self):
-        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
-            raise SchemaError(f"capacity fields must be finite: {self}")
         if self.pods < 1 or self.pods != int(self.pods) or self.service_rate <= 0:
             raise SchemaError(f"invalid capacity: pods={self.pods}, service_rate={self.service_rate}")
 
@@ -114,8 +107,6 @@ class Segment:
     def __post_init__(self):
         if self.kind not in ("ramp", "spike", "plateau"):
             raise SchemaError(f"unknown segment kind {self.kind!r}")
-        if not all(map(math.isfinite, (self.duration, self.start_rate, self.end_rate))):
-            raise SchemaError(f"segment fields must be finite: {self}")
         if self.duration <= 0:
             raise SchemaError(f"segment duration must be > 0, got {self.duration}")
         if self.start_rate < 0 or self.end_rate < 0:
@@ -229,9 +220,9 @@ def run_simulation(
     workload: Workload,
     duration: float,
     rng: np.random.Generator,
-    noise_rng: np.random.Generator | None = None,
-    noise_sigma: float = 0.0,
-    queue_cap: int = 500,
+    noise_rng: np.random.Generator | None,
+    noise_sigma: float,
+    queue_cap: int,
 ) -> SimulationResult:
     """Run the event loop and scrape telemetry every ``SCRAPE_INTERVAL`` seconds.
 
@@ -560,45 +551,31 @@ _SCENARIO_FIELDS = {"preset", "topology", "capacities", "request_mix", "profile"
                     "noise_sigma", "seed", "queue_cap"}
 _SEGMENT_FIELDS = {"kind", "duration_s", "start_rate", "end_rate"}
 _REQUEST_TYPE_FIELDS = {"name", "path", "weight"}
+_CAPACITY_FIELDS = {f.name for f in fields(ServiceCapacity)}
 
 
 def _segment_from_dict(d: dict) -> Segment:
-    if not isinstance(d, dict):
-        raise SchemaError(f"profile segment must be an object, got {d!r}")
-    refuse_unknown_fields(d, _SEGMENT_FIELDS, "profile segment")
+    jsonfields.fields(d, _SEGMENT_FIELDS, "profile segment")
     try:
         return Segment(
-            kind=_string(d["kind"], "profile segment kind"),
-            duration=_number(d["duration_s"], "profile segment duration_s"),
-            start_rate=_number(d["start_rate"], "profile segment start_rate"),
-            end_rate=_number(d.get("end_rate", d["start_rate"]), "profile segment end_rate"),
+            kind=jsonfields.string(d["kind"], "profile segment kind"),
+            duration=jsonfields.number(d["duration_s"], "profile segment duration_s"),
+            start_rate=jsonfields.number(d["start_rate"], "profile segment start_rate"),
+            end_rate=jsonfields.number(d.get("end_rate", d["start_rate"]), "profile segment end_rate"),
         )
     except KeyError as exc:
         raise SchemaError(f"profile segment missing field {exc}") from exc
 
 
 def _request_type_from_dict(d: dict) -> RequestType:
-    if not isinstance(d, dict):
-        raise SchemaError(f"request_mix entry must be an object, got {d!r}")
-    refuse_unknown_fields(d, _REQUEST_TYPE_FIELDS, "request_mix entry")
+    jsonfields.fields(d, _REQUEST_TYPE_FIELDS, "request_mix entry")
     try:
-        name, path = _string(d["name"], "request_mix entry name"), d["path"]
-        weight = _number(d["weight"], f"request_mix entry {name!r} weight")
+        name = jsonfields.string(d["name"], "request_mix entry name")
+        weight = jsonfields.number(d["weight"], f"request_mix entry {name!r} weight")
+        path = jsonfields.each(d["path"], jsonfields.string, "service names", f"request_mix entry {name!r}: path")
     except KeyError as exc:
         raise SchemaError(f"request_mix entry missing field {exc}") from exc
-    if not (isinstance(path, list) and all(isinstance(s, str) for s in path)):
-        raise SchemaError(f"request_mix entry {name!r}: path must be a list of service names, "
-                          f"got {path!r}")
     return RequestType(name=name, path=tuple(path), weight=weight)
-
-
-def _json_field(raw: dict, key: str, kind: type, default):
-    """A scenario field that must be a JSON object (``dict``) or list."""
-    value = raw.get(key, default)
-    if not isinstance(value, kind):
-        what = "an object" if kind is dict else "a list"
-        raise SchemaError(f"scenario {key} must be {what}, got {value!r}")
-    return value
 
 
 def load_scenario(path) -> Scenario:
@@ -606,47 +583,16 @@ def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also a number of more digits than int() reads
             raise SchemaError(f"scenario is not valid JSON: {exc}") from exc
     return scenario_from_dict(raw)
 
 
-def _number(value, what: str) -> float:
-    """``value`` as a float if it is a JSON number; float() would also read
-    a numeric string or a boolean."""
-    if type(value) in (int, float):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise SchemaError(f"{what} must be a number, got {value!r}")
-
-
-def _string(value, what: str) -> str:
-    """``value`` if it is a JSON string; str() would also read null or a number."""
-    if isinstance(value, str):
-        return value
-    raise SchemaError(f"{what} must be a string, got {value!r}")
-
-
-def _count(raw: dict, key: str, default: int) -> int:
-    """A scenario field that must be an integer >= 0 (2.0 is one; 1.9, -1, "3" and true are not)."""
-    value = raw.get(key, default)
-    try:
-        if not isinstance(value, bool) and int(value) == value and value >= 0:
-            return int(value)
-    except (OverflowError, TypeError, ValueError):
-        pass
-    raise SchemaError(f"scenario {key} must be an integer >= 0, got {value!r}")
-
-
 def scenario_from_dict(raw: dict) -> Scenario:
-    if not isinstance(raw, dict):
-        raise SchemaError(f"scenario must be a JSON object, got {type(raw).__name__}")
-    refuse_unknown_fields(raw, _SCENARIO_FIELDS, "scenario")
+    jsonfields.fields(raw, _SCENARIO_FIELDS, "scenario")
     presets = preset_topologies()
     if "preset" in raw:
-        name = _string(raw["preset"], "scenario preset")
+        name = jsonfields.string(raw["preset"], "scenario preset")
         if name not in presets:
             raise SchemaError(f"unknown preset {name!r}; have {sorted(presets)}")
         base = presets[name]
@@ -655,49 +601,44 @@ def scenario_from_dict(raw: dict) -> Scenario:
         request_types = base.request_types
     elif "topology" in raw:
         services, edges = topology_lists(raw["topology"], endpoint=str)
-        topology = Topology.create(services, [tuple(e) for e in edges])
+        topology = Topology.create(services, edges)
         capacities = _uniform_capacities(topology.services)
         request_types = ()
     else:
         raise SchemaError("scenario needs either 'preset' or 'topology'")
 
-    for name, overrides in _json_field(raw, "capacities", dict, {}).items():
+    for name, overrides in jsonfields.obj(raw.get("capacities", {}), "scenario capacities").items():
         if name not in topology.services:
             raise SchemaError(f"capacity override for unknown service {name!r}")
-        if not isinstance(overrides, dict):
-            raise SchemaError(f"capacity override for {name!r} must be an object, "
-                              f"got {overrides!r}")
+        jsonfields.fields(overrides, _CAPACITY_FIELDS, f"capacity override for {name!r}")
         for key, value in overrides.items():
-            _number(value, f"capacity {name}.{key}")
-        try:
-            capacities[name] = ServiceCapacity(**overrides)
-        except TypeError as exc:
-            raise SchemaError(f"bad capacity fields for {name!r}: {exc}") from exc
+            jsonfields.number(value, f"capacity {name}.{key}")
+        capacities[name] = ServiceCapacity(**overrides)
 
     if "request_mix" in raw:
-        request_types = tuple(
-            _request_type_from_dict(r) for r in _json_field(raw, "request_mix", list, None))
+        request_types = tuple(map(_request_type_from_dict, jsonfields.array(raw["request_mix"], "scenario request_mix")))
     if not request_types:
         raise SchemaError("scenario has no request mix")
 
     if "profile" not in raw or not raw["profile"]:
         raise SchemaError("scenario needs a non-empty intensity profile")
-    profile = IntensityProfile(
-        tuple(_segment_from_dict(s) for s in _json_field(raw, "profile", list, None)))
+    profile = IntensityProfile(tuple(map(_segment_from_dict, jsonfields.array(raw["profile"], "scenario profile"))))
 
-    duration = _number(raw.get("duration_s", profile.total_duration), "scenario duration_s")
-    if not (math.isfinite(duration) and duration > 0):
-        raise SchemaError(f"scenario duration must be finite and > 0, got {duration}")
+    duration = jsonfields.number(raw.get("duration_s", profile.total_duration), "scenario duration_s")
+    if not duration > 0:
+        raise SchemaError(f"scenario duration_s must be > 0, got {duration}")
     # arrivals stop where the profile ends: a longer run only scrapes an idle
     # cluster, and one of 1e300 s scrapes without end. A duration equal to
     # the profile's up to rounding in the sum of its segments is allowed.
     if duration > profile.total_duration and not math.isclose(duration, profile.total_duration):
         raise SchemaError(f"scenario duration_s {duration} is longer than the profile's "
                           f"{profile.total_duration} s")
-    noise_sigma = _number(raw.get("noise_sigma", 0.01), "scenario noise_sigma")
-    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
-        raise SchemaError(f"scenario noise_sigma must be finite and >= 0, got {noise_sigma}")
-    seed, queue_cap = _count(raw, "seed", 0), _count(raw, "queue_cap", 500)
+    noise_sigma = jsonfields.number(raw.get("noise_sigma", 0.01), "scenario noise_sigma")
+    seed = jsonfields.integer(raw.get("seed", 0), "scenario seed")
+    queue_cap = jsonfields.integer(raw.get("queue_cap", 500), "scenario queue_cap")
+    for key, value in {"noise_sigma": noise_sigma, "seed": seed, "queue_cap": queue_cap}.items():
+        if value < 0:
+            raise SchemaError(f"scenario {key} must be >= 0, got {value}")
 
     cluster = ClusterSpec(topology=topology, capacities=capacities, request_types=request_types)
     cluster.validate()

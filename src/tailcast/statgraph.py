@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import jsonfields
 from .errors import ParseError, SchemaError
 
 DATASET_FORMAT = "tailcast-dataset"
@@ -121,24 +122,26 @@ class Topology:
         """A topology from its JSON form: ``services`` a list of names and
         ``edges`` a list of (source index, destination index) pairs."""
         services, edges = topology_lists(d, endpoint=int)
-        return cls(services=tuple(services), edges=tuple(tuple(e) for e in edges))
+        return cls(services=tuple(services), edges=tuple(edges))
 
 
-def topology_lists(d, endpoint: type) -> tuple[list[str], list]:
+def topology_lists(d, endpoint: type) -> tuple[list[str], list[tuple]]:
     """The ``services`` and ``edges`` of a JSON topology object, checked:
     services must be a list of strings and edges a list of pairs, each a
     list of two ``endpoint`` values (service indices or names)."""
-    if not isinstance(d, dict):
-        raise SchemaError(f"malformed topology: expected an object, got {type(d).__name__}")
-    services, edges = d.get("services"), d.get("edges")
-    if not (isinstance(services, list) and all(isinstance(s, str) for s in services)):
-        raise SchemaError(f"malformed topology: services must be a list of strings, got {services!r}")
-    if not (isinstance(edges, list) and all(
-            isinstance(e, list) and len(e) == 2
-            and all(isinstance(x, endpoint) and not isinstance(x, bool) for x in e)
-            for e in edges)):
-        raise SchemaError(f"malformed topology: edges must be a list of "
-                          f"[{endpoint.__name__}, {endpoint.__name__}] pairs, got {edges!r}")
+    d = jsonfields.obj(d, "malformed topology")
+    services = jsonfields.each(d.get("services"), jsonfields.string, "strings", "malformed topology: services")
+    rule = {int: jsonfields.integer, str: jsonfields.string}[endpoint]
+
+    def pair(edge, what: str) -> tuple:
+        ends = tuple(jsonfields.each(edge, rule, "endpoints", what))
+        if len(ends) != 2:
+            raise SchemaError(what)
+        return ends
+
+    name = endpoint.__name__
+    edges = jsonfields.each(d.get("edges"), pair, f"[{name}, {name}] pairs",
+                            "malformed topology: edges")
     return services, edges
 
 
@@ -179,27 +182,17 @@ class NormStats:
         """Stats from their JSON form; each mean and std must be a list of
         JSON numbers of its block's feature width, each mean finite and each
         std finite and > 0."""
-        if not isinstance(d, dict):
-            raise SchemaError(f"normalization must be an object, got {type(d).__name__}")
+        jsonfields.obj(d, "normalization")
         vectors = {}
         for block, width in FEATURE_WIDTHS.items():
-            for key, rule in ((f"{block}_mean", "finite"), (f"{block}_std", "finite and > 0")):
-                if key not in d:
-                    raise SchemaError(f"normalization stats missing field {key!r}")
-                # numpy reads "0.0" and true as numbers
-                if not isinstance(d[key], list) or any(type(v) not in (int, float) for v in d[key]):
-                    raise SchemaError(f"normalization {key} must be a list of numbers, "
-                                      f"got {d[key]!r}")
-                try:
-                    vectors[key] = np.asarray(d[key], dtype=np.float64)
-                except OverflowError as exc:
-                    raise SchemaError(f"normalization {key}: {exc}") from exc
-                if vectors[key].shape != (width,):
-                    raise SchemaError(f"normalization {key} has shape {vectors[key].shape}, "
+            for key in (f"{block}_mean", f"{block}_std"):
+                values = vectors[key] = jsonfields.numbers(d.get(key), f"normalization {key}")
+                if values.shape != (width,):
+                    raise SchemaError(f"normalization {key} has shape {values.shape}, "
                                       f"expected ({width},)")
-                values = vectors[key]
-                if not (np.isfinite(values).all() and (rule == "finite" or (values > 0).all())):
-                    raise SchemaError(f"normalization {key} must be {rule}, got {values.tolist()}")
+                if key.endswith("_std") and not (values > 0).all():
+                    raise SchemaError(f"normalization {key} must be finite and > 0, "
+                                      f"got {values.tolist()}")
         return cls(**vectors)
 
 
@@ -394,19 +387,11 @@ def save_dataset(dataset: Dataset, path) -> None:
             fh.write(json.dumps(row) + "\n")
 
 
-def refuse_unknown_fields(obj: dict, allowed: set[str], where: str) -> None:
-    """Raise :class:`SchemaError` naming, sorted, the keys of ``obj`` not in ``allowed``."""
-    unknown = obj.keys() - allowed
-    if unknown:
-        raise SchemaError(f"{where}: unknown fields {sorted(unknown)}")
-
-
 def load_dataset(path) -> Dataset:
     """Load a dataset file; raises :class:`ParseError` with the line number
-    on malformed JSON, on header ``dims`` other than the integers of
-    :data:`FEATURE_WIDTHS` and on a value that is not a JSON number where
-    one belongs, and :class:`SchemaError` on structural problems and
-    unknown fields."""
+    on malformed JSON and on a snapshot value that is not a JSON number, and
+    :class:`SchemaError` on structural problems, unknown fields and a header
+    value that breaks its rule (``dims`` must be :data:`FEATURE_WIDTHS`)."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -415,25 +400,21 @@ def load_dataset(path) -> Dataset:
     def parse_json(line_no: int) -> dict:
         try:
             obj = json.loads(lines[line_no - 1])
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also a number of more digits than int() reads
             raise ParseError(str(exc), line_number=line_no, line=lines[line_no - 1][:80]) from exc
         if not isinstance(obj, dict):
             raise ParseError("expected a JSON object", line_number=line_no)
         return obj
 
-    header = parse_json(1)
-    refuse_unknown_fields(header, _HEADER_FIELDS, "line 1")
+    header = jsonfields.fields(parse_json(1), _HEADER_FIELDS, "line 1")
     if header.get("format") != DATASET_FORMAT:
         raise SchemaError(f"unexpected dataset format {header.get('format')!r}")
     if header.get("version") != DATASET_VERSION:
         raise SchemaError(f"unsupported dataset version {header.get('version')!r}")
-    topology = Topology.from_dict(header.get("topology", {}))
-    dims = header.get("dims")
-    if dims != FEATURE_WIDTHS or any(type(width) is not int for width in dims.values()):
-        raise ParseError(f"dims must be the integers {FEATURE_WIDTHS}, got {dims!r}",
-                         line_number=1)
     norm = header.get("normalization")
     try:
+        topology = Topology.from_dict(header.get("topology", {}))
+        jsonfields.fixed(header.get("dims"), FEATURE_WIDTHS, "dims")
         norm_stats = None if norm is None else NormStats.from_dict(norm)
     except SchemaError as exc:
         raise SchemaError(f"line 1: {exc}") from exc
@@ -443,7 +424,7 @@ def load_dataset(path) -> Dataset:
         if not lines[line_no - 1].strip():
             continue
         row = parse_json(line_no)
-        refuse_unknown_fields(row, _SNAPSHOT_FIELDS, f"line {line_no}")
+        jsonfields.fields(row, _SNAPSHOT_FIELDS, f"line {line_no}")
         # float() and numpy read a string or a boolean as a number. Only a
         # row's keys are JSON strings, so any other string adds quotes, and a
         # boolean is a bare true or false: three scans of the line find

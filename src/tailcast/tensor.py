@@ -25,7 +25,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy.special import erf, expit
 
-from .errors import CheckpointError, ShapeError, TrainingError
+from . import jsonfields
+from .errors import CheckpointError, SchemaError, ShapeError, TrainingError
 
 Array = np.ndarray
 
@@ -324,7 +325,7 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _from_op(np.transpose(a.data, axes), (a,), backward)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     tensors = list(tensors)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
@@ -712,7 +713,7 @@ CHECKPOINT_FORMAT = "tailcast-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(path, params: Mapping[str, Tensor], meta: dict | None = None) -> None:
+def save_checkpoint(path, params: Mapping[str, Tensor], meta: dict) -> None:
     """Write parameters as a flat, versioned JSON container.
 
     Values are serialized with ``repr`` precision (shortest round-trip), so a
@@ -721,7 +722,7 @@ def save_checkpoint(path, params: Mapping[str, Tensor], meta: dict | None = None
     payload = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "meta": meta or {},
+        "meta": meta,
         "params": {
             name: {"shape": list(p.data.shape), "data": p.data.reshape(-1).tolist()}
             for name, p in sorted(params.items())
@@ -737,27 +738,27 @@ def load_checkpoint(path) -> tuple[dict[str, Array], dict]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also a number of more digits than int() reads
             raise CheckpointError(f"not a valid checkpoint file: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise CheckpointError(f"checkpoint must be a JSON object, got {type(payload).__name__}")
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"unexpected checkpoint format {payload.get('format')!r}")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {payload.get('version')!r}")
-    entries, meta = payload.get("params"), payload.get("meta", {})
-    if not isinstance(entries, dict):
-        raise CheckpointError("checkpoint field 'params' is missing or not an object")
-    if not isinstance(meta, dict):
-        raise CheckpointError("checkpoint field 'meta' is not an object")
-    params = {}
-    for name, entry in entries.items():
-        try:
-            params[name] = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        except KeyError as exc:
-            raise CheckpointError(f"checkpoint param {name!r} missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise CheckpointError(f"checkpoint param {name!r} is malformed: {exc}") from exc
+    try:
+        if jsonfields.obj(payload, "checkpoint").get("format") != CHECKPOINT_FORMAT:
+            raise CheckpointError(f"unexpected checkpoint format {payload.get('format')!r}")
+        if payload.get("version") != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {payload.get('version')!r}")
+        entries = jsonfields.obj(payload.get("params"), "checkpoint field 'params'")
+        meta = jsonfields.obj(payload.get("meta", {}), "checkpoint field 'meta'")
+        params = {}
+        for name, entry in entries.items():
+            what = f"checkpoint param {name!r}"
+            data = jsonfields.numbers(jsonfields.obj(entry, what)["data"], f"{what} data")
+            shape = jsonfields.each(entry["shape"], jsonfields.integer, "integers", f"{what} shape")
+            params[name] = data.reshape(shape)
+    except SchemaError as exc:
+        raise CheckpointError(str(exc)) from exc
+    except KeyError as exc:
+        raise CheckpointError(f"{what} missing field {exc}") from exc
+    except ValueError as exc:  # a shape that does not fit the data
+        raise CheckpointError(f"{what} is malformed: {exc}") from exc
     return params, meta
 
 

@@ -56,7 +56,7 @@ class LossParams:
             raise ValueError("eps must be > 0")
 
 
-def aph_loss(e_p: float, params: LossParams = LossParams()) -> float:
+def aph_loss(e_p: float, params: LossParams) -> float:
     """Scalar asymmetric percentage Huber loss (reference implementation)."""
     tl, tr = params.theta_left, params.theta_right
     al, ar = params.alpha_left, params.alpha_right
@@ -67,7 +67,7 @@ def aph_loss(e_p: float, params: LossParams = LossParams()) -> float:
     return tr * (ar * e_p - tr)
 
 
-def aph_loss_tensor(e: Tensor, params: LossParams = LossParams()) -> Tensor:
+def aph_loss_tensor(e: Tensor, params: LossParams) -> Tensor:
     """Elementwise loss as a differentiable tensor op.
 
     Branch membership is decided on values (constants), so the gradient is

@@ -216,7 +216,8 @@ def test_criterion_4_window_protocol(tmp_path):
             IntensityProfile((Segment("plateau", float(duration), 30.0, 30.0),)),
             topo_spec.request_types, np.random.default_rng(duration))
         result = run_simulation(topo_spec, workload, float(duration),
-                                rng=np.random.default_rng(duration + 1))
+                                rng=np.random.default_rng(duration + 1),
+                                noise_rng=None, noise_sigma=0.0, queue_cap=500)
         samples = parse_exposition(result.exposition_text).samples
         ds, stats = build_snapshots(samples, topo_spec.topology, spec, result.latency_records)
         if len(ds) != want or stats.windows_total != want:
@@ -267,7 +268,8 @@ def test_criterion_6_queueing_sanity():
     )
     workload = sample_workload(IntensityProfile((Segment("plateau", duration, lam, lam),)),
                                spec.request_types, np.random.default_rng(1009))
-    result = run_simulation(spec, workload, duration, rng=np.random.default_rng(1010))
+    result = run_simulation(spec, workload, duration, rng=np.random.default_rng(1010),
+                            noise_rng=None, noise_sigma=0.0, queue_cap=500)
     lat = np.asarray([v for _, v in result.latency_records])
     expected = mm1_mean_sojourn(lam, mu)
     rel = abs(lat.mean() - expected) / expected

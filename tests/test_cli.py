@@ -75,6 +75,19 @@ def _break_checkpoint(payload: dict, defect: str):
                       "size_float_resource_blocks": ("resource_blocks", 2.5),
                       "size_string_fusion_rank": ("fusion_rank", "4")}[defect]
         meta["model_config"][key] = value
+    elif defect.startswith("data_"):
+        data = next(iter(payload["params"].values()))["data"]
+        if defect == "data_nested":
+            data[:] = [list(data)]
+        else:
+            data[0] = {"data_nan": math.nan, "data_null": None, "data_string": "0.5",
+                       "data_bool": True, "data_huge_int": 10 ** 400}[defect]
+    elif defect == "shape_bare_int":
+        entry = next(e for e in payload["params"].values() if len(e["shape"]) == 1)
+        entry["shape"] = entry["shape"][0]
+    elif defect == "shape_bool":
+        entry = next(e for e in payload["params"].values() if 1 in e["shape"])
+        entry["shape"] = [True if d == 1 else d for d in entry["shape"]]
     elif defect == "string_topology":
         meta["topology"]["services"] = "".join(
             chr(ord("a") + i) for i in range(len(meta["topology"]["services"])))
@@ -109,7 +122,7 @@ class TestSimulate:
         bad.write_text('{"preset": "online_boutique_like", "duration_s": Infinity, '
                        '"profile": [{"kind": "plateau", "duration_s": 5.0, "start_rate": 1.0}]}')
         assert main(["simulate", "--scenario", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
-        assert "duration must be finite" in capsys.readouterr().err
+        assert "scenario duration_s must be finite, got Infinity" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_duration_longer_than_profile_exit_2(self, tmp_path, capsys):
@@ -127,7 +140,7 @@ class TestSimulate:
                     "profile": [{"kind": "plateau", "duration_s": 5.0, "start_rate": 1.0}]}
         bad.write_text(json.dumps(scenario))
         assert main(["simulate", "--scenario", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
-        assert "seed must be an integer >= 0, got 1.9" in capsys.readouterr().err
+        assert "scenario seed must be an integer, got 1.9" in capsys.readouterr().err
         scenario["seed"] = 1
         bad.write_text(json.dumps(scenario))
         assert main(["simulate", "--scenario", str(bad), "--seed", "-1",
@@ -438,15 +451,15 @@ class TestEvalPredictExport:
                      "--checkpoint", str(pipeline["train"] / "checkpoint.json")] + out_flag) == 5
 
     @pytest.mark.parametrize("defect, field", [
-        ("top_level_list", "checkpoint must be a JSON object"),
+        ("top_level_list", "checkpoint must be an object, got [{"),
         ("no_params", "'params'"),
         ("param_without_shape", "missing field 'shape'"),
         ("normalization_list", "normalization must be an object"),
         ("one_element_node_stats", "node_mean has shape (1,), expected (3,)"),
         ("unknown_variant", "unknown variant"),
-        ("dropout_above_one", "model_config.dropout_resource is fixed at 0.1, got 1.5"),
-        ("dropout_negative", "model_config.dropout_resource is fixed at 0.1, got -0.1"),
-        ("dropout_nan", "model_config.dropout_resource is fixed at 0.1, got NaN"),
+        ("dropout_above_one", "model_config.dropout_resource must be 0.1, got 1.5"),
+        ("dropout_negative", "model_config.dropout_resource must be 0.1, got -0.1"),
+        ("dropout_nan", "model_config.dropout_resource must be 0.1, got NaN"),
         ("zero_node_std", "normalization node_std must be finite and > 0, got [0.0, 0.0, 0.0]"),
         ("nan_edge_mean", "normalization edge_mean must be finite"),
         ("string_node_mean", "normalization node_mean must be a list of numbers"),
@@ -458,6 +471,15 @@ class TestEvalPredictExport:
         ("size_bool_fusion_rank", "model_config.fusion_rank must be an integer, got true"),
         ("size_float_resource_blocks", "model_config.resource_blocks must be an integer, got 2.5"),
         ("size_string_fusion_rank", 'model_config.fusion_rank must be an integer, got "4"'),
+        # numpy read each of these as a float and the model predicted from it
+        ("data_nan", "data must be finite, got [NaN, "),
+        ("data_null", "data must be a list of numbers, got [null, "),
+        ("data_string", 'data must be a list of numbers, got ["0.5", '),
+        ("data_bool", "data must be a list of numbers, got [true, "),
+        ("data_huge_int", "data must be finite, got [1000000000"),  # raised OverflowError
+        ("data_nested", "data must be a list of numbers, got [["),
+        ("shape_bare_int", "shape must be a list of integers, got "),
+        ("shape_bool", "shape must be a list of integers, got ["),
     ])
     def test_malformed_checkpoint_exit_5(self, tmp_path, capsys, pipeline, defect, field):
         payload = json.loads((pipeline["train"] / "checkpoint.json").read_text())
@@ -539,7 +561,7 @@ class TestEvalPredictExport:
         bad.write_text(json.dumps(payload))
         assert main(["predict", "--snapshots", str(pipeline["dataset"]),
                      "--checkpoint", str(bad)]) == 5
-        assert f"model_config.{key} is fixed at {fixed}, got " in capsys.readouterr().err
+        assert f"model_config.{key} must be {fixed}, got " in capsys.readouterr().err
 
     @pytest.mark.parametrize("dims", [
         {"node": "3", "edge": "3", "resource": "5"},
@@ -558,7 +580,8 @@ class TestEvalPredictExport:
         bad.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
         assert main(["predict", "--snapshots", str(bad),
                      "--checkpoint", str(pipeline["train"] / "checkpoint.json")]) == 2
-        assert "line 1: dims must be the integers" in capsys.readouterr().err
+        assert 'line 1: dims must be {"node": 3, "edge": 3, "resource": 5}, got ' in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("row, start", [(1, math.nan), (-1, math.inf)],
                              ids=["nan_second", "inf_last"])
@@ -573,6 +596,110 @@ class TestEvalPredictExport:
                      "--checkpoint", str(pipeline["train"] / "checkpoint.json")]) == 2
         index = row - 1 if row > 0 else len(lines) - 2
         assert f"snapshot {index}: window_start must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["integral_floats", "unused_size"])
+    def test_checkpoint_edit_predicts_the_same(self, tmp_path, capsys, pipeline, edit):
+        # integral floats load as their integers (the parent refused a size
+        # of 4.0, a shape entry 16.0 and a topology index 1.0); a size the
+        # variant does not build is not bounded
+        checkpoint = pipeline["train"] / "checkpoint.json"
+        payload = json.loads(checkpoint.read_text())
+        meta = payload["meta"]
+        if edit == "integral_floats":
+            meta["model_config"]["resource_blocks"] = float(meta["model_config"]["resource_blocks"])
+            meta["topology"]["edges"] = [[float(i) for i in e] for e in meta["topology"]["edges"]]
+            for entry in payload["params"].values():
+                entry["shape"] = [float(d) for d in entry["shape"]]
+        else:
+            assert meta["model_config"]["variant"] == "resource_only"
+            meta["model_config"]["traffic_layers"] = 4000
+        edited = tmp_path / "checkpoint.json"
+        edited.write_text(json.dumps(payload))
+        outputs = []
+        for path in (checkpoint, edited):
+            assert main(["predict", "--snapshots", str(pipeline["dataset"]),
+                         "--checkpoint", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0]
+
+    @pytest.mark.parametrize("variant, key, module", [
+        ("resource_only", "resource_blocks", "encoders.GmlpBlock"),
+        ("full", "traffic_layers", "encoders.GraphTransformerLayer"),
+        ("full", "fusion_rank", "fusion.DemandCapacityFusion"),
+    ])
+    def test_oversized_model_refused_before_it_is_built(self, tmp_path, capsys, monkeypatch,
+                                                        pipeline, variant, key, module):
+        # the parent built every layer first: 4000 traffic layers took 0.35 s
+        # and 50 MB, and a size of 10**8 ran the host out of memory
+        from tailcast import encoders, fusion
+        checkpoint = pipeline["train"] / "checkpoint.json"
+        if variant == "full":
+            model, stats = fusion.load_model(checkpoint)
+            checkpoint = tmp_path / "full.json"
+            fusion.save_model(checkpoint, fusion.LatencyModel(fusion.ModelConfig(), model.topology),
+                              stats)
+        payload = json.loads(checkpoint.read_text())
+        values = sum(len(entry["data"]) for entry in payload["params"].values())
+        # more layers than parameter names, or a rank above the parameter values
+        payload["meta"]["model_config"][key] = values + 1 if key == "fusion_rank" else 4000
+        bad = tmp_path / "checkpoint.json"
+        bad.write_text(json.dumps(payload))
+        owner, name = module.split(".")
+        cls = getattr({"encoders": encoders, "fusion": fusion}[owner], name)
+        built, init = [], cls.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(name)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+        assert main(["predict", "--snapshots", str(pipeline["dataset"]),
+                     "--checkpoint", str(bad)]) == 5
+        assert f"model_config.{key} must be at most " in capsys.readouterr().err
+        assert built == []
+
+    @pytest.mark.parametrize("command", ["eval", "predict", "export-embedding"])
+    def test_non_finite_outputs_exit_5(self, tmp_path, capsys, pipeline, command):
+        # every value is finite, but the first layer overflows on the data;
+        # the parent printed nan and exited 0
+        payload = json.loads((pipeline["train"] / "checkpoint.json").read_text())
+        payload["params"]["resource.input_proj.w"]["data"][0] = 1e308
+        bad = tmp_path / "checkpoint.json"
+        bad.write_text(json.dumps(payload))
+        data_flag = "--snapshots" if command == "predict" else "--dataset"
+        out_flag = {"eval": ["--out-dir", str(tmp_path / "e")], "predict": [],
+                    "export-embedding": ["--out", str(tmp_path / "emb.csv")]}[command]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main([command, data_flag, str(pipeline["dataset"]),
+                         "--checkpoint", str(bad)] + out_flag) == 5
+        captured = capsys.readouterr()
+        assert "non-finite outputs" in captured.err and not captured.out
+        assert not (tmp_path / "e").exists() and not (tmp_path / "emb.csv").exists()
+
+    @pytest.mark.parametrize("target", ["checkpoint", "snapshot"])
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys, pipeline, target):
+        # json reads an integer of more than 4300 digits with a ValueError
+        # that is no JSONDecodeError: a checkpoint's exited 2, not 5, and a
+        # snapshot's named no line
+        huge = "1" + "0" * 5000
+        checkpoint = pipeline["train"] / "checkpoint.json"
+        dataset = pipeline["dataset"]
+        if target == "checkpoint":
+            payload = json.loads(checkpoint.read_text())
+            next(iter(payload["params"].values()))["data"][0] = 12345.0
+            checkpoint = tmp_path / "checkpoint.json"
+            checkpoint.write_text(json.dumps(payload).replace("12345.0", huge, 1))
+        else:
+            lines = dataset.read_text().splitlines()
+            row = json.loads(lines[1])
+            row["y"] = 12345.0
+            lines[1] = json.dumps(row).replace("12345.0", huge)
+            dataset = tmp_path / "data.jsonl"
+            dataset.write_text("\n".join(lines) + "\n")
+        code = main(["predict", "--snapshots", str(dataset), "--checkpoint", str(checkpoint)])
+        err = capsys.readouterr().err
+        assert (code, "digits" in err) == (5 if target == "checkpoint" else 2, True)
+        assert target == "checkpoint" or "line 2:" in err
 
     def test_predict_prints_positive_numbers(self, capsys, pipeline):
         assert main(["predict", "--snapshots", str(pipeline["dataset"]),

@@ -86,7 +86,7 @@ class TestSegmentSoftmax:
         # scores scores[j], and one-hot values, so row i of the output is
         # the weight node i puts on each message
         m = len(dst)
-        routing = MessageRouting(n, np.zeros(m, dtype=np.intp), dst)
+        routing = MessageRouting(n, np.zeros(m, dtype=np.intp), dst, 0)
         key = np.tile(np.asarray(scores, dtype=float)[:, None] / np.sqrt(m), (1, m))
         out = edge_attention(Tensor(np.ones((1, n, m))), Tensor(key[None]),
                                Tensor(np.eye(m)[None]), routing, 1)

@@ -251,7 +251,8 @@ class TestQueueing:
         spec = single_service_spec(rate=100.0)
         workload = sample_workload(plateau(1.0, 2000.0), spec.request_types,
                                    np.random.default_rng(11))
-        result = run_simulation(spec, workload, 2000.0, rng=np.random.default_rng(12))
+        result = run_simulation(spec, workload, 2000.0, rng=np.random.default_rng(12),
+                                noise_rng=None, noise_sigma=0.0, queue_cap=500)
         lat = np.asarray([lat for _, lat in result.latency_records])
         assert lat.size > 1500
         assert abs(lat.mean() - mm1_mean_sojourn(1.0, 100.0)) / mm1_mean_sojourn(1.0, 100.0) < 0.10
@@ -262,7 +263,8 @@ class TestQueueing:
         spec = single_service_spec(rate=mu)
         workload = sample_workload(plateau(lam, 6000.0), spec.request_types,
                                    np.random.default_rng(21))
-        result = run_simulation(spec, workload, 6000.0, rng=np.random.default_rng(22))
+        result = run_simulation(spec, workload, 6000.0, rng=np.random.default_rng(22),
+                                noise_rng=None, noise_sigma=0.0, queue_cap=500)
         lat = np.asarray([lat for _, lat in result.latency_records])
         expected = mm1_mean_sojourn(lam, mu)
         assert abs(lat.mean() - expected) / expected < 0.05
@@ -271,7 +273,8 @@ class TestQueueing:
         spec = single_service_spec()
         workload = sample_workload(plateau(0.0, 100.0), spec.request_types,
                                    np.random.default_rng(0))
-        result = run_simulation(spec, workload, 100.0, rng=np.random.default_rng(1))
+        result = run_simulation(spec, workload, 100.0, rng=np.random.default_rng(1),
+                                noise_rng=None, noise_sigma=0.0, queue_cap=500)
         assert result.latency_records == []
         series = parse_exposition(result.exposition_text).samples.series
         for key, (_, values) in series.items():
@@ -285,7 +288,8 @@ class TestQueueing:
         for lam in (1.5, 3.0):
             workload = sample_workload(plateau(lam, 1500.0), spec.request_types,
                                        np.random.default_rng(31))
-            results[lam] = run_simulation(spec, workload, 1500.0, rng=np.random.default_rng(32))
+            results[lam] = run_simulation(spec, workload, 1500.0, rng=np.random.default_rng(32),
+                                           noise_rng=None, noise_sigma=0.0, queue_cap=500)
         windows = [(k * 5.0, k * 5.0 + 30.0) for k in range(0, 280)]
         p95_low = np.mean([latency_p95(results[1.5], w) or 0.0 for w in windows])
         p95_high = np.mean([latency_p95(results[3.0], w) or 0.0 for w in windows])
@@ -298,7 +302,8 @@ class TestQueueing:
         for lam in (1.0, 2.0, 3.5):
             workload = sample_workload(plateau(lam, 800.0), spec.request_types,
                                        np.random.default_rng(41))
-            result = run_simulation(spec, workload, 800.0, rng=np.random.default_rng(42))
+            result = run_simulation(spec, workload, 800.0, rng=np.random.default_rng(42),
+                                    noise_rng=None, noise_sigma=0.0, queue_cap=500)
             windows = [(k * 5.0, k * 5.0 + 30.0) for k in range(0, 150)]
             vals = [latency_p95(result, w) for w in windows]
             means.append(np.mean([v for v in vals if v is not None]))
@@ -315,7 +320,8 @@ class TestQueueing:
         def run():
             workload = sample_workload(prof, spec.request_types, np.random.default_rng(5))
             return run_simulation(spec, workload, 80.0, rng=np.random.default_rng(6),
-                                  noise_rng=np.random.default_rng(7), noise_sigma=0.01)
+                                  noise_rng=np.random.default_rng(7), noise_sigma=0.01,
+                                  queue_cap=500)
 
         r1, r2 = run(), run()
         assert r1.exposition_text == r2.exposition_text
@@ -326,7 +332,7 @@ class TestQueueing:
         workload = sample_workload(plateau(20.0, 60.0), spec.request_types,
                                    np.random.default_rng(51))
         result = run_simulation(spec, workload, 60.0, rng=np.random.default_rng(52),
-                                queue_cap=50)
+                                noise_rng=None, noise_sigma=0.0, queue_cap=50)
         assert len(result.saturated_scrape_times) > 0
         assert result.completed_total > 0
 
@@ -341,7 +347,8 @@ def assert_matches_reference(spec, duration, seed, profile=None, workload=None, 
                              (reference_sample_workload, reference_run_simulation)):
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
         wl = workload if workload is not None else sample(profile, spec.request_types, rngs[0])
-        result = simulate(spec, wl, duration, rng=rngs[1], noise_rng=rngs[2], **kwargs)
+        result = simulate(spec, wl, duration, rng=rngs[1], noise_rng=rngs[2],
+                          **{"noise_sigma": 0.0, "queue_cap": 500, **kwargs})
         runs.append((wl.arrivals, result, [g.bit_generator.state for g in rngs]))
     (arrivals, result, states), (ref_arrivals, ref_result, ref_states) = runs
     assert arrivals == ref_arrivals
@@ -443,7 +450,8 @@ class TestReferenceEquivalence:
     def test_arrivals_at_infinity_are_drained(self):
         # inf - inf makes their latencies NaN, so the requests are compared
         arrivals = [(1.0, 0), (math.inf, 1), (math.inf, 0)]
-        results = [simulate(two_hop_spec(), Workload(arrivals), 10.0, rng=np.random.default_rng(8))
+        results = [simulate(two_hop_spec(), Workload(arrivals), 10.0, rng=np.random.default_rng(8),
+                            noise_rng=None, noise_sigma=0.0, queue_cap=500)
                    for simulate in (run_simulation, reference_run_simulation)]
         assert results[0].requests == results[1].requests
         assert results[0].exposition_text == results[1].exposition_text
@@ -477,7 +485,8 @@ class TestConservation:
         spec = preset_topologies()["online_boutique_like"]
         workload = sample_workload(plateau(20.0, 120.0), spec.request_types,
                                    np.random.default_rng(61))
-        result = run_simulation(spec, workload, 120.0, rng=np.random.default_rng(62))
+        result = run_simulation(spec, workload, 120.0, rng=np.random.default_rng(62),
+                                noise_rng=None, noise_sigma=0.0, queue_cap=500)
         series = parse_exposition(result.exposition_text).samples.series
         topo = spec.topology
 
@@ -501,7 +510,8 @@ class TestConservation:
         spec = preset_topologies()["sockshop_like"]
         workload = sample_workload(plateau(15.0, 120.0), spec.request_types,
                                    np.random.default_rng(71))
-        result = run_simulation(spec, workload, 120.0, rng=np.random.default_rng(72))
+        result = run_simulation(spec, workload, 120.0, rng=np.random.default_rng(72),
+                                noise_rng=None, noise_sigma=0.0, queue_cap=500)
         windows = [(k * 5.0, k * 5.0 + 30.0) for k in range(19)]
         for window in windows:
             own = latency_p95(result, window)

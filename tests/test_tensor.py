@@ -98,13 +98,13 @@ class TestForwardSemantics:
 
     def test_edge_attention_node_without_messages_gets_zeros(self):
         rng = np.random.default_rng(9)
-        routing = MessageRouting(3, [0, 2], [1, 1])
+        routing = MessageRouting(3, [0, 2], [1, 1], 0)
         key, val = Tensor(rng.normal(size=(2, 2, 4))), Tensor(rng.normal(size=(2, 2, 4)))
         out = edge_attention(Tensor(rng.normal(size=(2, 3, 4))), key, val, routing, 2).data
         assert np.array_equal(out[:, [0, 2]], np.zeros((2, 2, 4)))
         assert np.all(np.isfinite(out))
         empty = Tensor(np.zeros((2, 0, 4)))
-        out = edge_attention(Tensor(np.ones((2, 3, 4))), empty, empty, MessageRouting(3, [], []), 2)
+        out = edge_attention(Tensor(np.ones((2, 3, 4))), empty, empty, MessageRouting(3, [], [], 0), 2)
         assert np.array_equal(out.data, np.zeros((2, 3, 4)))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -336,7 +336,7 @@ class TestGradientChecks:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_edge_attention(self, seed):
         # nodes 0 and 4 have no in-messages; node 2 has three
-        routing = MessageRouting(5, [0, 0, 1, 3, 2], [1, 2, 2, 2, 3])
+        routing = MessageRouting(5, [0, 0, 1, 3, 2], [1, 2, 2, 2, 3], 0)
         _check_op_gradient(
             lambda ts: T.tsum(T.mul(edge_attention(ts[0], ts[1], ts[2], routing, 2),
                                     _probe((2, 5, 4), seed))),
@@ -344,7 +344,7 @@ class TestGradientChecks:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_edge_attention_zero_edges(self, seed):
-        routing = MessageRouting(3, [], [])
+        routing = MessageRouting(3, [], [], 0)
         empty = Tensor(np.zeros((2, 0, 4)))
         _check_op_gradient(
             lambda ts: T.tsum(T.mul(edge_attention(ts[0], empty, empty, routing, 2),
@@ -527,7 +527,7 @@ class TestCheckpoint:
     def test_name_mismatch_rejected(self, tmp_path):
         p = {"a": Tensor([1.0], requires_grad=True)}
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, p)
+        save_checkpoint(path, p, {})
         arrays, _ = load_checkpoint(path)
         from tailcast.errors import CheckpointError
         with pytest.raises(CheckpointError):
