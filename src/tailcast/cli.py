@@ -163,7 +163,11 @@ def cmd_ingest(args) -> int:
     latency_path = tel_dir / "latency.csv"
     if not latency_path.exists():
         raise SchemaError(f"missing latency sidecar {latency_path}")
-    topology = Topology.from_dict(json.loads(Path(args.topology).read_text(encoding="utf-8")))
+    topology_path = Path(args.topology)
+    try:  # a ValueError: the file is not UTF-8 or not JSON
+        topology = Topology.from_dict(json.loads(topology_path.read_text(encoding="utf-8")))
+    except (ValueError, SchemaError) as exc:
+        raise SchemaError(f"{topology_path}: {exc}") from exc
 
     samples = SeriesColumns()  # series in order of first appearance across the files
     skipped = 0

@@ -14,9 +14,9 @@ import heapq
 import json
 import math
 from bisect import bisect_right
-from collections import Counter, deque
-from dataclasses import dataclass, field, fields
-from itertools import chain
+from collections import deque
+from dataclasses import dataclass, fields
+from itertools import accumulate, chain
 from operator import itemgetter
 
 import numpy as np
@@ -30,6 +30,9 @@ CPU_PERIOD_US = 100000.0
 SCRAPE_INTERVAL = 5.0  # seconds between telemetry scrapes
 
 _DRAW_BLOCK = 4096  # service times drawn per rng call
+# candidate arrivals (peak rate x profile length) a scenario file may ask the
+# sampler for: about 12x the 0.8 M of the criterion-8 stress test
+MAX_CANDIDATES = 1e7
 
 
 @dataclass(frozen=True)
@@ -206,13 +209,40 @@ class SimRequest:
 
 @dataclass
 class SimulationResult:
+    """What a run returns. The request records are kept as columns:
+    request ``rid`` is ``arrivals[rid]`` of the time-sorted arrivals, the
+    arrival times of each request's hops follow one another in
+    ``hop_times``, request by request in rid order, and ``completion_order``
+    lists the rids in the order of ``latency_records``."""
+
     topology: Topology
-    arrivals_total: int
-    completed_total: int
-    requests: list[SimRequest]
-    latency_records: list[tuple[float, float]]  # (completion time, latency)
+    latency_records: list[tuple[float, float]]  # (completion time, latency), completion order
     exposition_text: str
-    saturated_scrape_times: list[float] = field(default_factory=list)
+    saturated_scrape_times: list[float]
+    arrivals: list[tuple[float, int]]  # (time, request-type index), time-ascending
+    paths: list[tuple[int, ...]]  # service indices of each request type's path
+    hop_times: list[float]
+    completion_order: list[int]
+
+    @property
+    def arrivals_total(self) -> int:
+        return len(self.arrivals)
+
+    @property
+    def completed_total(self) -> int:
+        return len(self.completion_order)
+
+    @property
+    def requests(self) -> list[SimRequest]:
+        """Every completed request, in completion order, built when read."""
+        arrivals, paths, hop_times = self.arrivals, self.paths, self.hop_times
+        first_hop = list(accumulate((len(paths[kind]) for _, kind in arrivals), initial=0))
+        requests = []
+        for rid, (now, _) in zip(self.completion_order, self.latency_records):
+            start, kind = arrivals[rid]
+            requests.append(SimRequest(kind, start, now, paths[kind],
+                                       tuple(hop_times[first_hop[rid]:first_hop[rid + 1]])))
+        return requests
 
 
 def run_simulation(
@@ -242,11 +272,14 @@ def run_simulation(
 
     What the run holds while it runs, beyond the result it returns: one
     exposition chunk per scrape (a scrape joins its newline-ended lines
-    when it ends, so no string per line outlives its scrape), and hop
-    arrival-time lists for in-flight requests only (a request's list is
-    released when its last hop completes and its ``SimRequest`` holds the
-    tuple). The text is one join of the chunks, so the memory peak of the
-    run is the result plus the chunks: about one more copy of the text.
+    when it ends, so no string per line outlives its scrape), and a hop
+    count and a first-hop offset per request, both freed before the join.
+    No request has an object of its own while the loop runs: the result
+    keeps every hop's arrival time in one flat list, cut per request by
+    running sums of the path lengths, and builds ``requests`` from those
+    columns only when it is read. The text is one join of the chunks, so
+    the memory peak of the run is the result plus the chunks: about one
+    more copy of the text.
     """
     spec.validate()
     if duration <= 0:
@@ -301,13 +334,6 @@ def run_simulation(
     prev_rx = [0.0] * n
     prev_tx = [0.0] * n
 
-    # request ``rid`` is arrival ``rid``; its hop arrival times so far also
-    # give the hop it is on. A completed request's list is released (None).
-    req_hop_times: list[list[float] | None] = []
-
-    completed: list[SimRequest] = []
-    latency_records: list[tuple[float, float]] = []
-
     # arrivals are read in time order (stable, so ties keep workload order);
     # the heap holds only in-flight completions: (time, seq, request id, service time)
     arrivals = sorted(workload.arrivals, key=itemgetter(0))
@@ -319,9 +345,16 @@ def run_simulation(
     seq = num_arrivals
     heappush, heappop = heapq.heappush, heapq.heappop
 
+    # request ``rid`` is arrival ``rid``: ``hop_of[rid]`` counts the hops it has
+    # arrived at, and its hop ``h`` arrives at ``hop_times[first_hop[rid] + h]``
+    first_hop = list(accumulate((len(paths[kind]) for _, kind in arrivals), initial=0))
+    hops_total = first_hop[-1]
+    hop_of = [0] * num_arrivals
+    hop_times = [0.0] * hops_total
+    completion_order: list[int] = []
+    latency_records: list[tuple[float, float]] = []
+
     # one exponential per hop, drawn in blocks that add up to the hop count
-    hops_total = sum(len(paths[kind]) * count
-                     for kind, count in Counter(map(itemgetter(1), arrivals)).items())
     block_sizes = [min(_DRAW_BLOCK, hops_total - i) for i in range(0, hops_total, _DRAW_BLOCK)]
     next_z = chain.from_iterable(rng.standard_exponential(k).tolist() for k in block_sizes).__next__
 
@@ -385,8 +418,7 @@ def run_simulation(
                 now, _, rid, st = heappop(heap)
                 start, kind = arrivals[rid]
                 hops = hop_table[kind]
-                times = req_hop_times[rid]
-                hop = len(times)
+                hop = hop_of[rid]
                 svc, e = hops[hop - 1]
                 cpu_seconds[svc] += st * cpu_per_request[svc]
                 edge_resp_bytes[e] += response_bytes[svc]
@@ -398,9 +430,8 @@ def run_simulation(
                 else:
                     busy[svc] -= 1
                 if hop == len(hops):
-                    completed.append(SimRequest(kind, start, now, paths[kind], tuple(times)))
+                    completion_order.append(rid)
                     latency_records.append((now, now - start))
-                    req_hop_times[rid] = None
                     continue
                 svc, e = hops[hop]
             else:
@@ -410,14 +441,14 @@ def run_simulation(
                 rid = next_arrival
                 next_arrival += 1
                 next_t = arrivals[next_arrival][0] if next_arrival < num_arrivals else math.inf
-                times = []
-                req_hop_times.append(times)
+                hop = 0
                 svc, e = hop_table[kind][0]
             # request ``rid`` arrives at hop service ``svc`` over edge ``e``
             edge_requests[e] += 1
             edge_req_bytes[e] += request_bytes[svc]
             net_rx[svc] += request_bytes[svc]
-            times.append(now)
+            hop_times[first_hop[rid] + hop] = now
+            hop_of[rid] = hop + 1
             if busy[svc] < pods[svc]:
                 busy[svc] += 1
                 st = mean_service[svc] * next_z()
@@ -428,14 +459,16 @@ def run_simulation(
         if k < num_scrapes:
             scrape(until)
 
+    del first_hop, hop_of  # freed before the text is joined: the join is the run's memory peak
     return SimulationResult(
         topology=topo,
-        arrivals_total=len(workload.arrivals),
-        completed_total=len(completed),
-        requests=completed,
         latency_records=latency_records,
         exposition_text="".join(chunks),
         saturated_scrape_times=saturated,
+        arrivals=arrivals,
+        paths=paths,
+        hop_times=hop_times,
+        completion_order=completion_order,
     )
 
 
@@ -444,11 +477,8 @@ def run_simulation(
 # ---------------------------------------------------------------------------
 
 
-def _uniform_capacities(services, overrides: dict[str, ServiceCapacity] | None = None) -> dict[str, ServiceCapacity]:
-    caps = {name: ServiceCapacity() for name in services}
-    if overrides:
-        caps.update(overrides)
-    return caps
+def _uniform_capacities(services) -> dict[str, ServiceCapacity]:
+    return {name: ServiceCapacity() for name in services}
 
 
 def preset_topologies() -> dict[str, ClusterSpec]:
@@ -482,10 +512,11 @@ def preset_topologies() -> dict[str, ClusterSpec]:
     ]
     boutique = ClusterSpec(
         topology=Topology.create(boutique_services, boutique_edges),
-        capacities=_uniform_capacities(boutique_services, {
+        capacities={
+            **_uniform_capacities(boutique_services),
             "frontend": ServiceCapacity(pods=4),
             "redis-cart": ServiceCapacity(pods=2, service_rate=200.0, cpu_per_request=0.2),
-        }),
+        },
         request_types=(
             RequestType("browse", ("frontend", "recommendationservice", "productcatalogservice"), 0.60),
             RequestType("view_cart", ("frontend", "cartservice", "redis-cart"), 0.25),
@@ -516,11 +547,12 @@ def preset_topologies() -> dict[str, ClusterSpec]:
     ]
     sockshop = ClusterSpec(
         topology=Topology.create(sockshop_services, sockshop_edges),
-        capacities=_uniform_capacities(sockshop_services, {
+        capacities={
+            **_uniform_capacities(sockshop_services),
             "front-end": ServiceCapacity(pods=4),
             "carts-db": ServiceCapacity(pods=2, service_rate=200.0, cpu_per_request=0.2),
             "catalogue-db": ServiceCapacity(pods=2, service_rate=200.0, cpu_per_request=0.2),
-        }),
+        },
         request_types=(
             RequestType("browse", ("front-end", "catalogue", "catalogue-db"), 0.60),
             RequestType("view_cart", ("front-end", "carts", "carts-db"), 0.25),
@@ -633,6 +665,13 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if duration > profile.total_duration and not math.isclose(duration, profile.total_duration):
         raise SchemaError(f"scenario duration_s {duration} is longer than the profile's "
                           f"{profile.total_duration} s")
+    # the sampler draws a candidate per 1/max_rate s of the profile, so a
+    # rate of 1e300 would draw without end
+    candidates = profile.max_rate * profile.total_duration
+    if candidates > MAX_CANDIDATES:
+        raise SchemaError(f"scenario profile asks for {candidates} candidate arrivals "
+                          f"(peak rate {profile.max_rate} req/s x {profile.total_duration} s), "
+                          f"more than the {MAX_CANDIDATES:g} allowed")
     noise_sigma = jsonfields.number(raw.get("noise_sigma", 0.01), "scenario noise_sigma")
     seed = jsonfields.integer(raw.get("seed", 0), "scenario seed")
     queue_cap = jsonfields.integer(raw.get("queue_cap", 500), "scenario queue_cap")

@@ -25,9 +25,9 @@ from tailcast.simulator import (
     CPU_PERIOD_US,
     SCRAPE_INTERVAL,
     SimRequest,
-    SimulationResult,
     Workload,
 )
+from tailcast.statgraph import Topology
 from tailcast.telemetry import _parse_head
 from tailcast.tensor import Tensor
 
@@ -371,6 +371,21 @@ def reference_sample_workload(
     return Workload(arrivals)
 
 
+@dataclass
+class ReferenceResult:
+    """The reference run's output, its request records a plain list built
+    as each request completes. Each field is compared with the simulator
+    result's attribute of the same name."""
+
+    topology: Topology
+    arrivals_total: int
+    completed_total: int
+    requests: list[SimRequest]
+    latency_records: list[tuple[float, float]]
+    exposition_text: str
+    saturated_scrape_times: list[float]
+
+
 def reference_run_simulation(
     spec,
     workload: Workload,
@@ -379,7 +394,7 @@ def reference_run_simulation(
     noise_rng: np.random.Generator | None = None,
     noise_sigma: float = 0.0,
     queue_cap: int = 500,
-) -> SimulationResult:
+) -> ReferenceResult:
     """One heap of every arrival and completion, processed by closures that
     draw each service time and each noise factor with a scalar call.
 
@@ -553,7 +568,7 @@ def reference_run_simulation(
     while heap:  # drain in-flight work past the last scrape
         process(heapq.heappop(heap))
 
-    return SimulationResult(
+    return ReferenceResult(
         topology=topo,
         arrivals_total=len(workload.arrivals),
         completed_total=len(completed),

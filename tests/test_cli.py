@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tailcast
 from tailcast.cli import main
 
 
@@ -132,6 +138,29 @@ class TestSimulate:
                                                 "start_rate": 1.0}]}))
         assert main(["simulate", "--scenario", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
         assert "duration_s 20.0 is longer than the profile's 10.0 s" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_unbounded_rate_exit_2_before_sampling(self, tmp_path):
+        # a start_rate of 1e300 once sent the sampler after 1e301 candidates;
+        # the command runs as a child process under a timeout and a 1 GiB
+        # address-space limit, so a regression fails instead of hanging
+        scenario = tmp_path / "rate.json"
+        scenario.write_text(json.dumps({
+            "preset": "sockshop_like", "seed": 5,
+            "profile": [{"kind": "plateau", "duration_s": 10.0, "start_rate": 1e300}]}))
+        src = Path(tailcast.__file__).resolve().parents[1]
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        run = subprocess.run(
+            [sys.executable, "-m", "tailcast.cli", "simulate", "--scenario", str(scenario),
+             "--out-dir", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=60, preexec_fn=limit_memory,
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"})
+        assert run.returncode == 2, run.stderr
+        assert "asks for 1e+301 candidate arrivals" in run.stderr
+        assert "more than the 1e+07 allowed" in run.stderr
         assert not (tmp_path / "o").exists()
 
     def test_out_of_range_scenario_exit_2(self, tmp_path, capsys):
@@ -526,8 +555,9 @@ class TestEvalPredictExport:
     @pytest.mark.parametrize("topology, field", [
         ({"services": "abcdefghijk", "edges": []}, "services must be a list of strings"),
         ({"services": [1, 2], "edges": [[0, 1]]}, "services must be a list of strings"),
+        ({"services": ["a", 2], "edges": []}, "services must be a list of strings"),
         ({"services": ["a", "b"], "edges": ["01"]}, "edges must be a list of [int, int] pairs"),
-    ], ids=["services_string", "services_numbers", "edge_string"])
+    ], ids=["services_string", "services_numbers", "services_one_number", "edge_string"])
     def test_malformed_topology_exit_2(self, tmp_path, capsys, pipeline, topology, field):
         import shutil
         tel = tmp_path / "tel"
@@ -535,7 +565,8 @@ class TestEvalPredictExport:
         (tel / "topology.json").write_text(json.dumps(topology))
         assert main(["ingest", "--telemetry", str(tel), "--topology", str(tel / "topology.json"),
                      "--dataset", str(tmp_path / "d.jsonl")]) == 2
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tel / 'topology.json'}: ") and field in err
         lines = pipeline["dataset"].read_text().splitlines(keepends=True)
         header = json.loads(lines[0])
         header["topology"] = topology
@@ -544,6 +575,19 @@ class TestEvalPredictExport:
         assert main(["predict", "--snapshots", str(bad),
                      "--checkpoint", str(pipeline["train"] / "checkpoint.json")]) == 2
         assert field in capsys.readouterr().err
+
+    def test_topology_cut_after_its_last_edge_exit_2(self, tmp_path, capsys, pipeline):
+        import shutil
+        tel = tmp_path / "tel"
+        shutil.copytree(pipeline["sim"], tel)
+        path = tel / "topology.json"
+        text = path.read_text()
+        path.write_text(text[:text.rindex("]]") + 1])
+        assert main(["ingest", "--telemetry", str(tel), "--topology", str(path),
+                     "--dataset", str(tmp_path / "d.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Expecting ',' delimiter" in err
+        assert not (tmp_path / "d.jsonl").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("d_node", 4), ("d_edge", 2), ("d_resource", 6), ("d_emb", 8), ("num_heads", 2),

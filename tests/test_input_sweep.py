@@ -8,9 +8,11 @@ through ``cli.main`` and must end with an exit code of the contract (0, 2, 3,
 4 or 5), never an uncaught exception. After exit 0 the next command must
 accept what the command wrote, and printed predictions must be finite.
 
-The scenario's numbers stay small: a rate or a duration of 1e300 is a run
-without end (``sample_workload`` draws candidates at the peak rate over the
-whole profile), not a file the reader could refuse by its types.
+The scenario's numbers stay small. The reader refuses a duration past the
+profile's end and a profile asking for more than 1e7 candidate arrivals
+(``sample_workload`` draws candidates at the peak rate over the whole
+profile), but a run inside those bounds may still last minutes, too long
+for one example of a sweep.
 """
 
 import contextlib

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    ReferenceResult,
     mm1_mean_sojourn,
     nearest_rank_p95,
     reference_rate_at,
@@ -21,6 +22,7 @@ from oracles import (
 
 from tailcast.errors import SchemaError
 from tailcast.simulator import (
+    MAX_CANDIDATES,
     SCRAPE_INTERVAL,
     ClusterSpec,
     IntensityProfile,
@@ -28,7 +30,6 @@ from tailcast.simulator import (
     Scenario,
     Segment,
     ServiceCapacity,
-    SimulationResult,
     Workload,
     load_scenario,
     preset_topologies,
@@ -352,7 +353,7 @@ def assert_matches_reference(spec, duration, seed, profile=None, workload=None, 
         runs.append((wl.arrivals, result, [g.bit_generator.state for g in rngs]))
     (arrivals, result, states), (ref_arrivals, ref_result, ref_states) = runs
     assert arrivals == ref_arrivals
-    for f in dataclasses.fields(SimulationResult):
+    for f in dataclasses.fields(ReferenceResult):
         assert getattr(result, f.name) == getattr(ref_result, f.name), f.name
     assert states == ref_states
     return result
@@ -548,11 +549,13 @@ class TestTransientMemory:
     }
 
     def test_peak_above_the_result_stays_under_twice_the_text(self):
-        # Measured on this scenario: 1.64 with one chunk per scrape joined
-        # once and hop lists released at completion; 3.91 with one string
-        # per exposition line held to the end of the run; 2.68 with a
-        # second copy of the text made after the join; 2.32 with every
-        # completed request's hop list kept.
+        # Measured on this scenario: 1.29 with no object per request in
+        # the loop (hop times in one flat list, hop counts freed before
+        # the join); 1.68 with a SimRequest per completed request and hop
+        # lists released at completion (1.64 when first measured); 3.91
+        # with one string per exposition line held to the end of the run;
+        # 2.68 with a second copy of the text made after the join; 2.32
+        # with every completed request's hop list kept.
         scenario = scenario_from_dict(self.SATURATING)
         gc.collect()
         tracemalloc.start()
@@ -733,6 +736,20 @@ class TestOutOfRangeScenario:
         message = r"duration_s 10\.5 is longer than the profile's 10\.0 s"
         with pytest.raises(SchemaError, match=message):
             scenario_from_dict(_scenario_with(("duration_s",), 10.5))
+
+    @pytest.mark.parametrize("path, value, candidates", [
+        (("profile", 0, "start_rate"), 1e300, r"1e\+301"),  # would draw without end
+        (("profile", 0, "end_rate"), 1e6 + 1, r"10000010\.0"),
+    ], ids=["start_rate_1e300", "end_rate_over_the_bound"])
+    def test_profile_asking_for_too_many_candidates_names_both(self, path, value, candidates):
+        message = rf"asks for {candidates} candidate arrivals .* more than the 1e\+07 allowed"
+        with pytest.raises(SchemaError, match=message):
+            scenario_from_dict(_scenario_with(path, value))
+
+    def test_profile_at_the_candidate_bound_loads(self):
+        # a 10 s profile at 1e6 req/s: exactly MAX_CANDIDATES
+        scenario = scenario_from_dict(_scenario_with(("profile", 0, "end_rate"), 1e6))
+        assert scenario.profile.max_rate * scenario.profile.total_duration == MAX_CANDIDATES
 
     def test_duration_equal_to_the_profile_up_to_rounding_loads(self):
         raw = _scenario_with(("duration_s",), 0.8)

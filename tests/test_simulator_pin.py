@@ -18,9 +18,10 @@ Scenarios:
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from tailcast.simulator import run_scenario, scenario_from_dict
+from tailcast.simulator import run_scenario, sample_workload, scenario_from_dict
 from tailcast.telemetry import write_latency_csv
 
 
@@ -74,3 +75,26 @@ def test_simulated_bytes_are_pinned(name, tmp_path):
     digests = (hashlib.sha256(result.exposition_text.encode("utf-8")).hexdigest(),
                hashlib.sha256(csv_path.read_bytes()).hexdigest())
     assert digests == PINS[name]
+
+
+def test_request_records_cover_every_hop_under_deep_queues():
+    # ``requests`` is built from the run's columns when read: one record per
+    # completed request, one hop per service on its path, the same on a
+    # second read
+    scenario = scenario_from_dict(SCENARIOS["saturating"])
+    result = run_scenario(scenario)
+    assert result.saturated_scrape_times
+    workload = sample_workload(scenario.profile, scenario.cluster.request_types,
+                               np.random.default_rng(np.random.SeedSequence(scenario.seed).spawn(3)[0]))
+    path_lengths = [len(rt.path) for rt in scenario.cluster.request_types]
+    hops = sum(path_lengths[kind] for _, kind in workload.arrivals)
+    requests = result.requests
+    assert len(requests) == result.completed_total
+    assert sum(len(r.hop_services) for r in requests) == hops
+    assert sum(len(r.hop_arrival_times) for r in requests) == hops
+    for r in requests:
+        times = r.hop_arrival_times
+        assert times[0] == r.arrival_time
+        assert list(times) == sorted(times) and times[-1] <= r.completion_time
+    assert [r.completion_time for r in requests] == [t for t, _ in result.latency_records]
+    assert result.requests == requests
