@@ -84,7 +84,10 @@ class Tensor:
     # -- autodiff ------------------------------------------------------------
 
     def backward(self) -> None:
-        """Backpropagate from a scalar; accumulates into ``grad`` of leaves."""
+        """Backpropagate from a scalar; accumulates into ``grad`` of leaves.
+
+        Consumes the graph (see :meth:`Tape.backward`); to backpropagate two
+        losses, sum them first."""
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar loss, got shape {self.shape}")
         if not self.requires_grad:
@@ -131,6 +134,7 @@ class Tape:
     Construction walks the op graph iteratively (no recursion limits) and
     stores every node with parents before children; ``backward`` replays the
     record once in reverse, accumulating gradients additively across fan-out.
+    The replay consumes the graph, so a step holds one graph at a time.
     A tape belongs to the thread that built it; parameter tensors may be
     read concurrently, but only one owner may run backward/optimizer steps.
     The :func:`no_grad` flag is process-wide, not per thread: while any
@@ -158,6 +162,13 @@ class Tape:
         self.nodes = order  # parents precede children
 
     def backward(self) -> None:
+        """Replay the record in reverse, then release what the replay consumed.
+
+        Leaves keep their ``grad``. Each op node drops its ``grad``, parents
+        and closure (with the arrays it saved) for :func:`_consumed`, so reuse
+        raises instead of double-counting. Releasing after the replay, not
+        inside it, keeps the allocator from returning and re-faulting memory
+        mid-pass."""
         root = self.root
         seed = np.ones_like(root.data)
         root.grad = seed if root.grad is None else root.grad + seed
@@ -169,6 +180,13 @@ class Tape:
                 if g is None or not parent.requires_grad:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
+        for node in self.nodes:
+            if node._backward_fn is not None:
+                node.grad, node._parents, node._backward_fn = None, (), _consumed
+
+
+def _consumed(g):
+    raise TrainingError("backward() through a graph an earlier backward() consumed")
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:

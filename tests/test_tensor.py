@@ -188,6 +188,41 @@ class TestBackward:
         fd = fd_gradient(forward, a0.copy())
         assert max_rel_error(a.grad, fd, floor=1e-4) < 1e-6
 
+    def test_second_backward_raises_and_keeps_the_first_gradient(self):
+        # replaying the graph again once added the intermediates' stale
+        # gradients to the new ones: w.grad read 540, not 108 or 2 * 108
+        w = Tensor([3.0], requires_grad=True)
+        squared = T.mul(w, w)
+        loss = T.tsum(T.mul(squared, squared))  # w^4 -> grad 4w^3
+        loss.backward()
+        assert w.grad.tolist() == [108.0]
+        with pytest.raises(TrainingError, match="consumed"):
+            loss.backward()
+        assert w.grad.tolist() == [108.0]
+
+    def test_graph_built_on_a_consumed_intermediate_raises(self):
+        w = Tensor([3.0], requires_grad=True)
+        squared = T.mul(w, w)
+        T.tsum(T.mul(squared, w)).backward()
+        with pytest.raises(TrainingError, match="consumed"):
+            T.tsum(T.scale(squared, 2.0)).backward()
+
+    def test_backward_releases_every_op_node_and_keeps_leaf_gradients(self):
+        w = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([0.5, -1.0], requires_grad=True)
+        hidden = T.tanh(T.add(T.mul(w, w), b))
+        loss = T.tsum(T.add(T.mul(hidden, w), hidden))
+        nodes = Tape(loss).nodes
+        loss.backward()
+        ops = [node for node in nodes if node is not w and node is not b]
+        assert len(ops) == len(nodes) - 2 == 6
+        for node in ops:
+            assert node.grad is None and node._parents == ()
+        h = np.tanh(w.data * w.data + b.data)
+        db = (w.data + 1.0) * (1.0 - h * h)
+        assert np.allclose(b.grad, db)
+        assert np.allclose(w.grad, h + 2.0 * w.data * db)
+
 
 class TestNoGrad:
     def test_ops_record_nothing(self):

@@ -1,6 +1,8 @@
 """Loss fidelity, metrics, training loop behavior, and the flat baselines."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -357,6 +359,41 @@ class TestFlatAdam:
         for i, rec in enumerate(report.epochs):
             assert rec.grad_norm_max == max(opt.norms[i * steps:(i + 1) * steps]) > 0.0
             assert report.to_dict()["epochs"][i]["grad_norm_max"] == rec.grad_norm_max
+
+
+class TestTrainingMemory:
+    """What one ``train()`` call holds at its peak, in step graphs."""
+
+    def test_peak_stays_under_two_step_graphs(self):
+        # Measured on this dataset (42 training windows, four batches of up
+        # to 12 per epoch): 2.37 graphs when a step's graph stayed alive
+        # while the next step's forward was built, 1.50 once backward()
+        # releases the graph it consumed. On the train-ablation model
+        # stream (308 windows, batches of 64): 2.2 and 1.3.
+        topo = preset_topologies()["online_boutique_like"].topology
+        snaps = preset_snapshots(topo, 60, seed=3)
+        dataset = Dataset(topology=topo, snapshots=tuple(snaps))
+        config = TrainConfig(epochs=2, batch_size=12, seed=1)
+        chunk = snaps[:config.batch_size]
+        model = LatencyModel(ModelConfig(variant="full"), topo, seed=4)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            loss = batch_loss(model.forward_snapshots(chunk),
+                              np.asarray([s.label for s in chunk]), DEFAULTS)
+            graph = tracemalloc.get_traced_memory()[0] - base
+            del loss
+            gc.collect()
+            base, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            report, _ = train(dataset, "full", config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.train_snapshots == 42
+        ratio = (peak - base) / graph
+        assert ratio < 1.9, f"peak {(peak - base) / 1e6:.2f} MB is {ratio:.2f} step graphs"
 
 
 class TestBaselines:
