@@ -21,7 +21,7 @@ from .simulator import ClusterSpec, IntensityProfile, preset_topologies, run_sce
 from .statgraph import Dataset, Snapshot, Topology, chronological_split, load_dataset, save_dataset
 from .telemetry import WindowSpec, build_snapshots, parse_exposition, window_p95
 from .tensor import Adam, Tape, Tensor
-from .training import LossParams, TrainConfig, TrainReport, aph_loss, metrics, train
+from .training import LossParams, TrainConfig, TrainReport, metrics, train
 
 __all__ = [
     "Adam",
@@ -44,7 +44,6 @@ __all__ = [
     "TrainReport",
     "TrainingError",
     "WindowSpec",
-    "aph_loss",
     "build_snapshots",
     "chronological_split",
     "load_dataset",

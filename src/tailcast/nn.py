@@ -2,7 +2,7 @@
 
 A :class:`Module` collects named parameter tensors by walking its attributes;
 construction order gives stable, checkpoint-friendly names. There is no
-autograd magic here; modules are just containers for parameters plus a
+autograd magic here; modules are just containers for parameters, most with a
 ``__call__`` that builds the op graph. A :class:`Predictor` holds the
 model's one training flag, and :meth:`Predictor.infer` is the one batched
 inference loop: ``predict``, embedding export and the validation loss each
@@ -117,11 +117,9 @@ class MLP(Module):
 
 
 class LayerNorm(Module):
-    """Learnable affine layer normalization over the last axis."""
+    """The learnable gain and bias of a layer normalization over the last
+    axis; the encoder block ops that hold one apply it."""
 
     def __init__(self, width: int):
         self.gain = parameter(np.ones(width))
         self.bias = parameter(np.zeros(width))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gain, self.bias)

@@ -10,7 +10,7 @@ column; the block widths, and so the model's input widths, follow from it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -168,14 +168,7 @@ class NormStats:
     resource_std: np.ndarray
 
     def to_dict(self) -> dict:
-        return {
-            "node_mean": self.node_mean.tolist(),
-            "node_std": self.node_std.tolist(),
-            "edge_mean": self.edge_mean.tolist(),
-            "edge_std": self.edge_std.tolist(),
-            "resource_mean": self.resource_mean.tolist(),
-            "resource_std": self.resource_std.tolist(),
-        }
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormStats":

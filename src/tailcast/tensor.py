@@ -8,11 +8,12 @@ against finite differences can be tight. Inference runs inside
 :func:`no_grad`, where ops record nothing.
 
 Each encoder block is one op: :func:`graph_attention_layer` and
-:func:`gmlp_block` record one tape node each. They and the plain ops share
-private forward/backward helpers (linear, layer norm, GELU, edge attention)
-and :func:`dropout_mask`, so each piece of arithmetic is written once, and
-a block's values and gradients equal those of the plain-op composition it
-replaced bit for bit.
+:func:`gmlp_block` record one tape node each. They share private
+forward/backward helpers (linear, layer norm, GELU, edge attention) and
+:func:`dropout_mask` with the plain ops and with the plain-op compositions
+in ``tests/oracles.py``, so each piece of arithmetic is written once, and a
+block's values and gradients equal those of the composition it replaced bit
+for bit.
 """
 
 from __future__ import annotations
@@ -128,13 +129,19 @@ def _from_op(data: Array, parents: Sequence[Tensor], backward_fn: Callable[[Arra
     return out
 
 
+def _consumed(g):
+    raise TrainingError("backward() through a graph an earlier backward() consumed")
+
+
 class Tape:
     """Topologically ordered record of the ops reachable from a root tensor.
 
     Construction walks the op graph iteratively (no recursion limits) and
     stores every node with parents before children; ``backward`` replays the
     record once in reverse, accumulating gradients additively across fan-out.
-    The replay consumes the graph, so a step holds one graph at a time.
+    The replay consumes the graph, so a step holds one graph at a time, and
+    the walk refuses a consumed node, so reuse raises before any gradient
+    moves.
     A tape belongs to the thread that built it; parameter tensors may be
     read concurrently, but only one owner may run backward/optimizer steps.
     The :func:`no_grad` flag is process-wide, not per thread: while any
@@ -154,6 +161,8 @@ class Tape:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward_fn is _consumed:
+                _consumed(None)
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -183,10 +192,6 @@ class Tape:
         for node in self.nodes:
             if node._backward_fn is not None:
                 node.grad, node._parents, node._backward_fn = None, (), _consumed
-
-
-def _consumed(g):
-    raise TrainingError("backward() through a graph an earlier backward() consumed")
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -244,11 +249,6 @@ def scale(a: Tensor, factor: float) -> Tensor:
     """Multiply by a python scalar constant."""
     factor = float(factor)
     return _from_op(a.data * factor, (a,), lambda g: (g * factor,))
-
-
-def square(a: Tensor) -> Tensor:
-    da = a.data
-    return _from_op(da * da, (a,), lambda g: (2.0 * da * g,))
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +361,9 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # the arithmetic of linear, layer norm, GELU, edge attention and dropout:
-# the plain ops and the fused encoder blocks below all call these, so each
-# value and gradient is computed one way
+# the plain ops, the fused encoder blocks below and the compositions the
+# tests check them against all call these, so each value and gradient is
+# computed one way
 # ---------------------------------------------------------------------------
 
 
@@ -494,7 +495,7 @@ def dropout_mask(p: float, rng: np.random.Generator | None,
 
 
 # ---------------------------------------------------------------------------
-# fused affine map and normalization ops
+# fused affine map and softmax
 # ---------------------------------------------------------------------------
 
 
@@ -519,13 +520,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         return ((g - dot) * y,)
 
     return _from_op(y, (a,), backward)
-
-
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Layer norm over the last axis, as :func:`_layer_norm_forward`."""
-    y, xhat, inv = _layer_norm_forward(a.data, gain.data, bias.data)
-    gd = gain.data
-    return _from_op(y, (a, gain, bias), lambda g: _layer_norm_backward(g, xhat, inv, gd))
 
 
 # ---------------------------------------------------------------------------

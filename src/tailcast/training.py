@@ -56,34 +56,29 @@ class LossParams:
             raise ValueError("eps must be > 0")
 
 
-def aph_loss(e_p: float, params: LossParams) -> float:
-    """Scalar asymmetric percentage Huber loss (reference implementation)."""
-    tl, tr = params.theta_left, params.theta_right
-    al, ar = params.alpha_left, params.alpha_right
-    if e_p < -tl:
-        return -tl * (al * e_p + tl)
-    if e_p < tr:
-        return e_p * e_p
-    return tr * (ar * e_p - tr)
-
-
 def aph_loss_tensor(e: Tensor, params: LossParams) -> Tensor:
-    """Elementwise loss as a differentiable tensor op.
+    """Elementwise loss as one differentiable tensor op.
 
-    Branch membership is decided on values (constants), so the gradient is
-    the active branch's derivative; the two boundary points take the
-    subgradient of whichever branch the comparison assigns them to.
+    Branch membership is decided on values, so the gradient is the active
+    branch's derivative; the two boundary points take the subgradient of
+    whichever branch the comparison assigns them to. The forward pass is the
+    arithmetic of the masked sum of the three branches, in its order, so
+    every value, NaN included, is that sum's; with finite values the other
+    two branches' terms of the gradient are exact zeros, so the gradient is
+    that sum's too.
     """
     tl, tr = params.theta_left, params.theta_right
-    al, ar = params.alpha_left, params.alpha_right
+    slope_left, slope_right = -tl * params.alpha_left, tr * params.alpha_right
     d = e.data
-    mask_left = Tensor(d < -tl)
-    mask_quad = Tensor((d >= -tl) & (d < tr))
-    mask_right = Tensor(d >= tr)
-    left = T.add(T.scale(e, -tl * al), Tensor(-tl * tl))
-    right = T.add(T.scale(e, tr * ar), Tensor(-tr * tr))
-    quad = T.square(e)
-    return T.add(T.add(T.mul(mask_left, left), T.mul(mask_quad, quad)), T.mul(mask_right, right))
+    left = d < -tl
+    right = d >= tr
+    out = left * (d * slope_left + -tl * tl) + ((d >= -tl) & (d < tr)) * (d * d)
+    out += right * (d * slope_right + -tr * tr)
+
+    def backward(g):
+        return (np.where(left, g * slope_left, np.where(right, g * slope_right, 2.0 * d * g)),)
+
+    return T._from_op(out, (e,), backward)
 
 
 def batch_loss(pred: Tensor, labels: np.ndarray, params: LossParams) -> Tensor:
@@ -164,8 +159,11 @@ class EpochRecord:
 
 @dataclass
 class TrainReport:
+    """A run's record; its fields are ``report.json``'s keys, in order, but
+    the wall clock, which goes to stdout only, so that fixed-seed reruns
+    write byte-identical report files."""
+
     variant: str
-    epochs: list[EpochRecord] = field(default_factory=list)
     best_epoch: int | None = None
     best_val_loss: float | None = None
     test_mae: float | None = None
@@ -174,25 +172,14 @@ class TrainReport:
     train_snapshots: int = 0
     val_snapshots: int = 0
     test_snapshots: int = 0
-    wall_clock_s: float | None = None
     checkpoint_path: str | None = None
+    epochs: list[EpochRecord] = field(default_factory=list)
+    wall_clock_s: float | None = None
 
     def to_dict(self) -> dict:
-        # wall clock is reported on stdout only: fixed-seed reruns must
-        # produce byte-identical report files
-        return {
-            "variant": self.variant,
-            "best_epoch": self.best_epoch,
-            "best_val_loss": self.best_val_loss,
-            "test_mae": self.test_mae,
-            "test_rmse": self.test_rmse,
-            "test_mape": self.test_mape,
-            "train_snapshots": self.train_snapshots,
-            "val_snapshots": self.val_snapshots,
-            "test_snapshots": self.test_snapshots,
-            "checkpoint_path": self.checkpoint_path,
-            "epochs": [asdict(e) for e in self.epochs],
-        }
+        out = asdict(self)
+        del out["wall_clock_s"]
+        return out
 
 
 def _param_norms(model) -> str:

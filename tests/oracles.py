@@ -3,10 +3,11 @@
 Everything here is deliberately written the slow, obvious way (loops,
 full sorts, dense masks, finite differences) and never imports the code
 paths it is used to verify beyond the public entry points under test. The
-one exception is at the end: the encoder blocks composed of plain tensor
-ops, which reuse the package's own op arithmetic because what they pin is
-the order of that arithmetic in the fused block ops (the dense attention
-oracle and finite differences check the math itself).
+one exception is at the end: the encoder blocks and the training loss
+composed of plain tensor ops, which reuse the package's own op arithmetic
+because what they pin is the order of that arithmetic in the fused ops (the
+dense attention oracle, the scalar loss and finite differences check the
+math itself).
 """
 
 import csv
@@ -30,6 +31,7 @@ from tailcast.simulator import (
 from tailcast.statgraph import Topology
 from tailcast.telemetry import _parse_head
 from tailcast.tensor import Tensor
+from tailcast.training import LossParams
 
 
 def fd_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -651,6 +653,13 @@ def edge_attention(q: Tensor, key: Tensor, val: Tensor, routing, num_heads: int)
                       lambda g: T._edge_attention_backward(g, alpha, q4, kd, vd, routing))
 
 
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Layer norm over the last axis, as ``tensor._layer_norm_forward``."""
+    y, xhat, inv = T._layer_norm_forward(a.data, gain.data, bias.data)
+    gd = gain.data
+    return T._from_op(y, (a, gain, bias), lambda g: T._layer_norm_backward(g, xhat, inv, gd))
+
+
 def dropout(a: Tensor, p: float, rng=None) -> Tensor:
     """Inverted dropout: 1/(1-p) scaling of the elements ``rng`` keeps, the
     identity without an ``rng``."""
@@ -672,17 +681,55 @@ def composed_graph_layer(layer, h: Tensor, edge_features: Tensor, routing, rng=N
                 layer.we_val(edge_features))
     attn = edge_attention(layer.wq(h), key, val, routing, layer.num_heads)
     attn = dropout(attn, DROPOUT, rng)
-    return layer.norm(T.add(h, attn))
+    return layer_norm(T.add(h, attn), layer.norm.gain, layer.norm.bias)
 
 
 def composed_gmlp_block(block, z: Tensor, rng=None) -> Tensor:
     """``GmlpBlock.__call__`` as ten-odd plain ops."""
     half = block.proj_out.w.shape[0]
-    u = T.gelu(block.proj_in(block.norm_in(z)))      # (B, V, d_ffn)
+    normed = layer_norm(z, block.norm_in.gain, block.norm_in.bias)
+    u = T.gelu(block.proj_in(normed))      # (B, V, d_ffn)
     u1 = slice_axis(u, 2, 0, half)
     u2 = slice_axis(u, 2, half, 2 * half)
-    gate = block.gate_norm(u2)
+    gate = layer_norm(u2, block.gate_norm.gain, block.gate_norm.bias)
     gate = spatial_mix(gate, block.w_spatial, block.b_spatial)
     out = block.proj_out(T.mul(u1, gate))
     out = dropout(out, DROPOUT, rng)
     return T.add(z, out)
+
+
+# ---------------------------------------------------------------------------
+# the training loss: its scalar form as printed, and the plain-op composition
+# it was before it became one op, which training.aph_loss_tensor must equal
+# value for value and gradient for gradient
+# ---------------------------------------------------------------------------
+
+
+def aph_loss(e_p: float, params: LossParams) -> float:
+    """Scalar asymmetric percentage Huber loss, branch by branch."""
+    tl, tr = params.theta_left, params.theta_right
+    al, ar = params.alpha_left, params.alpha_right
+    if e_p < -tl:
+        return -tl * (al * e_p + tl)
+    if e_p < tr:
+        return e_p * e_p
+    return tr * (ar * e_p - tr)
+
+
+def square(a: Tensor) -> Tensor:
+    da = a.data
+    return T._from_op(da * da, (a,), lambda g: (2.0 * da * g,))
+
+
+def composed_aph_loss(e: Tensor, params: LossParams) -> Tensor:
+    """``aph_loss_tensor`` as a masked sum of its three branches, fifteen ops."""
+    tl, tr = params.theta_left, params.theta_right
+    al, ar = params.alpha_left, params.alpha_right
+    d = e.data
+    mask_left = Tensor(d < -tl)
+    mask_quad = Tensor((d >= -tl) & (d < tr))
+    mask_right = Tensor(d >= tr)
+    left = T.add(T.scale(e, -tl * al), Tensor(-tl * tl))
+    right = T.add(T.scale(e, tr * ar), Tensor(-tr * tr))
+    quad = square(e)
+    return T.add(T.add(T.mul(mask_left, left), T.mul(mask_quad, quad)), T.mul(mask_right, right))

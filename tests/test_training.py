@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import max_rel_error, reference_adam_step
+from oracles import aph_loss, composed_aph_loss, max_rel_error, reference_adam_step
 
 import tailcast.training as tr
 from tailcast import tensor as T
@@ -17,11 +17,10 @@ from tailcast.errors import TrainingError
 from tailcast.fusion import LatencyModel, ModelConfig
 from tailcast.simulator import preset_topologies
 from tailcast.statgraph import Dataset, Snapshot, Topology
-from tailcast.tensor import Adam, Tensor
+from tailcast.tensor import Adam, Tape, Tensor
 from tailcast.training import (
     LossParams,
     TrainConfig,
-    aph_loss,
     aph_loss_tensor,
     batch_loss,
     flat_features,
@@ -101,6 +100,42 @@ class TestAphLoss:
         T.tsum(aph_loss_tensor(e, DEFAULTS)).backward()
         expected = np.where(es < -0.2, -0.2 * 8.0, np.where(es < 0.2, 2 * es, 0.2 * 4.0))
         assert np.max(np.abs(e.grad - expected)) < 1e-12
+
+    def test_op_equals_the_composition(self):
+        # values and gradients with ==, over the three branches and both
+        # boundaries (each taken by the branch its comparison picks)
+        rng = np.random.default_rng(3)
+        es = np.concatenate([rng.uniform(-1.0, 1.0, size=300), [-0.2, 0.0, 0.2]])
+        probe = Tensor(rng.uniform(0.5, 2.0, size=es.shape))
+        op_e, ref_e = (Tensor(es.copy(), requires_grad=True) for _ in range(2))
+        op, ref = aph_loss_tensor(op_e, DEFAULTS), composed_aph_loss(ref_e, DEFAULTS)
+        assert np.array_equal(op.data, ref.data)
+        T.tsum(T.mul(op, probe)).backward()
+        T.tsum(T.mul(ref, probe)).backward()
+        assert np.array_equal(op_e.grad, ref_e.grad)
+
+    def test_batch_loss_gradient_equals_the_composition(self):
+        rng = np.random.default_rng(4)
+        preds0 = rng.uniform(0.05, 1.5, size=(64, 1))
+        labels = rng.uniform(0.05, 1.0, size=64)
+        pred = Tensor(preds0.copy(), requires_grad=True)
+        loss = batch_loss(pred, labels, DEFAULTS)
+        loss.backward()
+        ref_pred = Tensor(preds0.copy(), requires_grad=True)
+        y = labels.reshape(-1, 1)
+        e = T.mul(T.sub(ref_pred, Tensor(y)), Tensor(1.0 / (y + DEFAULTS.eps)))
+        ref = T.tmean(composed_aph_loss(e, DEFAULTS))
+        ref.backward()
+        assert loss.item() == ref.item()
+        assert np.array_equal(pred.grad, ref_pred.grad)
+
+    def test_loss_tape(self):
+        # besides pred: the label and inverse-label constants, sub, mul, the
+        # loss op, and the mean's tsum and scale (21 with the loss composed
+        # of plain ops)
+        pred = Tensor(np.full((8, 1), 0.5), requires_grad=True)
+        nodes = Tape(batch_loss(pred, np.linspace(0.1, 1.0, 8), DEFAULTS)).nodes
+        assert len(nodes) - 1 == 7
 
     def test_composite_loss_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(2)
