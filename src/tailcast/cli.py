@@ -20,7 +20,6 @@ import numpy as np
 from .errors import CheckpointError, ParseError, SchemaError, TrainingError
 from .fusion import (
     VARIANTS,
-    ModelConfig,
     export_embeddings,
     load_model,
     save_model,
@@ -84,10 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epochs", type=int, default=500)
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--traffic-layers", type=int, default=4)
-    p.add_argument("--resource-blocks", type=int, default=4)
-    p.add_argument("--fusion-rank", type=int, default=4)
 
     p = sub.add_parser("baseline", help="fit a flat-feature baseline")
     p.add_argument("--dataset", required=True)
@@ -217,14 +212,9 @@ def _write_report(out_dir: Path, report) -> None:
 
 
 def cmd_train(args) -> int:
-    config = TrainConfig(
-        epochs=args.epochs, batch_size=args.batch_size,
-        learning_rate=args.learning_rate, seed=args.seed)
+    config = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, seed=args.seed)
     dataset = load_dataset(args.dataset)
-    model_config = ModelConfig(traffic_layers=args.traffic_layers,
-                               resource_blocks=args.resource_blocks, fusion_rank=args.fusion_rank)
-    report, trained = train(dataset, variant=args.variant, config=config,
-                            model_config=model_config)
+    report, trained = train(dataset, variant=args.variant, config=config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     checkpoint = out / "checkpoint.json"

@@ -139,8 +139,6 @@ class TrafficEncoder(Module):
 
     def __init__(self, *, num_layers: int, d_node: int, d_edge: int, d_emb: int,
                  num_heads: int, rng: np.random.Generator):
-        if num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
         if d_emb % num_heads != 0:
             raise ValueError(f"d_emb={d_emb} not divisible by num_heads={num_heads}")
         self.input_proj = Linear(d_node, d_emb, rng)
@@ -195,8 +193,6 @@ class ResourceEncoder(Module):
                  num_positions: int, rng: np.random.Generator):
         """``num_positions`` is the number of service positions |V|; it is
         part of the data contract."""
-        if num_blocks < 1:
-            raise ValueError("num_blocks must be >= 1")
         if num_positions < 1:
             raise ValueError("num_positions must be >= 1")
         self.num_positions = num_positions

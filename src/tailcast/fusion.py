@@ -57,7 +57,7 @@ VARIANT_TABLE = {
 VARIANTS = tuple(VARIANT_TABLE)
 
 # The fixed shape of the architecture. The input widths are the feature
-# schema's; ModelConfig holds the sizes a caller sets.
+# schema's.
 D_NODE = FEATURE_WIDTHS["node"]
 D_EDGE = FEATURE_WIDTHS["edge"]
 D_RESOURCE = FEATURE_WIDTHS["resource"]
@@ -65,8 +65,11 @@ D_EMB = 16  # width of each stream embedding
 NUM_HEADS = 4  # attention heads of each graph-attention layer
 GMLP_EXPANSION = 4  # a gMLP block's hidden width over D_EMB
 FUSION_TOKENS = 4  # tokens each embedding is cut into for cross-attention
+FUSION_RANK = 4  # width of the two multiplied factors
 FUSED_WIDTH = 16  # width of the fused embedding
 HEAD_HIDDEN = 16  # hidden width of the prediction head
+TRAFFIC_LAYERS = 4  # graph-transformer layers of each graph encoder
+RESOURCE_BLOCKS = 4  # gMLP blocks of the resource encoder
 
 # Fields older checkpoints carry in model_config, each with the one value it
 # may hold there (reverse_messages is false: messages follow call direction;
@@ -75,25 +78,20 @@ RETIRED_KEYS = {
     "d_node": D_NODE, "d_edge": D_EDGE, "d_resource": D_RESOURCE, "d_emb": D_EMB,
     "num_heads": NUM_HEADS, "gmlp_expansion": GMLP_EXPANSION, "fusion_tokens": FUSION_TOKENS,
     "fused_width": FUSED_WIDTH, "head_hidden": HEAD_HIDDEN, "dropout_traffic": DROPOUT,
-    "dropout_resource": DROPOUT, "reverse_messages": False,
+    "dropout_resource": DROPOUT, "reverse_messages": False, "traffic_layers": TRAFFIC_LAYERS,
+    "resource_blocks": RESOURCE_BLOCKS, "fusion_rank": FUSION_RANK,
 }
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """What a caller sets: the variant and three sizes. The rest of the shape
-    is the constants above."""
+    """What a caller sets: the variant. The shape is the constants above."""
 
     variant: str = "full"
-    traffic_layers: int = 4
-    resource_blocks: int = 4
-    fusion_rank: int = 4
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.fusion_rank < 1:
-            raise ValueError("fusion_rank must be >= 1")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -102,14 +100,10 @@ class ModelConfig:
     def from_dict(cls, d: dict) -> "ModelConfig":
         """The config from its JSON form. A key of :data:`RETIRED_KEYS`,
         which older checkpoints carry, is accepted only as its value there,
-        of the same JSON type; a size must be a JSON integer (``true`` would
-        build one layer)."""
+        of the same JSON type."""
         d = dict(jsonfields.fields(d, RETIRED_KEYS.keys() | asdict(cls()), "model_config"))
         for key, constant in RETIRED_KEYS.items():
             jsonfields.fixed(d.pop(key, constant), constant, f"model_config.{key}")
-        for key in ("traffic_layers", "resource_blocks", "fusion_rank"):
-            if key in d:
-                d[key] = jsonfields.integer(d[key], f"model_config.{key}")
         return cls(**d)
 
 
@@ -215,20 +209,19 @@ class LatencyModel(Predictor):
 
         if spec.demand is not None:
             self.traffic = TrafficEncoder(
-                num_layers=config.traffic_layers, d_node=d_node, d_edge=D_EDGE, d_emb=D_EMB,
+                num_layers=TRAFFIC_LAYERS, d_node=d_node, d_edge=D_EDGE, d_emb=D_EMB,
                 num_heads=NUM_HEADS, rng=rng)
         if spec.capacity == "gmlp":
             self.resource = ResourceEncoder(
-                num_blocks=config.resource_blocks, d_resource=D_RESOURCE, d_emb=D_EMB,
+                num_blocks=RESOURCE_BLOCKS, d_resource=D_RESOURCE, d_emb=D_EMB,
                 expansion=GMLP_EXPANSION, num_positions=topology.num_services, rng=rng)
         if spec.capacity == "graph":
             # the ablation that imposes the call graph on resource state
             self.resource_graph = TrafficEncoder(
-                num_layers=config.traffic_layers, d_node=D_RESOURCE, d_edge=D_EDGE, d_emb=D_EMB,
+                num_layers=TRAFFIC_LAYERS, d_node=D_RESOURCE, d_edge=D_EDGE, d_emb=D_EMB,
                 num_heads=NUM_HEADS, rng=rng)
         if spec.combine == "fusion":
-            self.fusion = DemandCapacityFusion(D_EMB, FUSION_TOKENS, config.fusion_rank,
-                                               FUSED_WIDTH, rng)
+            self.fusion = DemandCapacityFusion(D_EMB, FUSION_TOKENS, FUSION_RANK, FUSED_WIDTH, rng)
             head_in = FUSED_WIDTH
         else:
             head_in = D_EMB
@@ -292,21 +285,6 @@ def save_model(path, model: LatencyModel, norm_stats: NormStats) -> None:
     save_checkpoint(path, model.parameters(), meta)
 
 
-def _check_sizes(config: ModelConfig, arrays: dict[str, np.ndarray]) -> None:
-    """Refuse, before anything is built, a size the checkpoint's parameters
-    cannot hold: each traffic layer and resource block the variant builds
-    owns parameters of its own, and a fusion of rank r a vector of r values."""
-    spec = VARIANT_TABLE[config.variant]
-    names, values = len(arrays), sum(a.size for a in arrays.values())
-    for key, built, limit, unit in (
-            ("traffic_layers", spec.demand is not None or spec.capacity == "graph", names, "name"),
-            ("resource_blocks", spec.capacity == "gmlp", names, "name"),
-            ("fusion_rank", spec.combine == "fusion", values, "value")):
-        if built and getattr(config, key) > limit:
-            raise CheckpointError(f"model_config.{key} must be at most {limit}, one per parameter "
-                                  f"{unit} of the checkpoint, got {getattr(config, key)}")
-
-
 def load_model(path) -> tuple[LatencyModel, NormStats]:
     """Rebuild a saved model; every defect of the file is a :class:`CheckpointError`."""
     arrays, meta = load_checkpoint(path)
@@ -314,7 +292,6 @@ def load_model(path) -> tuple[LatencyModel, NormStats]:
         config = ModelConfig.from_dict(meta["model_config"])
         topology = Topology.from_dict(meta["topology"])
         stats = NormStats.from_dict(meta["normalization"])
-        _check_sizes(config, arrays)
         model = LatencyModel(config, topology)
     except KeyError as exc:
         raise CheckpointError(f"checkpoint meta missing {exc}") from exc

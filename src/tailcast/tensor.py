@@ -312,13 +312,7 @@ def tsum(a: Tensor, axis=None) -> Tensor:
 
 
 def tmean(a: Tensor, axis=None) -> Tensor:
-    if axis is None:
-        count = a.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for ax in axes:
-            count *= a.shape[ax]
+    count = a.size if axis is None else a.shape[axis]
     return scale(tsum(a, axis=axis), 1.0 / count)
 
 
@@ -655,7 +649,9 @@ def graph_attention_layer(h: Tensor, edge_features: Tensor, params: Sequence[Ten
 # ---------------------------------------------------------------------------
 
 
-# Adam's moment decay rates and the guard added to the denominator
+# Adam's step size, its moment decay rates and the guard added to the
+# denominator
+ADAM_LEARNING_RATE = 1e-3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -675,9 +671,8 @@ class Adam:
     ``grad_norm`` is the global norm of the last step's gradient.
     """
 
-    def __init__(self, params: Mapping[str, Tensor], learning_rate: float = 1e-3):
+    def __init__(self, params: Mapping[str, Tensor]):
         self.params = dict(params)
-        self.learning_rate = learning_rate
         self.step_count = 0
         self.grad_norm: float | None = None
         total = sum(p.data.size for p in self.params.values())
@@ -714,7 +709,7 @@ class Adam:
         v += (1.0 - ADAM_BETA2) * (grad * grad)
         m_hat = m / bc1
         v_hat = v / bc2
-        self.flat -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        self.flat -= ADAM_LEARNING_RATE * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

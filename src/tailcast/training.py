@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -139,14 +139,11 @@ def tail_metrics(preds, labels) -> dict[str, float | int | None]:
 class TrainConfig:
     epochs: int = 500
     batch_size: int = 32
-    learning_rate: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 @dataclass
@@ -223,7 +220,7 @@ def run_training(
         test_snapshots=len(test_snaps),
     )
     loss_params = LossParams()
-    optimizer = Adam(model.parameters(), learning_rate=config.learning_rate)
+    optimizer = Adam(model.parameters())
     best_val = math.inf
     best_params: np.ndarray | None = None
 
@@ -311,7 +308,6 @@ def train(
     dataset: Dataset,
     variant: str = "full",
     config: TrainConfig = TrainConfig(),
-    model_config: ModelConfig | None = None,
 ) -> tuple[TrainReport, TrainedModel]:
     """Split chronologically, standardize on the training split, fit, report.
 
@@ -319,10 +315,8 @@ def train(
     all derive from ``config.seed``.
     """
     train_snaps, val_snaps, test_snaps, stats = _prepare_splits(dataset)
-    base = model_config if model_config is not None else ModelConfig()
-    base = replace(base, variant=variant)
     seed_model, seed_shuffle = np.random.SeedSequence(config.seed).spawn(2)
-    model = LatencyModel(base, dataset.topology, seed=seed_model)
+    model = LatencyModel(ModelConfig(variant), dataset.topology, seed=seed_model)
     center_output_bias(model, train_snaps)
     report = run_training(
         model, train_snaps, val_snaps, test_snaps, config,

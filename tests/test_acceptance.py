@@ -351,7 +351,7 @@ def test_criterion_7_overfit_probe():
     # architecture defaults: d_emb=16, 4 traffic layers, rank 4, batch 32, lr 1e-3
     model = LatencyModel(ModelConfig(variant="full"), ds.topology, seed=7)
     center_output_bias(model, snaps)
-    optimizer = Adam(model.parameters(), learning_rate=1e-3)
+    optimizer = Adam(model.parameters())
     shuffle_rng = np.random.default_rng(123)
     loss_params = LossParams()
 

@@ -13,6 +13,7 @@ import pytest
 
 import tailcast
 from tailcast.cli import main
+from tailcast.statgraph import SPLIT_FRACTIONS
 
 
 @pytest.fixture(scope="module")
@@ -74,13 +75,6 @@ def _break_checkpoint(payload: dict, defect: str):
         meta["normalization"]["node_mean"] = ["0.0", "0.0", "0.0"]
     elif defect == "bool_resource_std":
         meta["normalization"]["resource_std"][2] = True
-    elif defect.startswith("size_"):
-        key, value = {"size_bool_traffic_layers": ("traffic_layers", True),
-                      "size_bool_resource_blocks": ("resource_blocks", True),
-                      "size_bool_fusion_rank": ("fusion_rank", True),
-                      "size_float_resource_blocks": ("resource_blocks", 2.5),
-                      "size_string_fusion_rank": ("fusion_rank", "4")}[defect]
-        meta["model_config"][key] = value
     elif defect.startswith("data_"):
         data = next(iter(payload["params"].values()))["data"]
         if defect == "data_nested":
@@ -379,24 +373,42 @@ class TestTrainCli:
         for line, record in zip(csv_lines[1:], report["epochs"]):
             assert float(line.split(",")[3]) == record["grad_norm_max"] > 0.0
 
-    @pytest.mark.parametrize("rate", ["nan", "inf", "0", "-1e-3"])
-    def test_bad_learning_rate_exit_2_before_training(self, tmp_path, capsys, pipeline, rate):
+    @pytest.mark.parametrize("flag", ["--learning-rate=1e-3", "--traffic-layers=4",
+                                      "--resource-blocks=4", "--fusion-rank=4"])
+    def test_removed_train_flag_exit_2(self, tmp_path, capsys, pipeline, flag):
+        # the model's sizes and Adam's rate are constants
         out = tmp_path / "train"
-        assert main(["train", "--dataset", str(pipeline["dataset"]), "--out-dir", str(out),
-                     "--epochs", "1", f"--learning-rate={rate}"]) == 2
-        assert "learning_rate must be finite and > 0" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--dataset", str(pipeline["dataset"]), "--out-dir", str(out),
+                  "--epochs", "1", flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-    @pytest.mark.parametrize("rate", ["1e300", "1e10"])
-    def test_diverged_training_exit_4_without_checkpoint(self, tmp_path, capsys, pipeline, rate):
-        # the dataset's training split is one batch, so the only batch loss
-        # checked is the finite first one; every validation loss is not finite
+    @pytest.mark.parametrize("labels, message", [
+        # predictions of about 5e299 against a label of 1e-300 overflow the
+        # mean loss of the first batch
+        ("alternating", "non-finite loss at epoch 1, batch 0"),
+        # the training split's loss is finite; its predictions of 1e300
+        # overflow the loss of every validation label
+        ("train_split_huge", "no epoch reached a finite validation loss"),
+    ])
+    def test_diverged_training_exit_4_without_checkpoint(self, tmp_path, capsys, pipeline,
+                                                         labels, message):
+        header, *rows = pipeline["dataset"].read_text().splitlines()
+        n_train = int(SPLIT_FRACTIONS[0] * len(rows))
+        for i, line in enumerate(rows):
+            row = json.loads(line)
+            huge = i % 2 == 0 if labels == "alternating" else i < n_train
+            row["y"] = 1e300 if huge else 1e-300
+            rows[i] = json.dumps(row)
+        data = tmp_path / "data.jsonl"
+        data.write_text("\n".join([header, *rows]) + "\n")
         out = tmp_path / "train"
-        assert main(["train", "--dataset", str(pipeline["dataset"]), "--out-dir", str(out),
-                     "--epochs", "1", f"--learning-rate={rate}"]) == 4
-        assert "no epoch reached a finite validation loss" in capsys.readouterr().err
-        assert not (out / "checkpoint.json").exists()
+        assert main(["train", "--dataset", str(data), "--out-dir", str(out), "--epochs", "1"]) == 4
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_overflowing_feature_exit_2_before_writing(self, tmp_path, capsys, pipeline):
         # 1e308 is finite, but its square is not: the node std would be inf,
@@ -494,12 +506,6 @@ class TestEvalPredictExport:
         ("string_node_mean", "normalization node_mean must be a list of numbers"),
         ("bool_resource_std", "normalization resource_std must be a list of numbers"),
         ("string_topology", "services must be a list of strings"),
-        # resource_only has no graph encoder and no fusion: true loaded as 1
-        ("size_bool_traffic_layers", "model_config.traffic_layers must be an integer, got true"),
-        ("size_bool_resource_blocks", "model_config.resource_blocks must be an integer, got true"),
-        ("size_bool_fusion_rank", "model_config.fusion_rank must be an integer, got true"),
-        ("size_float_resource_blocks", "model_config.resource_blocks must be an integer, got 2.5"),
-        ("size_string_fusion_rank", 'model_config.fusion_rank must be an integer, got "4"'),
         # numpy read each of these as a float and the model predicted from it
         ("data_nan", "data must be finite, got [NaN, "),
         ("data_null", "data must be a list of numbers, got [null, "),
@@ -641,22 +647,15 @@ class TestEvalPredictExport:
         index = row - 1 if row > 0 else len(lines) - 2
         assert f"snapshot {index}: window_start must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", ["integral_floats", "unused_size"])
-    def test_checkpoint_edit_predicts_the_same(self, tmp_path, capsys, pipeline, edit):
-        # integral floats load as their integers (the parent refused a size
-        # of 4.0, a shape entry 16.0 and a topology index 1.0); a size the
-        # variant does not build is not bounded
+    def test_checkpoint_edit_predicts_the_same(self, tmp_path, capsys, pipeline):
+        # integral floats load as their integers: a shape entry 16.0 and a
+        # topology index 1.0
         checkpoint = pipeline["train"] / "checkpoint.json"
         payload = json.loads(checkpoint.read_text())
-        meta = payload["meta"]
-        if edit == "integral_floats":
-            meta["model_config"]["resource_blocks"] = float(meta["model_config"]["resource_blocks"])
-            meta["topology"]["edges"] = [[float(i) for i in e] for e in meta["topology"]["edges"]]
-            for entry in payload["params"].values():
-                entry["shape"] = [float(d) for d in entry["shape"]]
-        else:
-            assert meta["model_config"]["variant"] == "resource_only"
-            meta["model_config"]["traffic_layers"] = 4000
+        payload["meta"]["topology"]["edges"] = [
+            [float(i) for i in e] for e in payload["meta"]["topology"]["edges"]]
+        for entry in payload["params"].values():
+            entry["shape"] = [float(d) for d in entry["shape"]]
         edited = tmp_path / "checkpoint.json"
         edited.write_text(json.dumps(payload))
         outputs = []
@@ -666,40 +665,29 @@ class TestEvalPredictExport:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] and outputs[0]
 
-    @pytest.mark.parametrize("variant, key, module", [
-        ("resource_only", "resource_blocks", "encoders.GmlpBlock"),
-        ("full", "traffic_layers", "encoders.GraphTransformerLayer"),
-        ("full", "fusion_rank", "fusion.DemandCapacityFusion"),
-    ])
-    def test_oversized_model_refused_before_it_is_built(self, tmp_path, capsys, monkeypatch,
-                                                        pipeline, variant, key, module):
-        # the parent built every layer first: 4000 traffic layers took 0.35 s
-        # and 50 MB, and a size of 10**8 ran the host out of memory
+    @pytest.mark.parametrize("value", [2, 4000, True, 4.0, "4"], ids=repr)
+    @pytest.mark.parametrize("key", ["traffic_layers", "resource_blocks", "fusion_rank"])
+    def test_model_size_other_than_its_constant_exit_5_before_building(
+            self, tmp_path, capsys, monkeypatch, pipeline, key, value):
+        # the sizes are constants; older checkpoints carry each at 4, whatever
+        # the variant builds. A size of 10**8 once built layer by layer until
+        # the host ran out of memory
         from tailcast import encoders, fusion
-        checkpoint = pipeline["train"] / "checkpoint.json"
-        if variant == "full":
-            model, stats = fusion.load_model(checkpoint)
-            checkpoint = tmp_path / "full.json"
-            fusion.save_model(checkpoint, fusion.LatencyModel(fusion.ModelConfig(), model.topology),
-                              stats)
-        payload = json.loads(checkpoint.read_text())
-        values = sum(len(entry["data"]) for entry in payload["params"].values())
-        # more layers than parameter names, or a rank above the parameter values
-        payload["meta"]["model_config"][key] = values + 1 if key == "fusion_rank" else 4000
-        bad = tmp_path / "checkpoint.json"
-        bad.write_text(json.dumps(payload))
-        owner, name = module.split(".")
-        cls = getattr({"encoders": encoders, "fusion": fusion}[owner], name)
-        built, init = [], cls.__init__
+        payload = json.loads((pipeline["train"] / "checkpoint.json").read_text())
+        payload["meta"]["model_config"][key] = value
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(payload))
+        built = []
+        for cls in (encoders.GraphTransformerLayer, encoders.GmlpBlock,
+                    fusion.DemandCapacityFusion):
+            def counting_init(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
 
-        def counting_init(self, *args, **kwargs):
-            built.append(name)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", counting_init)
+            monkeypatch.setattr(cls, "__init__", counting_init)
         assert main(["predict", "--snapshots", str(pipeline["dataset"]),
-                     "--checkpoint", str(bad)]) == 5
-        assert f"model_config.{key} must be at most " in capsys.readouterr().err
+                     "--checkpoint", str(checkpoint)]) == 5
+        assert f"model_config.{key} must be 4, got {json.dumps(value)}" in capsys.readouterr().err
         assert built == []
 
     @pytest.mark.parametrize("command", ["eval", "predict", "export-embedding"])

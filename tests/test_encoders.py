@@ -24,7 +24,6 @@ from tailcast.encoders import (
     TrafficEncoder,
     collate_snapshots,
 )
-from tailcast.fusion import ModelConfig
 from tailcast.simulator import preset_topologies
 from tailcast.statgraph import Snapshot, Topology
 from tailcast.tensor import Tensor
@@ -65,14 +64,14 @@ def routing_for(topo):
 
 def traffic_encoder(rng, **sizes):
     """A traffic encoder with the model's sizes unless overridden."""
-    return TrafficEncoder(**{"num_layers": ModelConfig().traffic_layers, "d_node": F.D_NODE,
+    return TrafficEncoder(**{"num_layers": F.TRAFFIC_LAYERS, "d_node": F.D_NODE,
                              "d_edge": F.D_EDGE, "d_emb": F.D_EMB, "num_heads": F.NUM_HEADS,
                              **sizes}, rng=rng)
 
 
 def resource_encoder(rng, num_positions, **sizes):
     """A resource encoder with the model's sizes unless overridden."""
-    return ResourceEncoder(**{"num_blocks": ModelConfig().resource_blocks,
+    return ResourceEncoder(**{"num_blocks": F.RESOURCE_BLOCKS,
                               "d_resource": F.D_RESOURCE, "d_emb": F.D_EMB,
                               "expansion": F.GMLP_EXPANSION, **sizes},
                            num_positions=num_positions, rng=rng)

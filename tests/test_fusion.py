@@ -34,7 +34,8 @@ from tailcast.training import LossParams, _split_loss, batch_loss
 # shape now has
 OLD_FIXED_SHAPE = {"d_node": 3, "d_edge": 3, "d_resource": 5, "d_emb": 16, "num_heads": 4,
                    "gmlp_expansion": 4, "fusion_tokens": 4, "fused_width": 16, "head_hidden": 16,
-                   "dropout_traffic": 0.1, "dropout_resource": 0.1}
+                   "dropout_traffic": 0.1, "dropout_resource": 0.1, "traffic_layers": 4,
+                   "resource_blocks": 4, "fusion_rank": 4}
 
 
 def small_topology():
@@ -174,15 +175,6 @@ class TestVariants:
         with pytest.raises(ValueError):
             LatencyModel(ModelConfig(variant="bogus"), small_topology())
 
-    def test_encoder_sizes_checked_only_where_the_encoder_is_built(self):
-        topo = small_topology()
-        with pytest.raises(ValueError, match="num_layers must be >= 1"):
-            LatencyModel(ModelConfig("traffic_only", traffic_layers=0, resource_blocks=0), topo)
-        with pytest.raises(ValueError, match="num_blocks must be >= 1"):
-            LatencyModel(ModelConfig("resource_only", traffic_layers=0, resource_blocks=0), topo)
-        assert LatencyModel(ModelConfig(variant="resource_only", traffic_layers=0), topo)
-        assert LatencyModel(ModelConfig(variant="traffic_only", resource_blocks=0), topo)
-
     def test_traffic_only_ignores_resources_exactly(self):
         topo = small_topology()
         snaps = make_snapshots(topo)
@@ -276,8 +268,7 @@ class TestVariants:
     def test_full_model_gradcheck_through_everything(self):
         topo = small_topology()
         snaps = make_snapshots(topo, count=1, seed=11)
-        config = ModelConfig("full", traffic_layers=1, resource_blocks=1, fusion_rank=3)
-        model = LatencyModel(config, topo, seed=10)
+        model = LatencyModel(ModelConfig("full"), topo, seed=10)
         model.eval()
         batch = model.collate(snaps)
         batch.node_features.requires_grad = True
@@ -327,11 +318,11 @@ class TestBatchInvariance:
             assert np.array_equal(model.predict(snaps), first)
 
 
-# encoder blocks of each variant at 2 traffic layers and 3 resource blocks:
-# graph-attention layers for the traffic (or merged) stream and for
-# gnn_fused's resource stream, gMLP blocks for the gMLP resource stream
-DROPOUT_BLOCKS = {"full": 5, "traffic_only": 2, "resource_only": 3, "simple_fused": 5,
-                  "gnn_fused": 4, "single_stream": 2}
+# encoder blocks of each variant: 4 graph-attention layers for the traffic
+# (or merged) stream and for gnn_fused's resource stream, 4 gMLP blocks for
+# the gMLP resource stream
+DROPOUT_BLOCKS = {"full": 8, "traffic_only": 4, "resource_only": 4, "simple_fused": 8,
+                  "gnn_fused": 8, "single_stream": 4}
 
 
 class TestDropoutDraws:
@@ -339,8 +330,7 @@ class TestDropoutDraws:
 
     @staticmethod
     def _model(variant):
-        config = ModelConfig(variant, traffic_layers=2, resource_blocks=3)
-        return LatencyModel(config, small_topology(), seed=3)
+        return LatencyModel(ModelConfig(variant), small_topology(), seed=3)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_training_forward_draws_one_mask_per_block(self, variant):
@@ -503,7 +493,7 @@ class TestModelCheckpoint:
         assert loaded.topology == topo
 
     def test_config_json_roundtrip(self):
-        config = ModelConfig(variant="gnn_fused", fusion_rank=8)
+        config = ModelConfig(variant="gnn_fused")
         assert ModelConfig.from_dict(config.to_dict()) == config
 
     def test_old_reverse_messages_field(self, tmp_path):
@@ -529,14 +519,14 @@ class TestModelCheckpoint:
 
     def test_retired_keys_at_their_constants_load(self, tmp_path):
         # checkpoints written while the fixed shape was configurable carry
-        # every retired key at its value
+        # every retired key at its value; save_model writes the variant alone
         topo = small_topology()
         snaps = make_snapshots(topo, count=3)
         path = tmp_path / "ckpt.json"
         model = LatencyModel(ModelConfig(variant="full"), topo, seed=15)
         save_model(path, model, self._stats(topo))
         payload = json.loads(path.read_text())
-        assert sorted(payload["meta"]["model_config"]) == sorted(ModelConfig().to_dict())
+        assert payload["meta"]["model_config"] == {"variant": "full"}
         payload["meta"]["model_config"].update(OLD_FIXED_SHAPE)
         old = tmp_path / "old.json"
         old.write_text(json.dumps(payload))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import tailcast
 
-MAX_SETTABLE_VALUES = 130
+MAX_SETTABLE_VALUES = 124
 
 
 def settable_values(source: str) -> int:

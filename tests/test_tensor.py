@@ -468,7 +468,7 @@ class TestAdam:
         # update is lr * g / (|g| + eps) ~ lr * sign(g)
         p = Tensor([0.5], requires_grad=True)
         p.grad = np.array([0.3])
-        opt = Adam({"p": p}, learning_rate=1e-3)
+        opt = Adam({"p": p})
         opt.step()
         assert abs((0.5 - p.data[0]) - 1e-3) < 1e-9
 
@@ -484,7 +484,7 @@ class TestAdam:
         theta -= lr * (m / (1 - b1**2)) / (np.sqrt(v / (1 - b2**2)) + eps)
 
         p = Tensor([0.5], requires_grad=True)
-        opt = Adam({"p": p}, learning_rate=lr)
+        opt = Adam({"p": p})
         p.grad = np.array([g1])
         opt.step()
         p.grad = np.array([g2])

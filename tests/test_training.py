@@ -284,7 +284,7 @@ class TestTrainLoop:
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_nan_explosion_aborts_with_diagnostics(self):
-        cfg = TrainConfig(epochs=2, batch_size=8, seed=6, learning_rate=1e-3)
+        cfg = TrainConfig(epochs=2, batch_size=8, seed=6)
 
         # poison the loss with a non-finite label; training must abort
         bad = synthetic_dataset(n=20, seed=5)
@@ -304,10 +304,14 @@ class TestTrainLoop:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_diverged_single_batch_epoch_raises(self):
-        # one batch per epoch: its loss is finite, the step it takes is not
+        # one batch per epoch, of the training split's labels of 1e300: its
+        # loss is finite; against the other labels of 1e-300 the predictions
+        # of 1e300 overflow every validation loss
+        ds = synthetic_dataset(n=20, seed=5)
+        for i, snap in enumerate(ds.snapshots):
+            snap.label = 1e300 if i < 14 else 1e-300
         with pytest.raises(TrainingError, match="no epoch reached a finite validation loss"):
-            tr.train(synthetic_dataset(n=20, seed=5), "resource_only",
-                     TrainConfig(epochs=1, batch_size=64, seed=6, learning_rate=1e300))
+            tr.train(ds, "resource_only", TrainConfig(epochs=1, batch_size=64, seed=6))
 
     def test_too_small_dataset_rejected(self):
         with pytest.raises(ValueError):
