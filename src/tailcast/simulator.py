@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from array import array
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, fields
@@ -209,24 +210,27 @@ class SimRequest:
 
 @dataclass
 class SimulationResult:
-    """What a run returns. The request records are kept as columns:
-    request ``rid`` is ``arrivals[rid]`` of the time-sorted arrivals, the
-    arrival times of each request's hops follow one another in
-    ``hop_times``, request by request in rid order, and ``completion_order``
-    lists the rids in the order of ``latency_records``."""
+    """What a run returns. The request records are kept as columns, with
+    no object per request, hop or arrival: request ``rid`` is arrival
+    ``rid`` of the time-sorted arrivals, which arrived at ``arrivals[0][rid]``
+    (an ``array('d')``) and has request type ``arrivals[1][rid]`` (a list of
+    ints); the arrival times of each request's hops follow one another in
+    ``hop_times`` (an ``array('d')``), request by request in rid order; and
+    ``completion_order`` (an ``array('q')``) lists the rids in the order of
+    ``latency_records``."""
 
     topology: Topology
     latency_records: list[tuple[float, float]]  # (completion time, latency), completion order
     exposition_text: str
     saturated_scrape_times: list[float]
-    arrivals: list[tuple[float, int]]  # (time, request-type index), time-ascending
+    arrivals: tuple[array, list[int]]  # (times, request-type indices), time-ascending
     paths: list[tuple[int, ...]]  # service indices of each request type's path
-    hop_times: list[float]
-    completion_order: list[int]
+    hop_times: array
+    completion_order: array
 
     @property
     def arrivals_total(self) -> int:
-        return len(self.arrivals)
+        return len(self.arrivals[1])
 
     @property
     def completed_total(self) -> int:
@@ -235,12 +239,12 @@ class SimulationResult:
     @property
     def requests(self) -> list[SimRequest]:
         """Every completed request, in completion order, built when read."""
-        arrivals, paths, hop_times = self.arrivals, self.paths, self.hop_times
-        first_hop = list(accumulate((len(paths[kind]) for _, kind in arrivals), initial=0))
+        (times, kinds), paths, hop_times = self.arrivals, self.paths, self.hop_times
+        first_hop = list(accumulate((len(paths[kind]) for kind in kinds), initial=0))
         requests = []
         for rid, (now, _) in zip(self.completion_order, self.latency_records):
-            start, kind = arrivals[rid]
-            requests.append(SimRequest(kind, start, now, paths[kind],
+            kind = kinds[rid]
+            requests.append(SimRequest(kind, times[rid], now, paths[kind],
                                        tuple(hop_times[first_hop[rid]:first_hop[rid + 1]])))
         return requests
 
@@ -274,12 +278,16 @@ def run_simulation(
     exposition chunk per scrape (a scrape joins its newline-ended lines
     when it ends, so no string per line outlives its scrape), and a hop
     count and a first-hop offset per request, both freed before the join.
-    No request has an object of its own while the loop runs: the result
-    keeps every hop's arrival time in one flat list, cut per request by
-    running sums of the path lengths, and builds ``requests`` from those
-    columns only when it is read. The text is one join of the chunks, so
-    the memory peak of the run is the result plus the chunks: about one
-    more copy of the text.
+    No request, hop or arrival has an object of its own while the loop
+    runs. The workload's ``(time, kind)`` tuples become a time column and
+    a list of kinds, and the run drops its reference to ``workload``, so
+    a caller that passes a workload it does not keep (``run_scenario``)
+    frees the tuples before the first event. The result keeps every hop's
+    arrival time in one ``array('d')``, cut per request by running sums
+    of the path lengths, and builds ``requests`` from those columns only
+    when it is read. The text is one join of the chunks, so the memory
+    peak of the run is the result plus the chunks: about one more copy of
+    the text.
     """
     spec.validate()
     if duration <= 0:
@@ -334,25 +342,35 @@ def run_simulation(
     prev_rx = [0.0] * n
     prev_tx = [0.0] * n
 
-    # arrivals are read in time order (stable, so ties keep workload order);
-    # the heap holds only in-flight completions: (time, seq, request id, service time)
+    # arrivals are read in time order (stable, so ties keep workload order)
+    # from two columns; the heap holds only in-flight completions:
+    # (time, seq, request id, service time)
     arrivals = sorted(workload.arrivals, key=itemgetter(0))
-    num_arrivals = len(arrivals)
+    del workload
+    # array() of a list, not of an iterator, which it appends item by item
+    arrival_times = array("d", list(map(itemgetter(0), arrivals)))
+    kinds = list(map(itemgetter(1), arrivals))
+    del arrivals
+    num_arrivals = len(kinds)
     # the next arrival's index and time; past the last one its time is inf
     next_arrival = 0
-    next_t = arrivals[0][0] if arrivals else math.inf
+    next_time = chain(arrival_times, (math.inf,)).__next__
+    next_t = next_time()
     heap: list[tuple[float, int, int, float]] = []
     seq = num_arrivals
     heappush, heappop = heapq.heappush, heapq.heappop
 
     # request ``rid`` is arrival ``rid``: ``hop_of[rid]`` counts the hops it has
     # arrived at, and its hop ``h`` arrives at ``hop_times[first_hop[rid] + h]``
-    first_hop = list(accumulate((len(paths[kind]) for _, kind in arrivals), initial=0))
+    first_hop = list(accumulate((len(paths[kind]) for kind in kinds), initial=0))
     hops_total = first_hop[-1]
     hop_of = [0] * num_arrivals
-    hop_times = [0.0] * hops_total
-    completion_order: list[int] = []
+    hop_times = array("d", bytes(8 * hops_total))
+    # a memoryview stores a float about twice as fast as array's own item assignment
+    hop_time_slots = memoryview(hop_times)
+    completion_order = array("q")
     latency_records: list[tuple[float, float]] = []
+    complete, record = completion_order.append, latency_records.append
 
     # one exponential per hop, drawn in blocks that add up to the hop count
     block_sizes = [min(_DRAW_BLOCK, hops_total - i) for i in range(0, hops_total, _DRAW_BLOCK)]
@@ -416,8 +434,7 @@ def run_simulation(
                 if heap[0][0] > until:
                     break
                 now, _, rid, st = heappop(heap)
-                start, kind = arrivals[rid]
-                hops = hop_table[kind]
+                hops = hop_table[kinds[rid]]
                 hop = hop_of[rid]
                 svc, e = hops[hop - 1]
                 cpu_seconds[svc] += st * cpu_per_request[svc]
@@ -430,24 +447,24 @@ def run_simulation(
                 else:
                     busy[svc] -= 1
                 if hop == len(hops):
-                    completion_order.append(rid)
-                    latency_records.append((now, now - start))
+                    complete(rid)
+                    record((now, now - arrival_times[rid]))
                     continue
                 svc, e = hops[hop]
             else:
                 if next_arrival == num_arrivals or next_t > until:
                     break
-                now, kind = arrivals[next_arrival]
+                now = next_t
                 rid = next_arrival
                 next_arrival += 1
-                next_t = arrivals[next_arrival][0] if next_arrival < num_arrivals else math.inf
+                next_t = next_time()
                 hop = 0
-                svc, e = hop_table[kind][0]
+                svc, e = hop_table[kinds[rid]][0]
             # request ``rid`` arrives at hop service ``svc`` over edge ``e``
             edge_requests[e] += 1
             edge_req_bytes[e] += request_bytes[svc]
             net_rx[svc] += request_bytes[svc]
-            hop_times[first_hop[rid] + hop] = now
+            hop_time_slots[first_hop[rid] + hop] = now
             hop_of[rid] = hop + 1
             if busy[svc] < pods[svc]:
                 busy[svc] += 1
@@ -465,7 +482,7 @@ def run_simulation(
         latency_records=latency_records,
         exposition_text="".join(chunks),
         saturated_scrape_times=saturated,
-        arrivals=arrivals,
+        arrivals=(arrival_times, kinds),
         paths=paths,
         hop_times=hop_times,
         completion_order=completion_order,
@@ -697,10 +714,10 @@ def run_scenario(scenario: Scenario) -> SimulationResult:
     rng_workload = np.random.default_rng(streams[0])
     rng_service = np.random.default_rng(streams[1])
     rng_noise = np.random.default_rng(streams[2])
-    workload = sample_workload(scenario.profile, scenario.cluster.request_types, rng_workload)
+    # the workload is passed on, not kept: run_simulation frees its tuples
     return run_simulation(
         scenario.cluster,
-        workload,
+        sample_workload(scenario.profile, scenario.cluster.request_types, rng_workload),
         scenario.duration_s,
         rng=rng_service,
         noise_rng=rng_noise,

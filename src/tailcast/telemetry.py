@@ -40,6 +40,7 @@ import logging
 import math
 from array import array
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,6 +103,7 @@ class ParseResult:
 # exposition text parsing
 # ---------------------------------------------------------------------------
 
+_PARSE_BLOCK = 1 << 20  # characters of text split into lines at a time by parse_exposition
 _NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:")
 _NAME_CHARS = _NAME_START | set("0123456789")
 
@@ -169,6 +171,21 @@ def _parse_head(line: str, line_no: int) -> tuple[str, dict[str, str], int]:
     return name, labels, i
 
 
+def _line_blocks(text: str) -> Iterator[list[str]]:
+    """``text.split("\\n")`` as consecutive lists of lines, one per block of
+    about ``_PARSE_BLOCK`` characters: a block ends at the first newline at
+    least that far into it (or at the end of the text), so no line is cut."""
+    start = 0
+    while start <= len(text):
+        stop = text.find("\n", start + _PARSE_BLOCK)
+        if stop < 0:
+            stop = len(text)
+        # split on newlines only: splitlines() would also break on exotic
+        # separators (\x1c..\x1e etc.) that are legal inside label values
+        yield text[start:stop].split("\n")
+        start = stop + 1
+
+
 def parse_exposition(text: str, strict: bool = True) -> ParseResult:
     """Parse exposition-format text (timestamps are seconds) into columns.
 
@@ -183,52 +200,57 @@ def parse_exposition(text: str, strict: bool = True) -> ParseResult:
     would parse the same way again; a miss, and every head error, goes
     through :func:`_parse_head`. Heads without labels are stored but never
     found: a lookup key ends with '}' or is empty.
+
+    The lines are ``text.split("\\n")``'s, but no list of every line is
+    held: :func:`_line_blocks` splits the text one block at a time, so the
+    parse holds one block's lines besides the columns it fills.
     """
     columns = SeriesColumns()
     result = ParseResult(samples=columns)
     # head text -> (metric name, timestamp buffer, value buffer) of its series
     heads: dict[str, tuple[str, array, array]] = {}
-    # split on newlines only: splitlines() would also break on exotic
-    # separators (\x1c..\x1e etc.) that are legal inside label values
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line[0] == "#":
-            continue
-        end = line.rfind("}") + 1
-        head = heads.get(line[:end])
-        try:
-            if head is None:
-                name, labels, end = _parse_head(line, line_no)
-            rest = line[end:].split()
-            if not 0 < len(rest) < 3:
-                raise ParseError("expected 'value [timestamp]' after metric", line_number=line_no, line=line)
+    line_no = 0
+    for lines in _line_blocks(text):
+        for line_no, raw in enumerate(lines, start=line_no + 1):
+            line = raw.strip()
+            if not line or line[0] == "#":
+                continue
+            end = line.rfind("}") + 1
+            head = heads.get(line[:end])
             try:
-                value = float(rest[0])
-            except ValueError:
-                raise ParseError(f"bad sample value {rest[0]!r}", line_number=line_no, line=line) from None
-            timestamp = math.nan
-            if len(rest) == 2:
+                if head is None:
+                    name, labels, end = _parse_head(line, line_no)
+                rest = line[end:].split()
+                if not 0 < len(rest) < 3:
+                    raise ParseError("expected 'value [timestamp]' after metric", line_number=line_no, line=line)
                 try:
-                    timestamp = float(rest[1])
+                    value = float(rest[0])
                 except ValueError:
-                    raise ParseError(f"bad timestamp {rest[1]!r}", line_number=line_no, line=line) from None
-                if not math.isfinite(timestamp):
-                    raise ParseError("non-finite timestamp", line_number=line_no, line=line)
-            if value != value:
-                raise ParseError("NaN sample value", line_number=line_no, line=line)
-        except ParseError as exc:
-            if strict:
-                raise
-            result.skipped.append((line_no, str(exc)))
-            logger.warning("skipping malformed line %d: %s", line_no, exc)
-            continue
-        if head is None:
-            key = (name, tuple(sorted(labels.items())))
-            head = heads[line[:end]] = (name, *columns.series.setdefault(key, (array("d"), array("d"))))
-        head[1].append(timestamp)
-        head[2].append(value)
-        if len(rest) == 1 and columns.untimed is None:
-            columns.untimed = head[0]
+                    raise ParseError(f"bad sample value {rest[0]!r}", line_number=line_no, line=line) from None
+                timestamp = math.nan
+                if len(rest) == 2:
+                    try:
+                        timestamp = float(rest[1])
+                    except ValueError:
+                        raise ParseError(f"bad timestamp {rest[1]!r}", line_number=line_no, line=line) from None
+                    if not math.isfinite(timestamp):
+                        raise ParseError("non-finite timestamp", line_number=line_no, line=line)
+                if value != value:
+                    raise ParseError("NaN sample value", line_number=line_no, line=line)
+            except ParseError as exc:
+                if strict:
+                    raise
+                result.skipped.append((line_no, str(exc)))
+                logger.warning("skipping malformed line %d: %s", line_no, exc)
+                continue
+            if head is None:
+                key = (name, tuple(sorted(labels.items())))
+                head = heads[line[:end]] = (name, *columns.series.setdefault(key, (array("d"), array("d"))))
+            head[1].append(timestamp)
+            head[2].append(value)
+            if len(rest) == 1 and columns.untimed is None:
+                columns.untimed = head[0]
+        del lines  # before the next block is split, so one block's lines are alive at a time
     return result
 
 
@@ -304,10 +326,11 @@ def read_latency_csv(path) -> np.ndarray:
     (timestamp, latency_seconds) rows, in file order.
 
     Rows are checked one at a time, so the first bad row in the file raises
-    :class:`ParseError` with its line number.
+    :class:`ParseError` with its line number. A checked row is appended to
+    two ``array('d')`` columns, so no Python float per value is kept.
     """
-    ts: list[float] = []
-    vs: list[float] = []
+    ts, vs = array("d"), array("d")
+    add_t, add_v = ts.append, vs.append
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -326,9 +349,9 @@ def read_latency_csv(path) -> np.ndarray:
                 raise ParseError(f"timestamp must be finite, got {t}", line_number=line_no)
             if not (math.isfinite(v) and v > 0):
                 raise ParseError(f"latency must be finite and > 0, got {v}", line_number=line_no)
-            ts.append(t)
-            vs.append(v)
-    return np.column_stack((np.array(ts, dtype=np.float64), np.array(vs, dtype=np.float64)))
+            add_t(t)
+            add_v(v)
+    return np.column_stack((np.frombuffer(ts), np.frombuffer(vs)))
 
 
 def write_latency_csv(path, records) -> None:

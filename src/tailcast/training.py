@@ -180,7 +180,9 @@ class TrainReport:
 
 
 def _param_norms(model) -> str:
-    norms = {name: float(np.sqrt((p.data ** 2).sum())) for name, p in model.parameters().items()}
+    # math.hypot scales by the largest magnitude, so a finite value above
+    # about 1.3e154, whose square overflows, still gives a finite norm
+    norms = {name: math.hypot(*p.data.ravel().tolist()) for name, p in model.parameters().items()}
     worst = sorted(norms.items(), key=lambda kv: -kv[1])[:3]
     return ", ".join(f"{k}={v:.3g}" for k, v in worst)
 

@@ -410,6 +410,36 @@ class TestTrainCli:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_diverged_training_names_finite_parameter_norms(self, tmp_path, capsys):
+        # The output bias starts at the softplus inverse of the training
+        # split's mean label, about 5e299: finite, though its square is not,
+        # so a norm summed from squares read it as inf.
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "preset": "sockshop_like", "seed": 5, "duration_s": 150.0, "noise_sigma": 0.01,
+            "profile": [{"kind": "ramp", "duration_s": 60.0, "start_rate": 5.0, "end_rate": 30.0},
+                        {"kind": "plateau", "duration_s": 90.0, "start_rate": 30.0}]}))
+        sim, data = tmp_path / "sim", tmp_path / "data.jsonl"
+        assert main(["simulate", "--scenario", str(scenario), "--out-dir", str(sim)]) == 0
+        assert main(["ingest", "--telemetry", str(sim), "--topology", str(sim / "topology.json"),
+                     "--dataset", str(data)]) == 0
+        header, *rows = data.read_text().splitlines()
+        for i, line in enumerate(rows):
+            row = json.loads(line)
+            row["y"] = 1e300 if i % 2 == 0 else 1e-300
+            rows[i] = json.dumps(row)
+        data.write_text("\n".join([header, *rows]) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "train"
+        assert main(["train", "--dataset", str(data), "--out-dir", str(out), "--epochs", "1"]) == 4
+        err = capsys.readouterr().err
+        assert "non-finite loss at epoch 1, batch 0" in err
+        norms = dict(item.split("=") for item in
+                     err.split("largest parameter norms: ")[1].strip().split(", "))
+        assert 1e299 < float(norms["head.layers.1.b"]) < 1e300
+        assert not out.exists()
+
     def test_overflowing_feature_exit_2_before_writing(self, tmp_path, capsys, pipeline):
         # 1e308 is finite, but its square is not: the node std would be inf,
         # and eval refuses a checkpoint holding it

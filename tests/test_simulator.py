@@ -2,9 +2,13 @@
 
 import dataclasses
 import gc
+import heapq
 import math
+import sys
 import tracemalloc
+import weakref
 from bisect import bisect_right
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from oracles import (
     reference_sample_workload,
 )
 
+from tailcast import simulator
 from tailcast.errors import SchemaError
 from tailcast.simulator import (
     MAX_CANDIDATES,
@@ -570,6 +575,54 @@ class TestTransientMemory:
         ratio = (peak - retained) / len(result.exposition_text)
         assert ratio < 2.0, f"transient {(peak - retained) / 1e6:.2f} MB is {ratio:.2f}x the text"
         assert retained - base > len(result.exposition_text)
+
+    def test_result_holds_columns_besides_the_text_and_records(self):
+        # Bytes per completed request the result keeps besides
+        # exposition_text and latency_records, measured on this scenario:
+        # 53 with arrival times, hop times and the completion order in typed
+        # arrays and a list of kinds; 201 with the sampled (time, kind)
+        # tuples, a list of hop-time floats and a list of rids.
+        scenario = scenario_from_dict(self.SATURATING)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            result = run_scenario(scenario)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        records = result.latency_records
+        shown = (sys.getsizeof(result.exposition_text) + sys.getsizeof(records)
+                 + sum(sys.getsizeof(pair) + sum(map(sys.getsizeof, pair)) for pair in records))
+        assert result.completed_total == result.arrivals_total > 5000
+        per_request = (retained - base - shown) / result.completed_total
+        assert per_request < 100, f"{per_request:.0f} bytes kept per completed request"
+
+    def test_sampled_arrivals_are_freed_before_the_first_event(self, monkeypatch):
+        # run_scenario passes the sampled workload on without keeping it,
+        # and run_simulation drops its (time, kind) tuples once the columns
+        # are built: when the first hop is scheduled, no sampled time, and
+        # so no tuple holding one, is alive.
+        class Time(float):
+            pass
+
+        sample, times, alive = simulator.sample_workload, [], []
+
+        def tracked_sample(*args):
+            arrivals = [(Time(t), kind) for t, kind in sample(*args).arrivals]
+            times.extend(weakref.ref(t) for t, _ in arrivals)
+            return Workload(arrivals)
+
+        def heappush(heap, item):
+            if not alive:
+                alive.append(sum(ref() is not None for ref in times))
+            heapq.heappush(heap, item)
+
+        monkeypatch.setattr(simulator, "sample_workload", tracked_sample)
+        monkeypatch.setattr(simulator, "heapq", SimpleNamespace(heappush=heappush, heappop=heapq.heappop))
+        result = run_scenario(scenario_from_dict(self.SATURATING))
+        assert len(times) == result.arrivals_total > 5000
+        assert alive == [0]
 
 
 class TestPresets:

@@ -1,6 +1,8 @@
 """Exposition parsing, counter rates, window arithmetic, P95, ingestion."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from oracles import (
     parse_lines,
 )
 
+from tailcast import telemetry
 from tailcast.errors import ParseError, SchemaError
 from tailcast.statgraph import Topology
 from tailcast.telemetry import (
@@ -194,37 +197,93 @@ def _error(parse, text):
     return None
 
 
+def _assert_equals_the_per_line_oracle(text):
+    """parse_exposition of ``text`` equals the per-line oracle: samples,
+    lenient skips and the strict error."""
+    samples, skipped = parse_lines(text, strict=False)
+    result = parse_exposition(text, strict=False)
+    columns = result.samples
+    assert result.skipped == skipped
+    assert len(columns) == len(samples)
+    in_line_order = {}
+    for s in samples:
+        in_line_order.setdefault((s.name, tuple(sorted(s.labels.items()))), []).append(
+            (s.timestamp, s.value))
+    assert list(columns.series) == list(in_line_order)
+    assert {key: _hex_pairs(zip(ts, vs)) for key, (ts, vs) in columns.series.items()} == {
+        key: _hex_pairs(pairs) for key, pairs in in_line_order.items()}
+    untimed = next((s.name for s in samples if s.timestamp is None), None)
+    assert columns.untimed == untimed
+    if untimed is None:
+        by_time = {key: _hex_pairs(sorted(zip(ts, vs), key=lambda tv: tv[0]))
+                   for key, (ts, vs) in columns.series.items()}
+        assert by_time == {key: _hex_pairs(pairs) for key, pairs in group_series(samples).items()}
+    else:
+        with pytest.raises(SchemaError) as want:
+            group_series(samples)
+        with pytest.raises(SchemaError) as got:
+            build_snapshots(columns, _mini_topology(), WindowSpec(), [(1.0, 0.1)])
+        assert str(got.value) == str(want.value)
+    assert _error(parse_exposition, text) == _error(parse_lines, text)
+
+
 class TestColumnarParse:
     """parse_exposition against the per-line oracle (parse_lines + group_series)."""
 
     @given(_exposition())
     @settings(max_examples=300, deadline=None)
     def test_equals_the_per_line_oracle(self, text):
-        samples, skipped = parse_lines(text, strict=False)
-        result = parse_exposition(text, strict=False)
-        columns = result.samples
-        assert result.skipped == skipped
-        assert len(columns) == len(samples)
-        in_line_order = {}
-        for s in samples:
-            in_line_order.setdefault((s.name, tuple(sorted(s.labels.items()))), []).append(
-                (s.timestamp, s.value))
-        assert list(columns.series) == list(in_line_order)
-        assert {key: _hex_pairs(zip(ts, vs)) for key, (ts, vs) in columns.series.items()} == {
-            key: _hex_pairs(pairs) for key, pairs in in_line_order.items()}
-        untimed = next((s.name for s in samples if s.timestamp is None), None)
-        assert columns.untimed == untimed
-        if untimed is None:
-            by_time = {key: _hex_pairs(sorted(zip(ts, vs), key=lambda tv: tv[0]))
-                       for key, (ts, vs) in columns.series.items()}
-            assert by_time == {key: _hex_pairs(pairs) for key, pairs in group_series(samples).items()}
-        else:
-            with pytest.raises(SchemaError) as want:
-                group_series(samples)
-            with pytest.raises(SchemaError) as got:
-                build_snapshots(columns, _mini_topology(), WindowSpec(), [(1.0, 0.1)])
-            assert str(got.value) == str(want.value)
-        assert _error(parse_exposition, text) == _error(parse_lines, text)
+        _assert_equals_the_per_line_oracle(text)
+
+
+class TestBlockSplit:
+    """parse_exposition splits its text into lines one block at a time; with
+    blocks of a few characters it must still read ``text.split("\\n")``."""
+
+    @given(_exposition(), st.integers(min_value=1, max_value=64))
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_small_blocks_equal_the_per_line_oracle(self, monkeypatch, text, block):
+        monkeypatch.setattr(telemetry, "_PARSE_BLOCK", block)
+        _assert_equals_the_per_line_oracle(text)
+
+    # the empty text, newlines alone and at the end; \r, \x1c-\x1e and " "
+    # are stripped from a line's ends but never end one, and inside a label
+    # value they are kept; malformed lines on both sides of every boundary
+    @pytest.mark.parametrize("text", [
+        "", "\n", "\n\n", "\n\n\n", "m 1 5", "m 1 5\n", "\r", "\r\n\r", " ", " \n \n ",
+        "\x1c\n\x1d\n\x1e", 'm{a="x\x1cy\x1dz\x1e"} 1 5\n\x1cm 2 10\x1e\n',
+        "m 1 5\r\nbad line\r\n\r\nm 2 10 \n \x1cm{a=b} 1\x1d\n# c\n#\n",
+        "m 1 5\n" * 4 + "m x\n" + "m 2 10\n" * 3 + 'm{a="b"} 1 nan',
+    ])
+    def test_every_block_size_reads_the_lines_of_split(self, monkeypatch, text):
+        for block in range(1, len(text) + 2):
+            monkeypatch.setattr(telemetry, "_PARSE_BLOCK", block)
+            blocks = list(telemetry._line_blocks(text))
+            assert [line for lines in blocks for line in lines] == text.split("\n")
+            assert len(blocks) == 1 or block < len(text)
+            _assert_equals_the_per_line_oracle(text)
+
+    def test_transient_memory_is_a_fraction_of_the_text(self):
+        # Measured on this 7.5 MB text: the parse's peak above what it
+        # keeps is 0.38 of the text with one 1 MB block's lines alive at a
+        # time, 0.64 with two (the last block's lines kept while the next
+        # is split), and 1.91 with every line of the text held at once.
+        text = "".join(f'container_memory_usage_bytes{{workload="svc{i % 97}"}} '
+                       f"{i * 1.5!r} {i // 97 * 5.0!r}\n" for i in range(120_000))
+        assert len(text) > 7 * telemetry._PARSE_BLOCK
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            result = parse_exposition(text)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.samples) == 120_000
+        ratio = (peak - retained) / len(text)
+        assert ratio < 0.5, f"transient {(peak - retained) / 1e6:.2f} MB is {ratio:.2f}x the text"
+        assert retained - base > 2 * 8 * 120_000
 
 
 class TestCounterToRate:
